@@ -312,6 +312,7 @@ void BM_ConservativeIncrementalReplan(benchmark::State& state) {
     total.replaced += st.replaced;
     total.reused += st.reused;
     total.certified += st.certified;
+    total.moved += st.moved;
     total.cursor_restarts += st.cursor_restarts;
     state.ResumeTiming();
   }
@@ -324,6 +325,7 @@ void BM_ConservativeIncrementalReplan(benchmark::State& state) {
   state.counters["replaced"] = per_iter(total.replaced);
   state.counters["reused"] = per_iter(total.reused);
   state.counters["certified"] = per_iter(total.certified);
+  state.counters["moved"] = per_iter(total.moved);
   state.counters["cursor_restarts"] = per_iter(total.cursor_restarts);
   state.SetComplexityN(state.range(0));
 }

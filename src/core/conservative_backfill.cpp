@@ -10,19 +10,14 @@ namespace jsched::core {
 namespace {
 
 /// Merged breakpoints a single screening query may walk before giving up
-/// and treating the job as moved (an early cutoff is exact — see
-/// replan_incremental). Screens span [now, reservation]; at realistic
-/// replan windows that is a few hundred breakpoints, so the budget only
-/// trips on pathological profiles where scratch re-placement is the
-/// cheaper tool anyway.
-constexpr std::size_t kScreenStepBudget = 2048;
-
-/// Merged breakpoints one certificate-revalidation crossing test may walk
-/// before conservatively answering "crossed" (which merely demotes the job
-/// to the individual screen walk, still exact). The walk is confined to
-/// the growth region — a handful of release spans — so the budget only
-/// exists as a backstop.
-constexpr std::size_t kCrossingStepBudget = 512;
+/// and handing the rest of the window to scratch re-placement (a cutoff
+/// at any position is exact — see replan_incremental). Most queries walk
+/// a few hundred breakpoints; the long ones are walks from `now` for
+/// window entrants planned deep behind a backlog. On the 4x-load
+/// FCFS+CONS serve workload (20k jobs, queue peaking near 10k) a budget
+/// of 2048 ended ~1.3k screens per run, each then paying tree-descent
+/// re-placements for the rest of the window; at 8192 none ended.
+constexpr std::size_t kScreenStepBudget = 8192;
 
 Time span_end(Time start, Duration duration) {
   return start > kTimeInfinity - duration ? kTimeInfinity : start + duration;
@@ -140,9 +135,9 @@ void ConservativeBackfillDispatch::replan(const std::vector<JobId>& order,
                                           Time now, std::size_t limit) {
   ++stats_.replans;
   // Re-plan the first `limit` reserved jobs (queue order) from `now`.
-  // Capacity only ever increased since the previous plan, so each
-  // re-placed reservation is at or before its old time — the conservative
-  // guarantee survives compression.
+  // Each job is placed before any job behind it, so compression never
+  // lets a later job displace an earlier one — the conservative guarantee
+  // survives it.
   const bool full_coverage = limit >= reserved_.size();
 
   planned_.clear();
@@ -151,7 +146,7 @@ void ConservativeBackfillDispatch::replan(const std::vector<JobId>& order,
     auto it = reserved_.find(id);
     if (it == reserved_.end()) continue;  // dormant (beyond depth)
     const Job& j = store_->get(id);
-    planned_.push_back({id, it->second, j.estimate, j.nodes});
+    planned_.push_back({id, it->second, j.estimate, j.nodes, false});
   }
   if (!planned_.empty()) {
     if (params_.scratch_replan) {
@@ -175,20 +170,16 @@ void ConservativeBackfillDispatch::replan(const std::vector<JobId>& order,
 }
 
 void ConservativeBackfillDispatch::replan_incremental(Time now) {
-  // Phase 1 — screening. The scratch procedure lifts every planned
-  // reservation, then re-places them in queue order; screening finds the
-  // first queue position whose re-placement would actually move, without
-  // touching the profile. The overlay carries the allocations of the
-  // not-yet-reached window positions k..end, so while positions 0..k-1
-  // are proven unmoved (their allocations, being identical, stay live),
-  // `profile_ + overlay` is bit-for-bit the profile the scratch procedure
-  // would query before placing position k. A job whose screened fit
-  // equals its reservation is reused in place; the first mismatch ends
-  // the screen. Exactness does not depend on the cutoff being tight:
-  // scratch re-placement of an unmoved job is a no-op on the canonical
-  // profile, so handing any suffix starting at or before the true first
-  // mover to replace_from() reproduces the scratch schedule exactly —
-  // which is why the screen may also bail out early on budget.
+  // The scratch procedure lifts every planned reservation, then re-places
+  // them in queue order. This path resolves the same positions in the
+  // same order without the lift: the overlay carries the allocations of
+  // the window positions not yet resolved (and not detached, see below),
+  // so before resolving position k, `profile_ + overlay_` is bit-for-bit
+  // the profile the scratch procedure would query to place it. A job whose
+  // fit equals its reservation stays put — its allocation is already in
+  // the profile, so retiring it from the overlay places it. A job that
+  // moves is moved in place, keeping the profile a valid allocation after
+  // every mutation (see place()).
   spans_.clear();
   spans_.reserve(planned_.size());
   for (const PlannedJob& p : planned_) {
@@ -198,9 +189,9 @@ void ConservativeBackfillDispatch::replan_incremental(Time now) {
   // Window entrants are capacity growth too: when the certificates were
   // proven, an entrant's reservation was a dormant blocker outside the
   // window; now the overlay lifts it, so a certified predecessor may
-  // legitimately move into its slot. Fold their spans into the growth set
-  // the crossing test checks. (Entrants created since the last replan
-  // never blocked anything — counting them is merely conservative.)
+  // legitimately move into its slot. Fold their spans into the growth set.
+  // (Entrants created since the last replan never blocked anything —
+  // counting them is merely conservative.)
   if (!screen_all_) {
     for (const PlannedJob& p : planned_) {
       if (!std::binary_search(prev_window_.begin(), prev_window_.end(),
@@ -211,53 +202,102 @@ void ConservativeBackfillDispatch::replan_incremental(Time now) {
   }
   growth_overlay_.build(growth_);
   const std::uint64_t restarts_before = cursor_.restarts();
-  std::size_t first_affected = planned_.size();
   for (std::size_t k = 0; k < planned_.size(); ++k) {
     const PlannedJob& p = planned_[k];
-    bool unmoved;
-    if (p.start == now) {
-      // Cannot move: the screened fit is >= now and <= its old start.
-      unmoved = true;
-    } else if (p.start < now) {
-      // Overdue reservation whose wakeup has not been delivered yet; the
-      // scratch procedure re-places it from `now`, which is a move.
-      unmoved = false;
-    } else if (!screen_all_ &&
-               std::binary_search(prev_window_.begin(), prev_window_.end(),
-                                  p.id) &&
-               !profile_.capacity_crossed(overlay_, growth_overlay_, now,
-                                          span_end(p.start, p.estimate),
-                                          p.nodes, kCrossingStepBudget)) {
-      // Certificate revalidated. The previous replan proved no earlier
-      // fit exists for this job; with positions 0..k-1 unmoved,
-      // `profile_ + overlay` differs from the capacity it was proven
-      // against only by the growth spans (shrinks cannot create fits,
-      // re-placements of later window positions are lifted out either
-      // way). A new fit would need the combined capacity to cross the
-      // job's width inside the growth region — just tested false — so
-      // the verdict stands without walking [now, start) at all.
-      unmoved = true;
-      ++stats_.certified;
+    Time fit;
+    bool certified = false;
+    if (p.start < now) {
+      // Overdue reservation whose wakeup has not been delivered yet: the
+      // scratch procedure re-places it from `now`. Rare — fall back.
+      fit = kTimeInfinity;
+    } else if (p.start == now ||
+               (!screen_all_ && std::binary_search(prev_window_.begin(),
+                                                   prev_window_.end(),
+                                                   p.id))) {
+      // Certificate. The previous replan proved no fit before this job's
+      // start; since then the view it is resolved against differs from
+      // the proven one only by shrinks (which cannot create fits) and by
+      // the growth set: early releases, normalization releases, window
+      // entrants and the slots that earlier positions of this replan
+      // vacated. Any earlier fit must therefore contain an instant where
+      // growth lifted capacity across the job's width, and the
+      // growth-confined query examines only the runs through such
+      // instants — never the stretch from `now`. (A start at `now` needs
+      // no proof.)
+      fit = profile_.earliest_fit_in_growth(overlay_, growth_overlay_, now,
+                                            p.start, p.estimate, p.nodes,
+                                            kScreenStepBudget);
+      certified = fit == p.start;
+      if (certified && p.detached) {
+        // No earlier fit, but an earlier mover took part of the old slot:
+        // the fit lies at or after it.
+        fit = profile_.earliest_fit_with(overlay_, cursor_, p.start,
+                                         p.estimate, p.nodes, kTimeInfinity,
+                                         kScreenStepBudget);
+      }
     } else {
-      // No certificate (new window member, post-rebuild, or the growth
-      // crossed this width) — the individual bounded walk over
-      // `profile_ + overlay` is the exact arbiter.
-      const Time fit =
-          profile_.earliest_fit_with(overlay_, cursor_, now, p.estimate,
-                                     p.nodes, p.start, kScreenStepBudget);
-      unmoved = fit == p.start;  // moved — or kTimeInfinity on budget
+      // No certificate (new window member, or a wholesale rebuild since
+      // the last replan): walk from `now`. An intact job's own slot is a
+      // known fit in the merged view and bounds the walk; a detached
+      // job's is not.
+      fit = profile_.earliest_fit_with(
+          overlay_, cursor_, now, p.estimate, p.nodes,
+          p.detached ? kTimeInfinity : p.start, kScreenStepBudget);
     }
-    if (!unmoved) {
-      first_affected = k;
+    if (fit == kTimeInfinity) {
+      // Overdue or out of budget. Positions 0..k-1 are resolved and
+      // placed exactly, so scratch re-placement of the rest reproduces
+      // the scratch schedule.
+      ++stats_.fallbacks;
+      replace_from(k, now);
       break;
     }
-    overlay_.subtract(p.start, span_end(p.start, p.estimate), p.nodes);
-    ++stats_.reused;
+    if (fit == p.start && !p.detached) {
+      overlay_.subtract(p.start, span_end(p.start, p.estimate), p.nodes);
+      ++stats_.reused;
+      if (certified && p.start != now) ++stats_.certified;
+    } else {
+      place(k, fit);
+    }
   }
   stats_.cursor_restarts += cursor_.restarts() - restarts_before;
-  // Phase 2 — scratch from the first affected position (absent entirely
-  // in the common zero-move replan).
-  if (first_affected < planned_.size()) replace_from(first_affected, now);
+}
+
+void ConservativeBackfillDispatch::place(std::size_t k, Time start) {
+  PlannedJob& p = planned_[k];
+  const Time old_end = span_end(p.start, p.estimate);
+  const Time end = span_end(start, p.estimate);
+  // Lift the old slot (the combined view is unchanged: the overlay held
+  // it). Later positions were proven against a plan with this job there,
+  // so once it leaves, the slot is growth for their certificates.
+  if (!p.detached) {
+    profile_.release(p.start, p.estimate, p.nodes);
+    overlay_.subtract(p.start, old_end, p.nodes);
+  }
+  if (start != p.start) growth_overlay_.add(p.start, old_end, p.nodes);
+  // The new span fits the combined view, but later positions still hold
+  // their old slots in the profile. Detach every one the span overlaps —
+  // release it from the profile and retire it from the overlay, again
+  // leaving the combined view unchanged — so the overlay is zero over the
+  // span and the allocation below cannot oversubscribe the profile. A
+  // detached job is re-placed when its own position is resolved.
+  for (std::size_t j = k + 1; j < planned_.size(); ++j) {
+    PlannedJob& q = planned_[j];
+    if (q.detached) continue;
+    const Time q_end = span_end(q.start, q.estimate);
+    if (q.start >= end || start >= q_end) continue;
+    profile_.release(q.start, q.estimate, q.nodes);
+    overlay_.subtract(q.start, q_end, q.nodes);
+    q.detached = true;
+    ++stats_.detached;
+  }
+  profile_.allocate(start, p.estimate, p.nodes);
+  ++stats_.replaced;
+  if (start != p.start) {
+    ++stats_.moved;
+    reserved_.find(p.id)->second = start;
+    wakeups_.push({start, p.id});
+  }
 }
 
 void ConservativeBackfillDispatch::replace_from(std::size_t from, Time now) {
@@ -266,6 +306,7 @@ void ConservativeBackfillDispatch::replace_from(std::size_t from, Time now) {
     // profile's segment-tree maintenance to the first re-placement query.
     sim::Profile::BulkUpdate bulk(profile_);
     for (std::size_t k = from; k < planned_.size(); ++k) {
+      if (planned_[k].detached) continue;  // already out of the profile
       profile_.release(planned_[k].start, planned_[k].estimate,
                        planned_[k].nodes);
     }

@@ -10,10 +10,10 @@
 // reservations. Reservations are computed from user estimates; when jobs
 // finish early, the freed capacity is returned to the profile and the
 // front of the plan is recomputed ("compression") so the queue keeps
-// draining in priority order. Replanning in queue order can only move
-// reservations earlier (capacity is monotone non-decreasing between
-// plans), so no job's projected start is ever postponed — the conservative
-// guarantee.
+// draining in priority order. Replanning in queue order places every job
+// before any job behind it, so no job is ever displaced by one queued
+// after it — the conservative guarantee. (A job can still be pushed later
+// when a job ahead of it moves earlier onto its slot.)
 //
 // Engineering notes (all paper-faithful, bounded for very deep queues):
 //  * reservations exist for at most `reservation_depth` jobs at a time —
@@ -34,13 +34,24 @@
 //    BENCH_grid.json and the differential suite witness this):
 //      - on-time completions (zero capacity returned, tracked by a
 //        compression-debt flag) skip the replan outright;
-//      - a replan first *screens* the window in queue order against the
-//        live profile plus a capacity overlay standing in for the
-//        reservations a scratch replan would have lifted, and keeps every
-//        reservation whose screened fit equals its current start live in
-//        the profile (suffix reuse). Only from the first position that
-//        would actually move does it fall back to lift-and-re-place. Most
-//        replans move nothing and become read-only screens.
+//      - a replan resolves every window position in queue order against
+//        the live profile plus a capacity overlay standing in for the
+//        positions a scratch replan would not have placed yet. A job whose
+//        fit equals its reservation stays live in the profile; a job that
+//        moves is moved in place: its old slot is released, every later
+//        position whose slot the new span overlaps is *detached* (lifted
+//        from profile and overlay alike, re-placed when its own position
+//        resolves), then the new span is allocated — so the profile is a
+//        valid allocation after every mutation;
+//      - a member of the previous window holds a "no earlier fit"
+//        certificate that only capacity growth since that replan can
+//        break (early releases, normalizations, window entrants, and the
+//        slots this replan's movers vacated), so its earliest earlier fit
+//        is searched only around instants where growth lifted capacity
+//        across its width (Profile::earliest_fit_in_growth), never from
+//        now. Scratch re-placement of the rest of the window remains as
+//        the fallback for an overdue reservation or an exhausted step
+//        budget.
 #pragma once
 
 #include <cstddef>
@@ -104,8 +115,10 @@ class ConservativeBackfillDispatch final : public Dispatcher {
     std::uint64_t replans = 0;          ///< replan() invocations
     std::uint64_t replaced = 0;         ///< reservations lifted + re-placed
     std::uint64_t reused = 0;           ///< reservations kept without lifting
-    std::uint64_t certified = 0;        ///< reused without even a screen walk
+    std::uint64_t certified = 0;        ///< reused without a walk from now
     std::uint64_t moved = 0;            ///< re-placements that changed start
+    std::uint64_t detached = 0;         ///< slots lifted under a mover
+    std::uint64_t fallbacks = 0;        ///< screens ended by replace_from
     std::uint64_t cursor_restarts = 0;  ///< screen queries that re-anchored
   };
 
@@ -116,23 +129,30 @@ class ConservativeBackfillDispatch final : public Dispatcher {
   const ReplanStats& replan_stats() const noexcept { return stats_; }
 
  private:
-  /// One entry of the re-planned window: a reserved job with its current
-  /// reservation, in queue order.
+  /// One entry of the re-planned window: a reserved job with its
+  /// reservation from before the replan, in queue order.
   struct PlannedJob {
     JobId id;
     Time start;
     Duration estimate;
     int nodes;
+    /// Lifted out of the profile (and the overlay) because an earlier
+    /// position moved onto its slot; re-placed when its position resolves.
+    bool detached;
   };
 
   void reserve(JobId id, Time from);
   void replan(const std::vector<JobId>& order, Time now, std::size_t limit);
-  /// Incremental compression: exact screening for the first queue position
-  /// whose scratch re-placement would move, then scratch from there.
+  /// Incremental compression: resolve every window position in queue
+  /// order against the profile plus the overlay of unresolved positions,
+  /// keeping jobs that stay and moving jobs that move in place.
   void replan_incremental(Time now);
+  /// Move planned_[k] to `start`: lift its old slot, detach the later
+  /// positions whose slots the new span overlaps, allocate.
+  void place(std::size_t k, Time start);
   /// Lift reservations planned_[from..] out of the profile and re-place
-  /// them in queue order from `now` — the scratch procedure both replan
-  /// flavors reduce to.
+  /// them in queue order from `now` — the scratch reference, and the
+  /// incremental path's fallback.
   void replace_from(std::size_t from, Time now);
   void promote(const std::vector<JobId>& order, Time now);
   /// False for jobs wider than the machine's surviving capacity: reserving
@@ -162,11 +182,13 @@ class ConservativeBackfillDispatch final : public Dispatcher {
   // compressed fixed point: no planned reservation has an earlier fit.
   // That verdict stays exact while capacity only shrinks, so between
   // replans only the *growth* spans (early-completion releases,
-  // normalization releases) can invalidate it — collected here and tested
-  // with Profile::capacity_crossed. Jobs newly entering the replan window
-  // carry no verdict and are always screened (prev_window_ remembers the
-  // previous membership); events that rebuild the plan wholesale set
-  // screen_all_ instead of enumerating growth.
+  // normalization releases) can invalidate it — collected here, and
+  // searched by Profile::earliest_fit_in_growth together with the window
+  // entrants and the slots vacated by movers during the replan
+  // (growth_overlay_). Jobs newly entering the replan window carry no
+  // verdict and are walked from now (prev_window_ remembers the previous
+  // membership); events that rebuild the plan wholesale set screen_all_
+  // instead of enumerating growth.
   std::vector<sim::CapacitySpan> growth_;
   sim::CapacityOverlay growth_overlay_;
   std::vector<JobId> prev_window_;  // sorted ids of the last planned window

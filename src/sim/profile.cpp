@@ -55,6 +55,24 @@ void CapacityOverlay::subtract(Time start, Time end, int nodes) {
   }
 }
 
+std::size_t CapacityOverlay::materialize(Time t) {
+  const auto it = std::lower_bound(t_.begin(), t_.end(), t);
+  const std::size_t i = static_cast<std::size_t>(it - t_.begin());
+  if (it == t_.end() || *it != t) {
+    t_.insert(it, t);
+    add_.insert(add_.begin() + static_cast<std::ptrdiff_t>(i),
+                i == 0 ? 0 : add_[i - 1]);
+  }
+  return i;
+}
+
+void CapacityOverlay::add(Time start, Time end, int nodes) {
+  if (start >= end || nodes == 0) return;
+  const std::size_t lo = materialize(start);
+  const std::size_t hi = end == kTimeInfinity ? t_.size() : materialize(end);
+  for (std::size_t i = lo; i < hi; ++i) add_[i] += nodes;
+}
+
 int CapacityOverlay::at(Time t) const {
   const auto it = std::upper_bound(t_.begin(), t_.end(), t);
   if (it == t_.begin()) return 0;
@@ -336,39 +354,99 @@ Time Profile::earliest_fit_with(const CapacityOverlay& extra, Cursor& cursor,
   }
 }
 
-bool Profile::capacity_crossed(const CapacityOverlay& extra,
-                               const CapacityOverlay& growth, Time from,
-                               Time to, int nodes,
-                               std::size_t max_steps) const {
-  std::size_t steps = 0;
+Time Profile::earliest_fit_in_growth(const CapacityOverlay& extra,
+                                     const CapacityOverlay& growth, Time from,
+                                     Time before, Duration duration,
+                                     int nodes, std::size_t max_steps) const {
+  assert(duration > 0);
+  assert(from >= pts_[front_].t);  // the left walk never leaves the live range
+  if (before <= from) return before;
+  // A fit starting before `before` lies inside [from, horizon), and so does
+  // the crossing it contains.
+  const Time horizon =
+      before > kTimeInfinity - duration ? kTimeInfinity : before + duration;
+  const std::size_t n = pts_.size();
+  const std::size_t on = extra.t_.size();
   const std::size_t gn = growth.t_.size();
-  for (std::size_t gi = 0; gi < gn; ++gi) {
-    if (growth.t_[gi] >= to) break;
+  std::size_t steps = 0;
+
+  // Merged walk state over `*this + extra`: the piece containing instant
+  // `t` is profile segment i combined with the overlay value left of
+  // extra.t_[o] (o = overlay breakpoints at or before t).
+  std::size_t i = 0;
+  std::size_t o = 0;
+  Time t = kTimeInfinity;  // not positioned yet
+  const auto combined = [&] {
+    return pts_[i].free + (o == 0 ? 0 : extra.add_[o - 1]);
+  };
+  const auto piece_end = [&] {
+    return std::min(i + 1 < n ? pts_[i + 1].t : kTimeInfinity,
+                    o < on ? extra.t_[o] : kTimeInfinity);
+  };
+  const auto advance = [&] {  // step to the next merged piece
+    const Time b = piece_end();
+    if (i + 1 < n && pts_[i + 1].t == b) ++i;
+    if (o < on && extra.t_[o] == b) ++o;
+    t = b;
+  };
+
+  // Invariant: no fit starts in [from, scanned).
+  Time scanned = from;
+  std::size_t gi = static_cast<std::size_t>(
+      std::upper_bound(growth.t_.begin(), growth.t_.end(), from) -
+      growth.t_.begin());
+  if (gi > 0) --gi;
+  for (; gi < gn && growth.t_[gi] < horizon; ++gi) {
     const int g = growth.add_[gi];
     const Time gend = gi + 1 < gn ? growth.t_[gi + 1] : kTimeInfinity;
-    if (g <= 0) continue;
-    const Time lo = std::max(growth.t_[gi], from);
-    const Time hi = std::min(gend, to);
-    if (lo >= hi) continue;
-    // Merged walk of profile + extra across this growth segment.
-    std::size_t i = segment_at(lo);
-    std::size_t o = static_cast<std::size_t>(
-        std::upper_bound(extra.t_.begin(), extra.t_.end(), lo) -
-        extra.t_.begin());
-    while (true) {
-      const int s = pts_[i].free + (o == 0 ? 0 : extra.add_[o - 1]);
-      if (s >= nodes && s - g < nodes) return true;
-      const Time next_p = i + 1 < pts_.size() ? pts_[i + 1].t : kTimeInfinity;
-      const Time next_o =
-          o < extra.t_.size() ? extra.t_[o] : kTimeInfinity;
-      const Time boundary = std::min(next_p, next_o);
-      if (boundary >= hi) break;
-      if (++steps > max_steps) return true;  // unknown — caller re-screens
-      if (boundary == next_p) ++i;
-      if (boundary == next_o) ++o;
+    const Time lo = std::max(growth.t_[gi], scanned);
+    const Time hi = std::min(gend, horizon);
+    if (g <= 0 || lo >= hi) continue;
+    // Position the walk at `lo`: resume when it is inside the current
+    // piece, otherwise one binary search per structure.
+    if (t == kTimeInfinity || lo < t || lo >= piece_end()) {
+      i = segment_at(lo);
+      o = static_cast<std::size_t>(
+          std::upper_bound(extra.t_.begin(), extra.t_.end(), lo) -
+          extra.t_.begin());
+    }
+    t = lo;
+    while (t < hi) {
+      const int c = combined();
+      if (c < nodes || c - g >= nodes) {  // not a crossing
+        if (++steps > max_steps) return kTimeInfinity;
+        advance();
+        continue;
+      }
+      // Crossing at t. Any fit through it lies in the run of
+      // combined >= nodes containing t; find where that run starts (no
+      // earlier than `scanned`, before which no fit starts)...
+      Time a = t;
+      for (std::size_t pi = i, oi = o; a > scanned;) {
+        // Step to the merged piece just left of `a`.
+        if (pts_[pi].t == a) --pi;
+        if (oi > 0 && extra.t_[oi - 1] == a) --oi;
+        if (pts_[pi].free + (oi == 0 ? 0 : extra.add_[oi - 1]) < nodes) break;
+        if (++steps > max_steps) return kTimeInfinity;
+        Time piece_start = pts_[pi].t;
+        if (oi > 0) piece_start = std::max(piece_start, extra.t_[oi - 1]);
+        a = std::max(piece_start, scanned);
+      }
+      // ...then how far it reaches.
+      if (a >= before) return before;  // later runs start later still
+      while (true) {
+        const Time b = piece_end();
+        if (b - a >= duration) return a;
+        if (++steps > max_steps) return kTimeInfinity;
+        advance();
+        if (combined() < nodes) break;
+      }
+      // The run [a, t) is too short and t is blocked: no fit starts
+      // before t.
+      scanned = t;
     }
   }
-  return false;
+  return before;
 }
 
 // --- mutations --------------------------------------------------------------

@@ -34,8 +34,11 @@ struct CapacitySpan {
 /// Built once from a batch of spans (O(n log n)), then spans are retired
 /// one at a time with subtract() as the screen walks the queue. subtract()
 /// never inserts breakpoints — every span boundary was materialized by
-/// build() — so the time vector is immutable between builds and a retire
-/// is two binary searches plus a linear range add.
+/// build() — so a retire is two binary searches plus a linear range add.
+/// add() grows the overlay by a span that need not align with existing
+/// breakpoints (it inserts the missing boundaries, O(breakpoints)); the
+/// screen uses it to grow its certificate growth set by the slots that
+/// movers vacate.
 class CapacityOverlay {
  public:
   /// Replace the overlay with the sum of `spans` (empty spans are ignored).
@@ -45,6 +48,9 @@ class CapacityOverlay {
   /// span was part of the built batch (its boundaries exist and its
   /// capacity is still present); asserted in debug builds.
   void subtract(Time start, Time end, int nodes);
+
+  /// Add `nodes` extra free nodes over [start, end).
+  void add(Time start, Time end, int nodes);
 
   void clear() noexcept {
     t_.clear();
@@ -58,10 +64,14 @@ class CapacityOverlay {
 
  private:
   friend class Profile;
+  /// Index of the breakpoint at `t`, inserted (carrying the value in
+  /// effect at `t`) when absent.
+  std::size_t materialize(Time t);
+
   // Parallel arrays: add_[i] applies on [t_[i], t_[i+1]), and 0 outside.
-  // Adjacent equal values are not merged — subtract() relies on stable
-  // indices, and the merged walk in earliest_fit_with tolerates redundant
-  // breakpoints.
+  // Adjacent equal values are not merged — subtract() relies on every
+  // boundary build() or add() made staying present, and the merged walks
+  // in Profile tolerate redundant breakpoints.
   std::vector<Time> t_;
   std::vector<int> add_;
 };
@@ -143,34 +153,38 @@ class Profile {
   /// caller guarantees `nodes` free throughout [stop, stop + duration) in
   /// the sum (compression screening satisfies this trivially: the
   /// reservation under test is allocated in the profile and lifted by the
-  /// overlay, so its own window has >= nodes free). Under that guarantee
-  /// the result is exact: the true earliest fit if it starts before
-  /// `stop`, else `stop` — and the walk never advances past `stop`, which
-  /// is what makes screening cheap when reservations are close to now.
-  /// Unlike earliest_fit() this never touches the segment tree (and so
-  /// never pays a deferred rebuild). Returns kTimeInfinity when
-  /// `max_steps` merged breakpoints were consumed first ("unknown —
-  /// caller falls back"); a real fit is always finite.
+  /// overlay, so its own window has >= nodes free) — or kTimeInfinity for
+  /// an unbounded search. Under that guarantee the result is exact: the
+  /// true earliest fit if it starts before `stop`, else `stop` — and the
+  /// walk never advances past `stop`, which is what makes screening cheap
+  /// when reservations are close to now. Unlike earliest_fit() this never
+  /// touches the segment tree (and so never pays a deferred rebuild).
+  /// Returns kTimeInfinity when `max_steps` merged breakpoints were
+  /// consumed first ("unknown — caller falls back"); a real fit is always
+  /// finite.
   Time earliest_fit_with(const CapacityOverlay& extra, Cursor& cursor,
                          Time from, Duration duration, int nodes, Time stop,
                          std::size_t max_steps) const;
 
-  /// Certificate revalidation: true iff the capacity described by
-  /// `growth` could have newly unblocked a width-`nodes` window somewhere
-  /// in [from, to) — i.e. some instant u with growth(u) > 0 has combined
-  /// capacity (*this + extra) at least `nodes` now but not before the
-  /// growth: combined(u) - growth(u) < nodes <= combined(u). A reservation
-  /// screened unmoved while capacity could only shrink stays unmoved
-  /// unless such a crossing exists (every previously-blocked window keeps
-  /// its blocker), so a false result extends the previous screen's
-  /// verdict exactly; a true result means "maybe" and the caller must
-  /// re-screen. Only the growth region is walked — the cost is
-  /// proportional to the capacity returned since the last replan, not to
-  /// the replan window. Returns true when `max_steps` breakpoints were
-  /// consumed first (unknown — caller falls back).
-  bool capacity_crossed(const CapacityOverlay& extra,
-                        const CapacityOverlay& growth, Time from, Time to,
-                        int nodes, std::size_t max_steps) const;
+  /// Growth-confined earliest fit: the earliest fit of (duration, nodes)
+  /// in `*this + extra` that starts in [from, before), else `before`.
+  /// Precondition (a standing "no earlier fit" certificate): the view
+  /// `*this + extra - growth` has no fit starting in [from, before). Then
+  /// every fit starting before `before` contains a *crossing* — an
+  /// instant u with growth(u) > 0 and
+  ///   combined(u) - growth(u) < nodes <= combined(u)
+  /// — because somewhere in it capacity was short without the growth. So
+  /// the query walks only the growth region looking for crossings and, at
+  /// each, the run of combined capacity >= nodes through it (left to where
+  /// the run starts, right until it is `duration` long or ends); the
+  /// stretch from `from` to the first crossing is never walked. Like
+  /// earliest_fit_with this never touches the segment tree. Returns
+  /// kTimeInfinity when `max_steps` merged breakpoints were consumed first
+  /// ("unknown — caller falls back").
+  Time earliest_fit_in_growth(const CapacityOverlay& extra,
+                              const CapacityOverlay& growth, Time from,
+                              Time before, Duration duration, int nodes,
+                              std::size_t max_steps) const;
 
   /// Subtract `nodes` over [start, start + duration). Precondition: fits().
   void allocate(Time start, Duration duration, int nodes);

@@ -21,7 +21,12 @@ namespace {
 
 class BinaryFormatTest : public ::testing::Test {
  protected:
-  std::string path_ = ::testing::TempDir() + "/binary_format_test.jwb";
+  // One file per test: `ctest -j` runs each test in its own process, so a
+  // shared name would let concurrent tests overwrite each other's file.
+  std::string path_ =
+      ::testing::TempDir() + "/binary_format_test." +
+      ::testing::UnitTest::GetInstance()->current_test_info()->name() +
+      ".jwb";
   void TearDown() override { std::remove(path_.c_str()); }
 
   std::string file_bytes() const {

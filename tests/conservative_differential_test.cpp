@@ -61,6 +61,18 @@ workload::Workload random_workload(std::uint64_t seed, std::size_t jobs,
   return test::make_workload(std::move(js));
 }
 
+/// Replan accounting of one FCFS+CONS simulation of `w`.
+ConservativeBackfillDispatch::ReplanStats run_stats(
+    const workload::Workload& w, int nodes, const ConservativeParams& p) {
+  sim::Machine m;
+  m.nodes = nodes;
+  auto dp = std::make_unique<ConservativeBackfillDispatch>(p);
+  auto* d = dp.get();
+  ListScheduler sched(std::make_unique<FcfsOrder>(), std::move(dp));
+  (void)sim::simulate(m, sched, w);
+  return d->replan_stats();
+}
+
 /// Run the workload twice — incremental screening vs the scratch
 /// reference — and require bit-identical schedules (fingerprint witness).
 void expect_matches_scratch(const workload::Workload& w, int nodes,
@@ -135,17 +147,65 @@ TEST(ConservativeDifferential, CertificatesActuallyEngage) {
   // deep-backlog run most reuses should be certificate hits and a healthy
   // share of replans should elide or keep the whole window.
   const workload::Workload w = random_workload(7, 2500, 16);
-  sim::Machine m;
-  m.nodes = 16;
-  auto dp = std::make_unique<ConservativeBackfillDispatch>(ConservativeParams{});
-  auto* d = dp.get();
-  ListScheduler sched(std::make_unique<FcfsOrder>(), std::move(dp));
-  (void)sim::simulate(m, sched, w);
-  const auto& st = d->replan_stats();
+  const auto st = run_stats(w, 16, ConservativeParams{});
   EXPECT_GT(st.replans, 100u);
   EXPECT_GT(st.reused, st.replaced);
   EXPECT_GT(st.certified, 0u);
   EXPECT_LE(st.certified, st.reused);  // certified is a subset of reused
+  // Identical plans at every replan imply identical moves: the in-place
+  // path moves exactly the reservations the scratch replay moves.
+  ConservativeParams scratch;
+  scratch.scratch_replan = true;
+  EXPECT_EQ(st.moved, run_stats(w, 16, scratch).moved);
+}
+
+// --- in-place moves: detach and fallback ------------------------------------
+
+TEST(ConservativeDifferential, MoverLandingOnALaterSlotDetachesIt) {
+  // Six nodes. X, R and A start at t=0; the queue plans W (full machine)
+  // at 300 behind R, B at [60, 210) behind X, and backfills C into
+  // [100, 130) where A's estimate ends. A finishes at t=10, 90 s early:
+  // B moves to [10, 160), over C's slot, so C is detached (its slot
+  // released under B) and re-placed when its own position resolves — at
+  // 60, where X ends.
+  const workload::Workload w = test::make_workload({
+      make_job(0, 2, 60, 60),    // X
+      make_job(0, 2, 300, 300),  // R
+      make_job(0, 2, 10, 100),   // A: early completion at t=10
+      make_job(0, 6, 50, 50),    // W
+      make_job(0, 2, 150, 150),  // B
+      make_job(0, 2, 30, 30),    // C
+  });
+  const ConservativeParams p;
+  const auto st = run_stats(w, 6, p);
+  EXPECT_EQ(st.detached, 1u);
+  EXPECT_EQ(st.moved, 2u);
+  EXPECT_EQ(st.fallbacks, 0u);
+  const sim::Schedule s = test::run(cons_spec(p), w, 6);
+  EXPECT_EQ(s[4].start, 10);  // B
+  EXPECT_EQ(s[5].start, 60);  // C
+  expect_matches_scratch(w, 6, p, "detach");
+}
+
+TEST(ConservativeDifferential, ExhaustedScreenFallsBackToScratch) {
+  // A staircase of one-node jobs ending one second apart fills the
+  // machine, so the full-machine job W is planned behind thousands of
+  // breakpoints — more than a screen may walk. The first replan (job 0
+  // ends 500 s early) carries no certificates, so resolving W walks from
+  // `now` and runs out of budget: the rest of the window is re-placed from
+  // scratch, and the three one-node jobs behind W move into the hole.
+  constexpr int kStairs = 9000;
+  std::vector<Job> jobs;
+  jobs.push_back(make_job(0, 1, 500, 1000));
+  for (int i = 1; i < kStairs; ++i) jobs.push_back(make_job(0, 1, 1000 + i));
+  jobs.push_back(make_job(0, kStairs, 10));  // W
+  for (int i = 0; i < 3; ++i) jobs.push_back(make_job(0, 1, 100));
+  const workload::Workload w = test::make_workload(std::move(jobs));
+  const ConservativeParams p;
+  const auto st = run_stats(w, kStairs, p);
+  EXPECT_EQ(st.fallbacks, 1u);
+  EXPECT_EQ(st.moved, 3u);
+  expect_matches_scratch(w, kStairs, p, "fallback");
 }
 
 // --- replan_prefix boundary semantics ---------------------------------------
@@ -224,17 +284,6 @@ TEST(ConservativeDifferential, PartialReplanKeepsDebt) {
       make_job(0, 4, 100, 100), make_job(0, 4, 100, 100),
       make_job(0, 4, 100, 100),
   });
-  sim::Machine m;
-  m.nodes = 4;
-
-  const auto run_stats = [&](const ConservativeParams& p) {
-    auto dp = std::make_unique<ConservativeBackfillDispatch>(p);
-    auto* d = dp.get();
-    ListScheduler sched(std::make_unique<FcfsOrder>(), std::move(dp));
-    (void)sim::simulate(m, sched, w);
-    return d->replan_stats();
-  };
-
   // Partial coverage (prefix 2 < 5 reserved): the debt persists through
   // the on-time completions at t=150 and t=250; it clears only at t=350
   // when the shrunken queue (2 jobs) fits the prefix. Replans at
@@ -242,7 +291,7 @@ TEST(ConservativeDifferential, PartialReplanKeepsDebt) {
   // release), t=450 and t=550.
   ConservativeParams partial;
   partial.replan_prefix = 2;
-  const auto ps = run_stats(partial);
+  const auto ps = run_stats(w, 4, partial);
   EXPECT_EQ(ps.completions, 6u);
   EXPECT_EQ(ps.replans, 4u);
   EXPECT_EQ(ps.replans_elided, 3u);
@@ -252,7 +301,7 @@ TEST(ConservativeDifferential, PartialReplanKeepsDebt) {
   // replans come from the preserved debt, not from extra capacity.
   ConservativeParams full;
   full.full_compression = true;
-  const auto fs = run_stats(full);
+  const auto fs = run_stats(w, 4, full);
   EXPECT_EQ(fs.completions, 6u);
   EXPECT_EQ(fs.replans, 1u);
   EXPECT_EQ(fs.replans_elided, 6u);

@@ -117,7 +117,12 @@ TEST(JobSourceTest, StampShiftsOriginAndAssignsDenseIds) {
 
 class SwfSourceTest : public ::testing::Test {
  protected:
-  std::string path_ = ::testing::TempDir() + "/job_source_test.swf";
+  // One file per test: `ctest -j` runs each test in its own process, so a
+  // shared name would let concurrent tests overwrite each other's file.
+  std::string path_ =
+      ::testing::TempDir() + "/job_source_test." +
+      ::testing::UnitTest::GetInstance()->current_test_info()->name() +
+      ".swf";
   void TearDown() override { std::remove(path_.c_str()); }
 };
 

@@ -12,6 +12,8 @@
 
 #include <gtest/gtest.h>
 
+#include <algorithm>
+#include <sstream>
 #include <string>
 #include <vector>
 
@@ -364,6 +366,187 @@ void run_capacity_fuzz(std::uint64_t seed, std::size_t ops) {
     d.expect_identical(op);
     if (::testing::Test::HasFatalFailure()) return;
   }
+}
+
+// --- screening queries vs a brute-force scan --------------------------------
+
+/// Brute-force oracle for `profile + overlay`: the overlay is tracked as the
+/// plain list of spans it sums, and fits are checked at every breakpoint.
+struct MergedView {
+  const Profile* profile;
+  std::vector<CapacitySpan> spans;
+
+  int at(Time t) const {
+    int c = profile->capacity_at(t);
+    for (const CapacitySpan& s : spans) {
+      if (s.start <= t && t < s.end) c += s.nodes;
+    }
+    return c;
+  }
+
+  /// Every instant where the merged capacity may change, ascending.
+  std::vector<Time> edges() const {
+    std::vector<Time> e;
+    std::istringstream dump(profile->dump());
+    std::string bp;
+    while (dump >> bp) e.push_back(std::stoll(bp.substr(0, bp.find(':'))));
+    for (const CapacitySpan& s : spans) {
+      e.push_back(s.start);
+      e.push_back(s.end);
+    }
+    std::sort(e.begin(), e.end());
+    e.erase(std::unique(e.begin(), e.end()), e.end());
+    return e;
+  }
+
+  bool fits(Time t, Duration d, int nodes, const std::vector<Time>& e) const {
+    if (at(t) < nodes) return false;
+    for (Time x : e) {
+      if (x > t && x - t < d && at(x) < nodes) return false;
+    }
+    return true;
+  }
+
+  /// Earliest fit starting in [from, before), else `before`.
+  Time earliest_fit(Time from, Time before, Duration d, int nodes) const {
+    const std::vector<Time> e = edges();
+    if (from < before && fits(from, d, nodes, e)) return from;
+    for (Time x : e) {
+      if (x <= from) continue;
+      if (x >= before) break;
+      if (fits(x, d, nodes, e)) return x;
+    }
+    return before;
+  }
+};
+
+/// Fuzz Profile::earliest_fit_in_growth and the unbounded
+/// Profile::earliest_fit_with against MergedView. Each trial builds a base
+/// `profile + overlay`, takes a job's earliest fit there as its certified
+/// start (the "no earlier fit" certificate the growth query relies on),
+/// then perturbs the view with random growth — releases in the profile,
+/// spans added to the overlay — and shrinks — new allocations, spans
+/// retired from the overlay — recording the growth in its own overlay.
+void run_growth_fit_fuzz(std::uint64_t seed, std::size_t trials) {
+  constexpr int kTotal = 32;
+  constexpr std::size_t kUnbounded = static_cast<std::size_t>(-1);
+  util::Rng rng(seed);
+  std::size_t moved = 0;  // trials whose growth opened an earlier fit
+  const auto random_span = [&](Time lo) {
+    const Time start = lo + rng.uniform_int(0, 3000);
+    return CapacitySpan{start, start + rng.uniform_int(1, 600),
+                        static_cast<int>(rng.uniform_int(1, kTotal / 2))};
+  };
+  for (std::size_t trial = 0; trial < trials; ++trial) {
+    Profile profile(kTotal);
+    std::vector<CapacitySpan> allocated;
+    const std::int64_t allocations = rng.uniform_int(20, 80);
+    for (std::int64_t k = 0; k < allocations; ++k) {
+      const CapacitySpan s = random_span(0);
+      if (profile.fits(s.start, s.end - s.start, s.nodes)) {
+        profile.allocate(s.start, s.end - s.start, s.nodes);
+        allocated.push_back(s);
+      }
+    }
+    // The overlay lifts some allocations, as a replan window would.
+    MergedView view{&profile, {}};
+    for (std::size_t k = 0; k < allocated.size();) {
+      if (rng.bernoulli(0.4)) {
+        view.spans.push_back(allocated[k]);
+        allocated.erase(allocated.begin() + static_cast<std::ptrdiff_t>(k));
+      } else {
+        ++k;
+      }
+    }
+    CapacityOverlay extra;
+    extra.build(view.spans);
+
+    const Time from = rng.uniform_int(0, 1500);
+    const Duration d = rng.uniform_int(1, 500);
+    const int nodes = static_cast<int>(rng.uniform_int(1, kTotal));
+    Profile::Cursor cursor;
+    const Time certified = view.earliest_fit(from, kTimeInfinity, d, nodes);
+    ASSERT_EQ(profile.earliest_fit_with(extra, cursor, from, d, nodes,
+                                        kTimeInfinity, kUnbounded),
+              certified)
+        << "trial " << trial;
+
+    std::vector<CapacitySpan> growth;
+    const std::int64_t changes = rng.uniform_int(1, 8);
+    for (std::int64_t k = 0; k < changes; ++k) {
+      const std::int64_t dice = rng.uniform_int(0, 5);
+      if (dice <= 1 && !allocated.empty()) {
+        // Early completion: release an allocation's tail.
+        const std::size_t pick = static_cast<std::size_t>(rng.uniform_int(
+            0, static_cast<std::int64_t>(allocated.size()) - 1));
+        const CapacitySpan a = allocated[pick];
+        allocated.erase(allocated.begin() + static_cast<std::ptrdiff_t>(pick));
+        const Time tail = rng.uniform_int(a.start, a.end - 1);
+        profile.release(tail, a.end - tail, a.nodes);
+        growth.push_back({tail, a.end, a.nodes});
+      } else if (dice <= 3) {
+        const CapacitySpan s = random_span(0);
+        extra.add(s.start, s.end, s.nodes);
+        view.spans.push_back(s);
+        growth.push_back(s);
+      } else if (dice == 4) {
+        const CapacitySpan s = random_span(0);
+        if (profile.fits(s.start, s.end - s.start, s.nodes)) {
+          profile.allocate(s.start, s.end - s.start, s.nodes);
+          allocated.push_back(s);
+        }
+      } else if (!view.spans.empty()) {
+        const CapacitySpan s = view.spans.back();
+        extra.subtract(s.start, s.end, s.nodes);
+        view.spans.pop_back();
+      }
+    }
+    // Growth overlays reach the query built in one batch or grown span by
+    // span (add() inserts the breakpoints build() would have made).
+    CapacityOverlay grown;
+    if (rng.bernoulli(0.5)) {
+      grown.build(growth);
+    } else {
+      for (const CapacitySpan& g : growth) grown.add(g.start, g.end, g.nodes);
+    }
+
+    const Time expected = view.earliest_fit(from, certified, d, nodes);
+    if (expected < certified) ++moved;
+    ASSERT_EQ(profile.earliest_fit_in_growth(extra, grown, from, certified, d,
+                                             nodes, kUnbounded),
+              expected)
+        << "trial " << trial << " from=" << from << " certified=" << certified
+        << " d=" << d << " nodes=" << nodes;
+    // A step budget only ever turns the answer into "unknown".
+    const std::size_t budget =
+        static_cast<std::size_t>(rng.uniform_int(0, 12));
+    const Time budgeted = profile.earliest_fit_in_growth(
+        extra, grown, from, certified, d, nodes, budget);
+    ASSERT_TRUE(budgeted == expected || budgeted == kTimeInfinity)
+        << "trial " << trial;
+
+    // The detached re-screen: unbounded search from the old start.
+    const Time resumed = view.earliest_fit(certified, kTimeInfinity, d, nodes);
+    ASSERT_EQ(profile.earliest_fit_with(extra, cursor, certified, d, nodes,
+                                        kTimeInfinity, kUnbounded),
+              resumed)
+        << "trial " << trial;
+    const Time resumed_budgeted = profile.earliest_fit_with(
+        extra, cursor, certified, d, nodes, kTimeInfinity, budget);
+    ASSERT_TRUE(resumed_budgeted == resumed ||
+                resumed_budgeted == kTimeInfinity)
+        << "trial " << trial;
+  }
+  // Both verdicts must be well represented for the comparison to bite.
+  EXPECT_GT(moved, trials / 10);
+  EXPECT_LT(moved, trials - trials / 10);
+}
+
+TEST(ProfileDifferential, GrowthConfinedFitMatchesBruteForceSeed31) {
+  run_growth_fit_fuzz(31, 3000);
+}
+TEST(ProfileDifferential, GrowthConfinedFitMatchesBruteForceSeed32) {
+  run_growth_fit_fuzz(32, 3000);
 }
 
 TEST(ProfileDifferential, SchedulerShapedOpsSeed1) { run_fuzz(1, 10'000); }
