@@ -334,10 +334,10 @@ BENCHMARK(BM_ConservativeIncrementalReplan)
 
 // Zero-failure overhead guard for the fault subsystem: arg 0 simulates
 // with default options (null trace), arg 1 with a pointer to an *empty*
-// trace. Both must dispatch to the fault-free event loop, so the two
-// variants run identical work; CI asserts their times stay within 2% of
-// each other — if inactive fault options ever leak per-event work into
-// the hot loop (or route to the fault loop), the ratio blows up.
+// trace. With either the event kernel never enters its fault branch, so
+// the two variants run identical work; CI asserts their times stay within
+// 2% of each other — if inactive fault options ever leak per-event work
+// into the hot loop, the ratio blows up.
 void BM_SimulateZeroFailure(benchmark::State& state) {
   const auto& w = bench_workload();
   core::AlgorithmSpec spec;

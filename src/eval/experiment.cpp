@@ -194,10 +194,6 @@ RunResult run_streamed(const sim::Machine& machine,
 RunResult run_one(const sim::Machine& machine, const core::AlgorithmSpec& spec,
                   const workload::Workload& workload,
                   const ExperimentOptions& options) {
-  if (options.streaming) {
-    workload::WorkloadSource source(workload);
-    return run_streamed(machine, spec, source, options);
-  }
   if (options.on_run) options.on_run(spec.display_name());
 
   auto scheduler = options.scheduler_factory ? options.scheduler_factory(spec)

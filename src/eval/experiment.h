@@ -167,13 +167,6 @@ struct GridResult {
 struct ExperimentOptions {
   bool measure_cpu = true;
   bool validate = true;
-  /// Run simulations through the bounded-memory streaming path
-  /// (sim::simulate_stream + metrics::StreamingAggregator) instead of
-  /// materializing a Schedule. Off by default; when on, every RunResult
-  /// field — including schedule_fnv — is bit-identical to the batch path
-  /// (the goldens suite pins this), but `validate` is ignored because
-  /// whole-schedule validation needs the materialized records.
-  bool streaming = false;
   /// Worker threads for run_grid / run_replicated sweeps. 1 = fully serial
   /// (today's behavior, bit-for-bit); 0 = one per hardware thread. Results
   /// are aggregated in task-index order regardless of completion order, so

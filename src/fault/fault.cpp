@@ -63,13 +63,4 @@ FailureTrace make_failure_trace(std::vector<FailureEvent> events,
   return trace;
 }
 
-int capacity_at(const FailureTrace& trace, Time t) noexcept {
-  int capacity = trace.machine_nodes;
-  for (const FailureEvent& e : trace.events) {
-    if (e.t > t) break;  // events are strictly time-sorted
-    capacity += e.delta;
-  }
-  return capacity;
-}
-
 }  // namespace jsched::fault

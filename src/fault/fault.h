@@ -5,9 +5,9 @@
 // capacity deltas (nodes going down and coming back); the simulator
 // replays it against any scheduler, killing running jobs when a failure
 // removes the nodes under them, and a RecoveryPolicy decides how much of
-// the killed work is lost before the job is re-submitted. The zero-failure
-// path (no trace) is untouched — schedules stay bit-identical to the
-// fault-free simulator.
+// the killed work is lost before the job is re-submitted. With no trace the
+// event kernel (sim/event_core.h) never enters its fault branch, so
+// schedules stay bit-identical to a fault-free machine's.
 #pragma once
 
 #include <vector>
@@ -73,13 +73,6 @@ struct FailureTrace {
 FailureTrace make_failure_trace(std::vector<FailureEvent> events,
                                 int machine_nodes);
 
-/// Available nodes at virtual time `t`: machine_nodes plus every delta at
-/// or before t. This is the wall-clock mapping helper of the serve daemon
-/// — a live run maps wall time to a virtual instant and needs the
-/// capacity in force *at* that instant (restart-from-journal resume
-/// points, progress reports) without replaying the event list by hand.
-int capacity_at(const FailureTrace& trace, Time t) noexcept;
-
 /// Replays an explicit event list — the test-facing injector. Thin wrapper
 /// over make_failure_trace that keeps the validated trace alive alongside
 /// the FaultOptions pointing at it.
@@ -94,9 +87,9 @@ class TraceInjector {
   FailureTrace trace_;
 };
 
-/// The fault axis of a simulation. Default-constructed (null trace) means
-/// "no faults": the simulator takes its original event loop and produces
-/// bit-identical schedules.
+/// The fault axis of a simulation. Default-constructed (null trace) or an
+/// empty trace means "no faults": the event kernel skips its fault batch
+/// and running-set upkeep and produces bit-identical schedules.
 struct FaultOptions {
   /// Not owned; must outlive the simulation. nullptr disables injection.
   const FailureTrace* trace = nullptr;

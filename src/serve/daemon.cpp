@@ -4,45 +4,13 @@
 #include <cmath>
 #include <csignal>
 #include <deque>
-#include <queue>
 #include <stdexcept>
 #include <vector>
 
 #include "serve/journal.h"
+#include "sim/event_core.h"
 
 namespace jsched::serve {
-
-namespace {
-
-/// A scheduled completion, ordered (t, id) like the offline simulator's.
-/// `epoch` snapshots the job's kill counter at start so completions of
-/// killed attempts are recognized as stale.
-struct Completion {
-  Time t;
-  JobId id;
-  std::uint32_t epoch;
-  bool operator>(const Completion& o) const noexcept {
-    return t != o.t ? t > o.t : id > o.id;
-  }
-};
-
-/// Per-live-job state (the serve twin of the streaming simulator's Slot):
-/// jobs admitted but whose record is not yet final. The fault fields are
-/// inert (epoch 0, overheads 0) when no trace is active, keeping the
-/// fault-free path bit-identical to the pre-fault loop.
-struct Slot {
-  Job job;
-  sim::JobRecord rec;
-  std::uint32_t epoch = 0;
-  Duration rem_life = 0;
-  Duration pending_overhead = 0;
-  Duration charged_overhead = 0;
-  Time start_of = 0;
-  bool running = false;
-  bool done = false;
-};
-
-}  // namespace
 
 ServeReport serve(Feed& feed, const ServeOptions& options) {
   options.machine.validate();
@@ -52,21 +20,6 @@ ServeReport serve(Feed& feed, const ServeOptions& options) {
   if (options.speed < 0) {
     throw std::invalid_argument("serve: speed must be >= 0");
   }
-  const bool faults_active = options.faults.active();
-  if (faults_active) {
-    const fault::FailureTrace& trace = *options.faults.trace;
-    if (trace.machine_nodes != options.machine.nodes) {
-      throw std::invalid_argument(
-          "serve: failure trace built for " +
-          std::to_string(trace.machine_nodes) + " nodes but the machine has " +
-          std::to_string(options.machine.nodes));
-    }
-    options.faults.recovery.validate();
-  }
-  const fault::RecoveryOptions& recovery = options.faults.recovery;
-  const bool checkpointing =
-      faults_active &&
-      recovery.policy == fault::RecoveryPolicy::kCheckpointRestart;
   AdmissionJournal* const journal = options.journal;
   if (options.chaos_kill_after_appends > 0 && journal == nullptr) {
     throw std::invalid_argument(
@@ -82,6 +35,19 @@ ServeReport serve(Feed& feed, const ServeOptions& options) {
 
   ServeReport report;
   report.min_capacity = options.machine.nodes;
+
+  // The event kernel validates the fault options against the machine and
+  // resets the scheduler; the window holds the admitted jobs it has not yet
+  // folded into the aggregator.
+  auto scheduler = options.scheduler_factory
+                       ? options.scheduler_factory(options.spec)
+                       : core::make_scheduler(options.spec);
+  report.scheduler_name = scheduler->name();
+  metrics::StreamingAggregator aggregator(options.machine.nodes);
+  sim::JobWindow window;
+  sim::EventCore kernel(options.machine, *scheduler, window, aggregator,
+                        options.faults, /*measure_cpu=*/false,
+                        /*cancel=*/nullptr);
 
   // ---- Recovery preload. A journal with history turns the loop's first
   // phase into a replay: the recovered admissions feed the event loop
@@ -150,39 +116,12 @@ ServeReport serve(Feed& feed, const ServeOptions& options) {
     return epoch + std::chrono::nanoseconds(static_cast<std::int64_t>(ns));
   };
 
-  auto scheduler = options.scheduler_factory
-                       ? options.scheduler_factory(options.spec)
-                       : core::make_scheduler(options.spec);
-  scheduler->reset(options.machine);
-
-  report.scheduler_name = scheduler->name();
-  metrics::StreamingAggregator aggregator(options.machine.nodes);
-
-  std::priority_queue<Completion, std::vector<Completion>, std::greater<>>
-      completions;
-  std::deque<Slot> window;  // slots for ids [frontier, frontier+size)
-  JobId frontier = 0;
   JobId next_id = 0;
-  std::size_t undone = 0;
-  int capacity = options.machine.nodes;
-  int free_nodes = capacity;
-  std::size_t next_fault = 0;
-  std::vector<JobId> active;  // running jobs, for fault victim selection
-  if (faults_active) active.reserve(64);
-  Time prev_t = -1;
-
   std::deque<SubmitRecord> admission;  // accepted, not yet delivered
   std::deque<SubmitRecord> holdover;   // polled, blocked on a full queue
   std::vector<SubmitRecord> batch;
-  std::vector<JobId> starts;
-  std::vector<JobId> completed;
-  std::vector<JobId> resubmit;
-  starts.reserve(64);
-  completed.reserve(64);
   bool feed_open = true;
   Time last_stamp = v0;  // admission stamps are non-decreasing
-
-  const auto slot_of = [&](JobId id) -> Slot& { return window[id - frontier]; };
 
   // Graceful degradation: under faults the backlog bound shrinks with the
   // surviving capacity (never below 1 — a transient total outage should
@@ -190,9 +129,8 @@ ServeReport serve(Feed& feed, const ServeOptions& options) {
   // faults, or a full machine, this is exactly options.max_backlog.
   const auto effective_max_backlog = [&]() -> std::size_t {
     if (options.max_backlog == 0) return 0;
-    if (!faults_active || capacity >= options.machine.nodes) {
-      return options.max_backlog;
-    }
+    const int capacity = kernel.capacity();
+    if (capacity >= options.machine.nodes) return options.max_backlog;
     if (capacity <= 0) return 1;
     const std::size_t scaled =
         options.max_backlog * static_cast<std::size_t>(capacity) /
@@ -232,7 +170,8 @@ ServeReport serve(Feed& feed, const ServeOptions& options) {
     // timed record that shows up after its moment is clamped to the
     // monotone floor (counted — late explicit submits are a client bug
     // worth surfacing, not a daemon crash).
-    const Time floor_t = std::max<Time>(last_stamp, std::max<Time>(prev_t, 0));
+    const Time floor_t =
+        std::max<Time>(last_stamp, std::max<Time>(kernel.now(), 0));
     Time stamp;
     bool late = false;
     if (r.submit < 0) {
@@ -261,18 +200,23 @@ ServeReport serve(Feed& feed, const ServeOptions& options) {
   // the replay queue and the live admission queue, which is what makes a
   // recovered job indistinguishable from a freshly admitted one.
   const auto deliver = [&](const SubmitRecord& r, Time t) {
-    window.emplace_back();
-    Slot& s = window.back();
-    s.job.id = next_id++;
-    s.job.submit = r.submit;
-    s.job.nodes = r.nodes;
-    s.job.runtime = r.runtime;
-    s.job.estimate = r.estimate;
-    s.job.user = r.user;
-    s.rem_life = std::min(r.runtime, r.estimate);
-    ++undone;
+    Job j;
+    j.id = next_id++;
+    j.submit = r.submit;
+    j.nodes = r.nodes;
+    j.runtime = r.runtime;
+    j.estimate = r.estimate;
+    j.user = r.user;
+    kernel.arrive(window.push(j), t);
     ++report.submitted;
-    scheduler->on_submit(Submission(s.job), t);
+  };
+
+  // The earliest buffered arrival: journal replay, then the admission queue.
+  const auto next_arrival = [&] {
+    Time a = kTimeInfinity;
+    if (!replay_queue.empty()) a = replay_queue.front().submit;
+    if (!admission.empty()) a = std::min(a, admission.front().submit);
+    return a;
   };
 
   auto last_report = clock.now();
@@ -293,7 +237,7 @@ ServeReport serve(Feed& feed, const ServeOptions& options) {
         holdover.clear();
         if (options.log) {
           options.log("drain: feed closed, finishing " +
-                      std::to_string(undone + admission.size() +
+                      std::to_string(kernel.undone() + admission.size() +
                                      replay_queue.size()) +
                       " admitted job(s)");
         }
@@ -301,7 +245,7 @@ ServeReport serve(Feed& feed, const ServeOptions& options) {
     }
 
     if (!feed_open && replay_queue.empty() && holdover.empty() &&
-        admission.empty() && undone == 0) {
+        admission.empty() && kernel.undone() == 0) {
       break;  // served everything
     }
 
@@ -313,25 +257,8 @@ ServeReport serve(Feed& feed, const ServeOptions& options) {
       holdover.pop_front();
     }
 
-    // Purge stale completion entries so the next-event time is real. An id
-    // below the frontier is a dead epoch of a job that has since finished.
-    while (!completions.empty()) {
-      const Completion& top = completions.top();
-      if (top.id >= frontier && top.epoch == slot_of(top.id).epoch) break;
-      completions.pop();
-    }
-
     // Next event from local state alone.
-    Time t = kTimeInfinity;
-    if (replaying) t = replay_queue.front().submit;
-    if (!admission.empty()) t = std::min(t, admission.front().submit);
-    if (!completions.empty()) t = std::min(t, completions.top().t);
-    if (faults_active) {
-      const auto& events = options.faults.trace->events;
-      if (next_fault < events.size()) t = std::min(t, events[next_fault].t);
-    }
-    const Time wake = scheduler->next_wakeup(prev_t);
-    if (wake > prev_t && wake < t) t = wake;
+    Time t = kernel.next_event(next_arrival());
 
     // Poll the feed. Paced: deliver whatever wall time has made due.
     // Free-run: deliver only up to the next event (min(t, next_submit)) so
@@ -371,15 +298,7 @@ ServeReport serve(Feed& feed, const ServeOptions& options) {
       }
       // Recompute the event horizon — the poll may have admitted earlier
       // arrivals.
-      t = kTimeInfinity;
-      if (!admission.empty()) t = admission.front().submit;
-      if (!completions.empty()) t = std::min(t, completions.top().t);
-      if (faults_active) {
-        const auto& events = options.faults.trace->events;
-        if (next_fault < events.size()) t = std::min(t, events[next_fault].t);
-      }
-      const Time wake2 = scheduler->next_wakeup(prev_t);
-      if (wake2 > prev_t && wake2 < t) t = wake2;
+      t = kernel.next_event(next_arrival());
     }
 
     // The replay gate: while the feed still knows of arrivals at or before
@@ -401,11 +320,7 @@ ServeReport serve(Feed& feed, const ServeOptions& options) {
 
     if (t == kTimeInfinity) {
       if (!feed_open) {
-        if (undone > 0) {
-          throw std::logic_error("serve: no events left but " +
-                                 std::to_string(undone) + " jobs pending (" +
-                                 scheduler->name() + " starved them)");
-        }
+        if (kernel.undone() > 0) kernel.starved();
         continue;  // loop head terminates
       }
       // Live feed, nothing buffered: wait for input.
@@ -426,97 +341,29 @@ ServeReport serve(Feed& feed, const ServeOptions& options) {
       continue;
     }
 
-    // ---- Process the event at t, in the offline simulator's order:
-    // completions, fault batch, capacity change, arrivals, re-submissions,
-    // starts. One round = one decision sample.
-    prev_t = t;
+    // ---- Process the event at t through the kernel. One round = one
+    // decision sample; each decision is journaled in the kernel's order
+    // (completions after begin, starts after finish).
     const auto decision_start = clock.now();
-
-    // (1) completions at t — before fault events, so a job ending exactly
-    // when its nodes fail has completed, not been killed.
-    completed.clear();
-    while (!completions.empty() && completions.top().t == t) {
-      const Completion c = completions.top();
-      completions.pop();
-      if (c.id < frontier) continue;  // stale: attempt of a finished job
-      Slot& s = slot_of(c.id);
-      if (c.epoch != s.epoch) continue;  // stale: attempt was killed
-      free_nodes += s.job.nodes;
-      s.running = false;
-      s.done = true;
-      --undone;
-      if (faults_active) {
-        active.erase(std::find(active.begin(), active.end(), c.id));
-      }
-      completed.push_back(c.id);
-    }
-    for (JobId id : completed) {
-      scheduler->on_complete(id, t);
-      if (journal != nullptr) {
-        if (journal->record_done(id, slot_of(id).epoch, t)) {
+    kernel.begin(t);
+    if (journal != nullptr) {
+      for (const sim::EventCore::Attempt& done : kernel.completed()) {
+        if (journal->record_done(done.id, done.epoch, t)) {
           ++report.replayed_decisions;
         } else {
           chaos_tick();
         }
       }
     }
-
-    // (2) fault events at t. A failure first removes capacity; while usage
-    // exceeds the surviving capacity, running jobs are killed — latest
-    // start first (they lose the least work), larger id on ties.
-    resubmit.clear();
-    bool capacity_changed = false;
-    if (faults_active) {
-      const auto& events = options.faults.trace->events;
-      while (next_fault < events.size() && events[next_fault].t == t) {
-        capacity += events[next_fault].delta;
-        free_nodes += events[next_fault].delta;
-        ++next_fault;
-        capacity_changed = true;
-        ++report.capacity_events;
-        report.min_capacity = std::min(report.min_capacity, capacity);
-        while (free_nodes < 0) {
-          std::size_t vi = 0;
-          for (std::size_t k = 1; k < active.size(); ++k) {
-            const JobId a = active[k];
-            const JobId b = active[vi];
-            if (slot_of(a).start_of > slot_of(b).start_of ||
-                (slot_of(a).start_of == slot_of(b).start_of && a > b)) {
-              vi = k;
-            }
-          }
-          const JobId victim = active[vi];
-          Slot& s = slot_of(victim);
-          free_nodes += s.job.nodes;
-          s.running = false;
-          ++s.epoch;
-          active.erase(active.begin() + static_cast<std::ptrdiff_t>(vi));
-          const Duration elapsed = t - s.start_of;
-          // Progress excludes the attempt's restart overhead; checkpoints
-          // save whole intervals of progress only.
-          const Duration overhead_done = std::min(elapsed, s.charged_overhead);
-          const Duration progress = elapsed - overhead_done;
-          const Duration saved =
-              checkpointing ? (progress / recovery.checkpoint_interval) *
-                                  recovery.checkpoint_interval
-                            : 0;
-          s.rem_life -= saved;
-          s.pending_overhead = checkpointing ? recovery.restart_overhead : 0;
-          aggregator.on_attempt({victim, s.start_of, t, s.job.nodes, saved});
-          scheduler->on_complete(victim, t);
-          resubmit.push_back(victim);
-          ++report.killed;
-        }
-        aggregator.on_capacity_event(t, capacity);
-      }
-    }
-    if (capacity_changed) {
-      scheduler->on_capacity_change(t, capacity);
+    report.killed += kernel.killed().size();
+    if (kernel.capacity_changed()) {
+      ++report.capacity_events;
+      report.min_capacity = std::min(report.min_capacity, kernel.capacity());
     }
 
-    // (3) arrivals at t: the journal replay first (it rebuilds the
-    // pre-crash state and is always time-ordered before anything fresh —
-    // the feed stays closed until it drains), then the live queue.
+    // Arrivals at t: the journal replay first (it rebuilds the pre-crash
+    // state and is always time-ordered before anything fresh — the feed
+    // stays closed until it drains), then the live queue.
     while (!replay_queue.empty() && replay_queue.front().submit <= t) {
       deliver(replay_queue.front(), t);
       replay_queue.pop_front();
@@ -540,63 +387,14 @@ ServeReport serve(Feed& feed, const ServeOptions& options) {
       admission.pop_front();
     }
 
-    // (4) re-submissions of the jobs killed at t, with an estimate that
-    // covers restart overhead + remaining work + the user's original
-    // slack.
-    for (JobId id : resubmit) {
-      const Slot& s = slot_of(id);
-      Job r = s.job;
-      const Duration headroom = r.estimate - std::min(r.runtime, r.estimate);
-      r.submit = t;
-      r.estimate = s.pending_overhead + s.rem_life + headroom;
-      scheduler->on_submit(Submission(r), t);
-      ++report.requeued;
-    }
-
-    // (5) start decisions.
-    while (true) {
-      scheduler->select_starts(t, free_nodes, starts);
-      if (starts.empty()) break;
-      for (JobId id : starts) {
-        if (id >= frontier + window.size()) {
-          throw std::logic_error("serve: scheduler started unknown job");
-        }
-        if (id < frontier) {
-          throw std::logic_error("serve: scheduler started job " +
-                                 std::to_string(id) + " twice");
-        }
-        Slot& s = slot_of(id);
-        if (s.running || s.done) {
-          throw std::logic_error("serve: scheduler started job " +
-                                 std::to_string(id) + " twice");
-        }
-        if (s.job.nodes > free_nodes) {
-          throw std::logic_error(
-              "serve: scheduler oversubscribed the machine with job " +
-              std::to_string(id));
-        }
-        free_nodes -= s.job.nodes;
-        s.running = true;
-        s.start_of = t;
-        if (faults_active) active.push_back(id);
-        s.charged_overhead = s.pending_overhead;
-        s.pending_overhead = 0;
-        // Rule 2: jobs run min(runtime, estimate) — here as remaining life
-        // plus any checkpoint-restart overhead; one that would exceed its
-        // original estimate is cut off there and recorded as cancelled.
-        const Duration lifetime = s.charged_overhead + s.rem_life;
-        s.rec.submit = s.job.submit;
-        s.rec.start = t;
-        s.rec.nodes = s.job.nodes;
-        s.rec.end = t + lifetime;
-        s.rec.cancelled = s.job.runtime > s.job.estimate;
-        completions.push({t + lifetime, id, s.epoch});
-        if (journal != nullptr) {
-          if (journal->record_start(id, s.epoch, t)) {
-            ++report.replayed_decisions;
-          } else {
-            chaos_tick();
-          }
+    kernel.finish(t);
+    report.requeued += kernel.killed().size();
+    if (journal != nullptr) {
+      for (const sim::EventCore::Attempt& start : kernel.started()) {
+        if (journal->record_start(start.id, start.epoch, t)) {
+          ++report.replayed_decisions;
+        } else {
+          chaos_tick();
         }
       }
     }
@@ -607,19 +405,8 @@ ServeReport serve(Feed& feed, const ServeOptions& options) {
                                                              decision_start)
             .count()));
     ++report.decisions;
-    report.peak_scheduler_queue =
-        std::max(report.peak_scheduler_queue, scheduler->queue_length());
-
-    // Finalize records in JobId order (what makes the aggregator — and its
-    // fingerprint — bit-identical to the offline pipeline).
-    while (!window.empty() && window.front().done) {
-      const Slot& s = window.front();
-      aggregator.on_record(frontier, s.rec, s.job);
-      report.virtual_makespan = std::max(report.virtual_makespan, s.rec.end);
-      ++report.completed;
-      window.pop_front();
-      ++frontier;
-    }
+    window.trim(kernel.frontier());
+    report.completed = kernel.frontier();
 
     if (options.report_interval.count() > 0 && options.log &&
         decision_end - last_report >= options.report_interval) {
@@ -631,9 +418,9 @@ ServeReport serve(Feed& feed, const ServeOptions& options) {
           std::to_string(scheduler->queue_length()) + " admission=" +
           std::to_string(admission.size()) + " shed=" +
           std::to_string(report.shed_capacity + report.shed_backlog) +
-          (faults_active
-               ? " capacity=" + std::to_string(capacity) + " killed=" +
-                     std::to_string(report.killed)
+          (options.faults.active()
+               ? " capacity=" + std::to_string(kernel.capacity()) +
+                     " killed=" + std::to_string(report.killed)
                : "") +
           " p99=" + std::to_string(report.decision_latency_ns.p99()) + "ns");
     }
@@ -642,6 +429,8 @@ ServeReport serve(Feed& feed, const ServeOptions& options) {
   const auto elapsed = std::chrono::duration_cast<std::chrono::nanoseconds>(
       clock.now() - epoch);
   report.wall_seconds = static_cast<double>(elapsed.count()) * 1e-9;
+  report.peak_scheduler_queue = kernel.max_queue_length();
+  report.virtual_makespan = kernel.makespan();
   if (report.wall_seconds > 0) {
     report.jobs_per_second =
         static_cast<double>(report.completed) / report.wall_seconds;

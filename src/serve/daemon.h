@@ -9,15 +9,15 @@
 // process an event early. speed = 0 is free-run: no pacing, the loop
 // processes events as fast as it can (replay verification, benches, CI).
 //
-// Bit-identity with the offline simulator: the decision loop replicates
-// sim::simulate_stream's fault-free event order exactly — at each event
-// time, completions, then arrivals, then start decisions, with the same
-// next_wakeup guard and the same (t, id)-ordered completion queue — and it
-// refuses to process any event at t >= Feed::next_submit(), so equal-time
-// arrival batches reach the scheduler together just as a replayed trace
-// delivers them offline. Serving a trace through a JobSourceFeed therefore
-// produces the *same schedule fingerprint* as sim::simulate on the same
-// workload, which is the acceptance test for the whole subsystem.
+// Bit-identity with the offline simulator: every event instant runs
+// through sim::EventCore (sim/event_core.h), the same kernel behind
+// sim::simulate and sim::simulate_stream, and the loop refuses to process
+// any event at t >= Feed::next_submit(), so equal-time arrival batches
+// reach the scheduler together just as a replayed trace delivers them
+// offline. Serving a trace through a JobSourceFeed therefore produces the
+// *same schedule fingerprint* as sim::simulate on the same workload, which
+// is the acceptance test for the whole subsystem. What serve() adds around
+// the kernel is admission, pacing, the replay gate and the journal.
 //
 // Overload: an admission queue of `queue_capacity` buffers submissions
 // between feed and scheduler. When it is full, kBlock applies backpressure
@@ -31,11 +31,11 @@
 // shedding instead of letting the queue balloon against a smaller machine.
 //
 // Faults: options.faults replays a fault::FailureTrace on the daemon's
-// virtual timeline with exactly simulate_faulty's event order at each
-// instant — completions, fault batch (kills: latest start first, larger id
-// on ties), one on_capacity_change, arrivals, re-submissions, starts — so
-// a served trace under a trace injector stays bit-identical to
-// sim::simulate_stream with the same FaultOptions.
+// virtual timeline through the kernel's fault batch — completions, fault
+// batch (kills: latest start first, larger id on ties), one
+// on_capacity_change, arrivals, re-submissions, starts — so a served trace
+// under a trace injector stays bit-identical to sim::simulate_stream with
+// the same FaultOptions.
 //
 // Crash safety: options.journal points the loop at a write-ahead
 // AdmissionJournal (serve/journal.h). Every consumed feed record and every
@@ -110,10 +110,10 @@ struct ServeOptions {
   std::function<std::unique_ptr<sim::Scheduler>(const core::AlgorithmSpec&)>
       scheduler_factory;
 
-  /// Node-failure injection on the daemon's virtual timeline. Same
-  /// semantics and per-instant event order as sim::simulate_faulty; the
-  /// default (null trace) leaves the loop bit-identical to fault-free
-  /// serving. The trace must be built for `machine.nodes` nodes.
+  /// Node-failure injection on the daemon's virtual timeline, with the
+  /// semantics of sim::SimOptions::faults (the same event kernel runs it);
+  /// the default (null trace) serves a fault-free machine. The trace must
+  /// be built for `machine.nodes` nodes.
   fault::FaultOptions faults{};
 
   /// Write-ahead admission journal (not owned; null = no journaling).
@@ -152,8 +152,9 @@ struct ServeReport {
   std::size_t peak_admission_queue = 0;
   std::size_t peak_scheduler_queue = 0;
   std::size_t decisions = 0;  // event-loop scheduling rounds
-  /// Wall nanoseconds per scheduling round (completions + arrivals +
-  /// select_starts at one event time), measured with the daemon's clock.
+  /// Wall nanoseconds per scheduling round (one kernel instant —
+  /// completions, arrivals, select_starts and the record fold — plus its
+  /// journal appends), measured with the daemon's clock.
   util::LatencyHistogram decision_latency_ns;
 
   // Throughput.

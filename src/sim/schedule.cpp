@@ -14,20 +14,6 @@ Schedule::Schedule(Machine machine, std::size_t job_count,
   machine_.validate();
 }
 
-void Schedule::record_start(JobId id, Time submit, Time start, int nodes) {
-  JobRecord& r = records_.at(id);
-  r.submit = submit;
-  r.start = start;
-  r.nodes = nodes;
-  r.end = kTimeInfinity;
-}
-
-void Schedule::record_end(JobId id, Time end, bool cancelled) {
-  JobRecord& r = records_.at(id);
-  r.end = end;
-  r.cancelled = cancelled;
-}
-
 std::uint64_t schedule_fingerprint(const Schedule& s) {
   // FNV-1a, folding each record field as its 64-bit representation.
   std::uint64_t h = 14695981039346656037ull;

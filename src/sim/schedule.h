@@ -60,9 +60,8 @@ class Schedule {
   std::size_t size() const noexcept { return records_.size(); }
   const JobRecord& operator[](JobId id) const noexcept { return records_[id]; }
   const std::vector<JobRecord>& records() const noexcept { return records_; }
-
-  void record_start(JobId id, Time submit, Time start, int nodes);
-  void record_end(JobId id, Time end, bool cancelled);
+  /// Mutable record of job `id` (the event kernel writes starts in place).
+  JobRecord& record(JobId id) noexcept { return records_[id]; }
 
   /// Completion time of the last job (0 for an empty schedule).
   Time makespan() const noexcept;
@@ -73,10 +72,10 @@ class Schedule {
   /// Peak number of simultaneously waiting jobs (backlog indicator, §6.1).
   std::size_t max_queue_length = 0;
 
-  /// Queue length after each event (only filled when
+  /// Queue length after each event instant (only filled when
   /// SimOptions::record_backlog is set): the §6.1 "larger job backlog
-  /// during the simulation" as a plottable time series. Consecutive
-  /// samples at one instant are coalesced to the last value.
+  /// during the simulation" as a plottable time series, one sample per
+  /// instant (the event kernel's instants strictly increase).
   std::vector<std::pair<Time, std::size_t>> backlog;
 
   /// Killed execution attempts, in kill order (fault injection only;

@@ -1,418 +1,35 @@
 #include "sim/simulator.h"
 
-#include <algorithm>
-#include <ctime>
-#include <queue>
 #include <stdexcept>
-#include <vector>
+
+#include "sim/event_core.h"
 
 namespace jsched::sim {
 namespace {
 
-/// Thread CPU time in seconds (Linux/glibc).
-double cpu_seconds() {
-  timespec ts{};
-  clock_gettime(CLOCK_THREAD_CPUTIME_ID, &ts);
-  return static_cast<double>(ts.tv_sec) +
-         static_cast<double>(ts.tv_nsec) * 1e-9;
-}
+/// The batch driver's storage: jobs stay in the Workload and records are
+/// written in place into the Schedule, which also collects the attempts and
+/// capacity steps.
+class ScheduleTable final : public JobTable, public RecordSink {
+ public:
+  ScheduleTable(const workload::Workload& workload, Schedule& schedule)
+      : workload_(workload), schedule_(schedule) {}
 
-struct Completion {
-  Time t;
-  JobId id;
-  bool operator>(const Completion& o) const noexcept {
-    return t != o.t ? t > o.t : id > o.id;
+  const Job& job(JobId id) const override { return workload_.job(id); }
+  JobRecord& record(JobId id) override { return schedule_.record(id); }
+
+  void on_record(JobId, const JobRecord&, const Job&) override {}
+  void on_attempt(const AttemptRecord& attempt) override {
+    schedule_.attempts.push_back(attempt);
   }
+  void on_capacity_event(Time t, int capacity) override {
+    schedule_.capacity_events.emplace_back(t, capacity);
+  }
+
+ private:
+  const workload::Workload& workload_;
+  Schedule& schedule_;
 };
-
-/// The original fault-free event loop, kept as its own function so the
-/// zero-failure path stays bit-identical (and pays nothing) regardless of
-/// fault support.
-Schedule simulate_basic(const Machine& machine, Scheduler& scheduler,
-                        const workload::Workload& workload,
-                        const SimOptions& options) {
-  Schedule schedule(machine, workload.size(), scheduler.name());
-  if (options.record_backlog) {
-    // One sample per event; arrivals + completions bound the event count
-    // (wakeup-only events coalesce into these in practice).
-    schedule.backlog.reserve(2 * workload.size() + 1);
-  }
-
-  double cpu = 0.0;
-  auto timed = [&](auto&& fn) {
-    if (options.measure_scheduler_cpu) {
-      const double t0 = cpu_seconds();
-      fn();
-      cpu += cpu_seconds() - t0;
-    } else {
-      fn();
-    }
-  };
-
-  timed([&] { scheduler.reset(machine); });
-
-  std::priority_queue<Completion, std::vector<Completion>, std::greater<>>
-      completions;
-  std::size_t next_arrival = 0;
-  int free_nodes = machine.nodes;
-  std::vector<char> submitted(workload.size(), 0);
-  std::vector<char> running(workload.size(), 0);
-  std::vector<char> done(workload.size(), 0);
-  std::size_t remaining = workload.size();
-  Time prev_t = -1;
-
-  // Reused buffers: the event loop itself performs no per-event heap
-  // allocations (schedulers fill `starts` in place).
-  std::vector<JobId> starts;
-  std::vector<JobId> completed;
-  starts.reserve(64);
-  completed.reserve(64);
-
-  while (remaining > 0) {
-    // Cancellation point: one iteration is the abort granularity.
-    if (options.cancel != nullptr) options.cancel->check();
-
-    // Next event time: arrival, completion, or scheduler wakeup.
-    Time t = kTimeInfinity;
-    if (next_arrival < workload.size()) {
-      t = workload[next_arrival].submit;
-    }
-    if (!completions.empty()) t = std::min(t, completions.top().t);
-    // Honor a scheduler wakeup that strictly advances time (stale wakeups
-    // are ignored so a buggy scheduler cannot stall the clock).
-    const Time wake = scheduler.next_wakeup(prev_t);
-    if (wake > prev_t && wake < t) t = wake;
-    if (t == kTimeInfinity) {
-      throw std::logic_error("simulate: no events left but " +
-                             std::to_string(remaining) + " jobs pending (" +
-                             scheduler.name() + " starved them)");
-    }
-    prev_t = t;
-
-    // Deliver all completions at t in one batch (release first: a node
-    // freed at t is available to a job starting at t). Draining the heap
-    // before notifying keeps delivery order identical to one-at-a-time
-    // draining while paying the CPU-clock reads once per timestamp.
-    completed.clear();
-    while (!completions.empty() && completions.top().t == t) {
-      const Completion c = completions.top();
-      completions.pop();
-      free_nodes += workload.job(c.id).nodes;
-      running[c.id] = 0;
-      done[c.id] = 1;
-      --remaining;
-      completed.push_back(c.id);
-    }
-    if (!completed.empty()) {
-      timed([&] {
-        for (JobId id : completed) scheduler.on_complete(id, t);
-      });
-    }
-
-    // Deliver all arrivals at t. Submission is the runtime-free slice of
-    // the job, so schedulers see submission data only (on-line model)
-    // without a full Job copy per arrival.
-    while (next_arrival < workload.size() &&
-           workload[next_arrival].submit == t) {
-      const Job& arrived = workload[next_arrival];
-      submitted[arrived.id] = 1;
-      ++next_arrival;
-      timed([&] { scheduler.on_submit(arrived, t); });
-    }
-
-    // Ask for start decisions until the scheduler has none at this time.
-    while (true) {
-      timed([&] { scheduler.select_starts(t, free_nodes, starts); });
-      if (starts.empty()) break;
-      for (JobId id : starts) {
-        if (id >= workload.size() || !submitted[id]) {
-          throw std::logic_error("simulate: scheduler started unknown job");
-        }
-        if (running[id] || done[id]) {
-          throw std::logic_error("simulate: scheduler started job " +
-                                 std::to_string(id) + " twice");
-        }
-        const Job& j = workload.job(id);
-        if (j.nodes > free_nodes) {
-          throw std::logic_error(
-              "simulate: scheduler oversubscribed the machine with job " +
-              std::to_string(id));
-        }
-        free_nodes -= j.nodes;
-        running[id] = 1;
-        schedule.record_start(id, j.submit, t, j.nodes);
-        // Rule 2: jobs exceeding their upper limit are cancelled there.
-        const bool cancelled = j.runtime > j.estimate;
-        const Duration lifetime = cancelled ? j.estimate : j.runtime;
-        schedule.record_end(id, t + lifetime, cancelled);
-        completions.push({t + lifetime, id});
-      }
-    }
-
-    schedule.max_queue_length =
-        std::max(schedule.max_queue_length, scheduler.queue_length());
-    if (options.record_backlog) {
-      if (!schedule.backlog.empty() && schedule.backlog.back().first == t) {
-        schedule.backlog.back().second = scheduler.queue_length();
-      } else {
-        schedule.backlog.emplace_back(t, scheduler.queue_length());
-      }
-    }
-  }
-
-  schedule.scheduler_cpu_seconds = cpu;
-  if (options.validate) validate_schedule(schedule, workload);
-  return schedule;
-}
-
-/// A scheduled completion under fault injection. `epoch` snapshots the
-/// job's kill counter at start: a kill bumps the counter, so completions
-/// of killed attempts are recognized as stale and skipped lazily.
-struct FaultyCompletion {
-  Time t;
-  JobId id;
-  std::uint32_t epoch;
-  bool operator>(const FaultyCompletion& o) const noexcept {
-    return t != o.t ? t > o.t : id > o.id;
-  }
-};
-
-/// Event loop with failure-trace replay. Event order at one instant t:
-/// completions, then every fault event at t (kills release nodes inside
-/// the step; each step records a capacity event), then one
-/// on_capacity_change, then fresh arrivals, then re-submissions of the
-/// jobs killed at t, then start selection.
-Schedule simulate_faulty(const Machine& machine, Scheduler& scheduler,
-                         const workload::Workload& workload,
-                         const SimOptions& options) {
-  const fault::FailureTrace& trace = *options.faults.trace;
-  if (trace.machine_nodes != machine.nodes) {
-    throw std::invalid_argument(
-        "simulate: failure trace built for " +
-        std::to_string(trace.machine_nodes) + " nodes but the machine has " +
-        std::to_string(machine.nodes));
-  }
-  options.faults.recovery.validate();
-  const fault::RecoveryOptions& recovery = options.faults.recovery;
-  const bool checkpointing =
-      recovery.policy == fault::RecoveryPolicy::kCheckpointRestart;
-
-  Schedule schedule(machine, workload.size(), scheduler.name());
-  if (options.record_backlog) {
-    schedule.backlog.reserve(2 * workload.size() + 1);
-  }
-
-  double cpu = 0.0;
-  auto timed = [&](auto&& fn) {
-    if (options.measure_scheduler_cpu) {
-      const double t0 = cpu_seconds();
-      fn();
-      cpu += cpu_seconds() - t0;
-    } else {
-      fn();
-    }
-  };
-
-  timed([&] { scheduler.reset(machine); });
-
-  std::priority_queue<FaultyCompletion, std::vector<FaultyCompletion>,
-                      std::greater<>>
-      completions;
-  const std::size_t n = workload.size();
-  std::size_t next_arrival = 0;
-  std::size_t next_fault = 0;
-  int capacity = machine.nodes;
-  int free_nodes = capacity;
-  std::vector<char> submitted(n, 0);
-  std::vector<char> running(n, 0);
-  std::vector<char> done(n, 0);
-  std::vector<std::uint32_t> epoch(n, 0);
-  // Ground truth carried across attempts: remaining fault-free lifetime,
-  // restart overhead owed at the next start, overhead included in the
-  // current attempt (its first charged_overhead seconds are restart work,
-  // not fresh progress).
-  std::vector<Duration> rem_life(n);
-  std::vector<Duration> pending_overhead(n, 0);
-  std::vector<Duration> charged_overhead(n, 0);
-  std::vector<Time> start_of(n, 0);
-  std::vector<JobId> active;  // running jobs, for victim selection
-  active.reserve(64);
-  for (JobId id = 0; id < n; ++id) {
-    const Job& j = workload.job(id);
-    rem_life[id] = std::min(j.runtime, j.estimate);
-  }
-  std::size_t remaining = n;
-  Time prev_t = -1;
-
-  std::vector<JobId> starts;
-  std::vector<JobId> completed;
-  std::vector<JobId> resubmit;
-  starts.reserve(64);
-  completed.reserve(64);
-
-  while (remaining > 0) {
-    // Cancellation point: one iteration is the abort granularity.
-    if (options.cancel != nullptr) options.cancel->check();
-
-    // Purge stale completion entries so the next-event time is real.
-    while (!completions.empty() &&
-           completions.top().epoch != epoch[completions.top().id]) {
-      completions.pop();
-    }
-    Time t = kTimeInfinity;
-    if (next_arrival < n) t = workload[next_arrival].submit;
-    if (!completions.empty()) t = std::min(t, completions.top().t);
-    if (next_fault < trace.events.size()) {
-      t = std::min(t, trace.events[next_fault].t);
-    }
-    const Time wake = scheduler.next_wakeup(prev_t);
-    if (wake > prev_t && wake < t) t = wake;
-    if (t == kTimeInfinity) {
-      throw std::logic_error("simulate: no events left but " +
-                             std::to_string(remaining) + " jobs pending (" +
-                             scheduler.name() + " starved them)");
-    }
-    prev_t = t;
-
-    // (1) completions at t — before fault events, so a job ending exactly
-    // when its nodes fail has completed, not been killed.
-    completed.clear();
-    while (!completions.empty() && completions.top().t == t) {
-      const FaultyCompletion c = completions.top();
-      completions.pop();
-      if (c.epoch != epoch[c.id]) continue;  // stale: attempt was killed
-      free_nodes += workload.job(c.id).nodes;
-      running[c.id] = 0;
-      done[c.id] = 1;
-      --remaining;
-      active.erase(std::find(active.begin(), active.end(), c.id));
-      completed.push_back(c.id);
-    }
-    if (!completed.empty()) {
-      timed([&] {
-        for (JobId id : completed) scheduler.on_complete(id, t);
-      });
-    }
-
-    // (2) fault events at t. A failure first removes capacity; while usage
-    // exceeds the surviving capacity, running jobs are killed — latest
-    // start first (they lose the least work), larger id on ties.
-    resubmit.clear();
-    bool capacity_changed = false;
-    while (next_fault < trace.events.size() &&
-           trace.events[next_fault].t == t) {
-      capacity += trace.events[next_fault].delta;
-      free_nodes += trace.events[next_fault].delta;
-      ++next_fault;
-      capacity_changed = true;
-      while (free_nodes < 0) {
-        std::size_t vi = 0;
-        for (std::size_t k = 1; k < active.size(); ++k) {
-          const JobId a = active[k];
-          const JobId b = active[vi];
-          if (start_of[a] > start_of[b] ||
-              (start_of[a] == start_of[b] && a > b)) {
-            vi = k;
-          }
-        }
-        const JobId victim = active[vi];
-        const Job& j = workload.job(victim);
-        free_nodes += j.nodes;
-        running[victim] = 0;
-        ++epoch[victim];
-        active.erase(active.begin() + static_cast<std::ptrdiff_t>(vi));
-        const Duration elapsed = t - start_of[victim];
-        // Progress excludes the attempt's restart overhead; checkpoints
-        // save whole intervals of progress only.
-        const Duration overhead_done =
-            std::min(elapsed, charged_overhead[victim]);
-        const Duration progress = elapsed - overhead_done;
-        const Duration saved =
-            checkpointing
-                ? (progress / recovery.checkpoint_interval) *
-                      recovery.checkpoint_interval
-                : 0;
-        rem_life[victim] -= saved;
-        pending_overhead[victim] = checkpointing ? recovery.restart_overhead : 0;
-        schedule.attempts.push_back(
-            {victim, start_of[victim], t, j.nodes, saved});
-        timed([&] { scheduler.on_complete(victim, t); });
-        resubmit.push_back(victim);
-      }
-      schedule.capacity_events.emplace_back(t, capacity);
-    }
-    if (capacity_changed) {
-      timed([&] { scheduler.on_capacity_change(t, capacity); });
-    }
-
-    // (3) fresh arrivals at t.
-    while (next_arrival < n && workload[next_arrival].submit == t) {
-      const Job& arrived = workload[next_arrival];
-      submitted[arrived.id] = 1;
-      ++next_arrival;
-      timed([&] { scheduler.on_submit(arrived, t); });
-    }
-
-    // (4) re-submissions of the jobs killed at t. The scheduler sees a
-    // fresh Submission whose estimate covers the restart overhead plus the
-    // remaining work plus the user's original slack — exactly what the
-    // user would request for the resumed job.
-    for (JobId id : resubmit) {
-      Job r = workload.job(id);
-      const Duration headroom = r.estimate - std::min(r.runtime, r.estimate);
-      r.submit = t;
-      r.estimate = pending_overhead[id] + rem_life[id] + headroom;
-      timed([&] { scheduler.on_submit(Submission(r), t); });
-    }
-
-    // (5) start decisions.
-    while (true) {
-      timed([&] { scheduler.select_starts(t, free_nodes, starts); });
-      if (starts.empty()) break;
-      for (JobId id : starts) {
-        if (id >= n || !submitted[id]) {
-          throw std::logic_error("simulate: scheduler started unknown job");
-        }
-        if (running[id] || done[id]) {
-          throw std::logic_error("simulate: scheduler started job " +
-                                 std::to_string(id) + " twice");
-        }
-        const Job& j = workload.job(id);
-        if (j.nodes > free_nodes) {
-          throw std::logic_error(
-              "simulate: scheduler oversubscribed the machine with job " +
-              std::to_string(id));
-        }
-        free_nodes -= j.nodes;
-        running[id] = 1;
-        start_of[id] = t;
-        active.push_back(id);
-        charged_overhead[id] = pending_overhead[id];
-        pending_overhead[id] = 0;
-        const Duration lifetime = charged_overhead[id] + rem_life[id];
-        schedule.record_start(id, j.submit, t, j.nodes);
-        // Rule 2 still applies across restarts: a job whose true runtime
-        // exceeds its original estimate runs to its (remaining) limit.
-        schedule.record_end(id, t + lifetime, j.runtime > j.estimate);
-        completions.push({t + lifetime, id, epoch[id]});
-      }
-    }
-
-    schedule.max_queue_length =
-        std::max(schedule.max_queue_length, scheduler.queue_length());
-    if (options.record_backlog) {
-      if (!schedule.backlog.empty() && schedule.backlog.back().first == t) {
-        schedule.backlog.back().second = scheduler.queue_length();
-      } else {
-        schedule.backlog.emplace_back(t, scheduler.queue_length());
-      }
-    }
-  }
-
-  schedule.scheduler_cpu_seconds = cpu;
-  if (options.validate) validate_schedule(schedule, workload);
-  return schedule;
-}
 
 }  // namespace
 
@@ -425,10 +42,36 @@ Schedule simulate(const Machine& machine, Scheduler& scheduler,
         "simulate: workload contains jobs wider than the machine; "
         "trim_to_machine() first");
   }
-  if (options.faults.active()) {
-    return simulate_faulty(machine, scheduler, workload, options);
+  Schedule schedule(machine, workload.size(), scheduler.name());
+  if (options.record_backlog) {
+    // One sample per event instant; arrivals + completions bound their
+    // count (wakeup-only instants coalesce into these in practice).
+    schedule.backlog.reserve(2 * workload.size() + 1);
   }
-  return simulate_basic(machine, scheduler, workload, options);
+  ScheduleTable table(workload, schedule);
+  EventCore kernel(machine, scheduler, table, table, options.faults,
+                   options.measure_scheduler_cpu, options.cancel);
+
+  const std::size_t n = workload.size();
+  std::size_t next = 0;
+  while (next < n || kernel.undone() > 0) {
+    const Time t =
+        kernel.next_event(next < n ? workload[next].submit : kTimeInfinity);
+    if (t == kTimeInfinity) kernel.starved();
+    kernel.begin(t);
+    for (; next < n && workload[next].submit == t; ++next) {
+      kernel.arrive(workload[next], t);
+    }
+    kernel.finish(t);
+    if (options.record_backlog) {
+      schedule.backlog.emplace_back(t, scheduler.queue_length());
+    }
+  }
+
+  schedule.scheduler_cpu_seconds = kernel.scheduler_cpu_seconds();
+  schedule.max_queue_length = kernel.max_queue_length();
+  if (options.validate) validate_schedule(schedule, workload);
+  return schedule;
 }
 
 }  // namespace jsched::sim

@@ -1,4 +1,6 @@
-// Discrete-event simulator driving an on-line scheduler over a workload.
+// Discrete-event simulator driving an on-line scheduler over a workload:
+// the batch driver of sim::EventCore (sim/event_core.h), which writes every
+// record straight into the returned Schedule.
 #pragma once
 
 #include <cstdint>
@@ -23,13 +25,14 @@ struct SimOptions {
   /// Record the queue-length time series into Schedule::backlog.
   bool record_backlog = false;
 
-  /// Fault injection. Inactive (the default) takes the original event
-  /// loop: schedules are bit-identical to a build without fault support.
-  /// Active, the simulator replays faults.trace, kills running jobs when
-  /// a failure removes the nodes under them (victims: latest start first,
-  /// larger id on ties), applies faults.recovery to decide the lost work,
-  /// and re-submits the remainder at the kill instant. The trace must be
-  /// built for exactly machine.nodes nodes.
+  /// Fault injection. Inactive (the default), the event kernel skips its
+  /// fault batch and running-set upkeep, and schedules are bit-identical
+  /// to those of a build without fault support. Active, the kernel replays
+  /// faults.trace, kills running jobs when a failure removes the nodes
+  /// under them (victims: latest start first, larger id on ties), applies
+  /// faults.recovery to decide the lost work, and re-submits the remainder
+  /// at the kill instant. The trace must be built for exactly
+  /// machine.nodes nodes.
   fault::FaultOptions faults{};
 
   /// Cooperative cancellation (not owned; may be null). When set, the

@@ -1,98 +1,19 @@
 #include "sim/streaming.h"
 
 #include <algorithm>
-#include <ctime>
-#include <deque>
-#include <queue>
 #include <stdexcept>
 #include <string>
-#include <vector>
 
 namespace jsched::sim {
-namespace {
-
-/// Thread CPU time in seconds (Linux/glibc).
-double cpu_seconds() {
-  timespec ts{};
-  clock_gettime(CLOCK_THREAD_CPUTIME_ID, &ts);
-  return static_cast<double>(ts.tv_sec) +
-         static_cast<double>(ts.tv_nsec) * 1e-9;
-}
-
-/// A scheduled completion. `epoch` snapshots the job's kill counter at
-/// start so completions of killed attempts are recognized as stale.
-struct StreamCompletion {
-  Time t;
-  JobId id;
-  std::uint32_t epoch;
-  bool operator>(const StreamCompletion& o) const noexcept {
-    return t != o.t ? t > o.t : id > o.id;
-  }
-};
-
-/// Per-live-job state: everything the materializing simulator keeps in its
-/// O(n) side arrays, scoped to the job's stay in the window.
-struct Slot {
-  Job job;
-  JobRecord rec;
-  std::uint32_t epoch = 0;
-  Duration rem_life = 0;
-  Duration pending_overhead = 0;
-  Duration charged_overhead = 0;
-  Time start_of = 0;
-  bool running = false;
-  bool done = false;
-};
-
-}  // namespace
 
 StreamStats simulate_stream(const Machine& machine, Scheduler& scheduler,
                             workload::JobSource& source, RecordSink& sink,
                             const StreamOptions& options) {
   machine.validate();
-  const bool faults_active = options.faults.active();
-  if (faults_active) {
-    const fault::FailureTrace& trace = *options.faults.trace;
-    if (trace.machine_nodes != machine.nodes) {
-      throw std::invalid_argument(
-          "simulate: failure trace built for " +
-          std::to_string(trace.machine_nodes) + " nodes but the machine has " +
-          std::to_string(machine.nodes));
-    }
-    options.faults.recovery.validate();
-  }
-  const fault::RecoveryOptions& recovery = options.faults.recovery;
-  const bool checkpointing =
-      faults_active &&
-      recovery.policy == fault::RecoveryPolicy::kCheckpointRestart;
-
+  JobWindow window;
+  EventCore kernel(machine, scheduler, window, sink, options.faults,
+                   options.measure_scheduler_cpu, options.cancel);
   StreamStats stats;
-  double cpu = 0.0;
-  auto timed = [&](auto&& fn) {
-    if (options.measure_scheduler_cpu) {
-      const double t0 = cpu_seconds();
-      fn();
-      cpu += cpu_seconds() - t0;
-    } else {
-      fn();
-    }
-  };
-
-  timed([&] { scheduler.reset(machine); });
-
-  std::priority_queue<StreamCompletion, std::vector<StreamCompletion>,
-                      std::greater<>>
-      completions;
-  // Live window: slots for ids [frontier, frontier + window.size()).
-  std::deque<Slot> window;
-  JobId frontier = 0;
-  std::size_t undone = 0;  // arrived jobs whose completion is still ahead
-  int capacity = machine.nodes;
-  int free_nodes = capacity;
-  std::size_t next_fault = 0;
-  std::vector<JobId> active;  // running jobs, for victim selection
-  if (faults_active) active.reserve(64);
-  Time prev_t = -1;
 
   // One-job lookahead into the source, validated as it is pulled: the
   // stream must carry the finalized-Workload invariants.
@@ -129,194 +50,24 @@ StreamStats simulate_stream(const Machine& machine, Scheduler& scheduler,
   };
   pull();
 
-  std::vector<JobId> starts;
-  std::vector<JobId> completed;
-  std::vector<JobId> resubmit;
-  starts.reserve(64);
-  completed.reserve(64);
-
-  const auto slot_of = [&](JobId id) -> Slot& { return window[id - frontier]; };
-
-  while (undone > 0 || has_pending) {
-    // Cancellation point: one iteration is the abort granularity.
-    if (options.cancel != nullptr) options.cancel->check();
-
-    // Purge stale completion entries so the next-event time is real. An id
-    // below the frontier is a dead epoch of a job that has since finished.
-    while (!completions.empty()) {
-      const StreamCompletion& top = completions.top();
-      if (top.id >= frontier && top.epoch == slot_of(top.id).epoch) break;
-      completions.pop();
-    }
-    Time t = kTimeInfinity;
-    if (has_pending) t = pending.submit;
-    if (!completions.empty()) t = std::min(t, completions.top().t);
-    if (faults_active) {
-      const auto& events = options.faults.trace->events;
-      if (next_fault < events.size()) t = std::min(t, events[next_fault].t);
-    }
-    const Time wake = scheduler.next_wakeup(prev_t);
-    if (wake > prev_t && wake < t) t = wake;
-    if (t == kTimeInfinity) {
-      throw std::logic_error("simulate: no events left but " +
-                             std::to_string(undone) + " jobs pending (" +
-                             scheduler.name() + " starved them)");
-    }
-    prev_t = t;
-
-    // (1) completions at t — before fault events, so a job ending exactly
-    // when its nodes fail has completed, not been killed.
-    completed.clear();
-    while (!completions.empty() && completions.top().t == t) {
-      const StreamCompletion c = completions.top();
-      completions.pop();
-      if (c.id < frontier) continue;  // stale: attempt of a finished job
-      Slot& s = slot_of(c.id);
-      if (c.epoch != s.epoch) continue;  // stale: attempt was killed
-      free_nodes += s.job.nodes;
-      s.running = false;
-      s.done = true;
-      --undone;
-      if (faults_active) {
-        active.erase(std::find(active.begin(), active.end(), c.id));
-      }
-      completed.push_back(c.id);
-    }
-    if (!completed.empty()) {
-      timed([&] {
-        for (JobId id : completed) scheduler.on_complete(id, t);
-      });
-    }
-
-    // (2) fault events at t. A failure first removes capacity; while usage
-    // exceeds the surviving capacity, running jobs are killed — latest
-    // start first (they lose the least work), larger id on ties.
-    resubmit.clear();
-    bool capacity_changed = false;
-    if (faults_active) {
-      const auto& events = options.faults.trace->events;
-      while (next_fault < events.size() && events[next_fault].t == t) {
-        capacity += events[next_fault].delta;
-        free_nodes += events[next_fault].delta;
-        ++next_fault;
-        capacity_changed = true;
-        while (free_nodes < 0) {
-          std::size_t vi = 0;
-          for (std::size_t k = 1; k < active.size(); ++k) {
-            const JobId a = active[k];
-            const JobId b = active[vi];
-            if (slot_of(a).start_of > slot_of(b).start_of ||
-                (slot_of(a).start_of == slot_of(b).start_of && a > b)) {
-              vi = k;
-            }
-          }
-          const JobId victim = active[vi];
-          Slot& s = slot_of(victim);
-          free_nodes += s.job.nodes;
-          s.running = false;
-          ++s.epoch;
-          active.erase(active.begin() + static_cast<std::ptrdiff_t>(vi));
-          const Duration elapsed = t - s.start_of;
-          // Progress excludes the attempt's restart overhead; checkpoints
-          // save whole intervals of progress only.
-          const Duration overhead_done = std::min(elapsed, s.charged_overhead);
-          const Duration progress = elapsed - overhead_done;
-          const Duration saved =
-              checkpointing ? (progress / recovery.checkpoint_interval) *
-                                  recovery.checkpoint_interval
-                            : 0;
-          s.rem_life -= saved;
-          s.pending_overhead = checkpointing ? recovery.restart_overhead : 0;
-          sink.on_attempt({victim, s.start_of, t, s.job.nodes, saved});
-          timed([&] { scheduler.on_complete(victim, t); });
-          resubmit.push_back(victim);
-        }
-        sink.on_capacity_event(t, capacity);
-      }
-    }
-    if (capacity_changed) {
-      timed([&] { scheduler.on_capacity_change(t, capacity); });
-    }
-
-    // (3) fresh arrivals at t.
+  while (has_pending || kernel.undone() > 0) {
+    const Time t =
+        kernel.next_event(has_pending ? pending.submit : kTimeInfinity);
+    if (t == kTimeInfinity) kernel.starved();
+    kernel.begin(t);
     while (has_pending && pending.submit == t) {
-      window.emplace_back();
-      Slot& s = window.back();
-      s.job = pending;
-      s.rem_life = std::min(pending.runtime, pending.estimate);
-      ++undone;
+      kernel.arrive(window.push(pending), t);
       stats.peak_live_jobs = std::max(stats.peak_live_jobs, window.size());
-      timed([&] { scheduler.on_submit(Submission(s.job), t); });
       pull();
     }
-
-    // (4) re-submissions of the jobs killed at t, with an estimate that
-    // covers restart overhead + remaining work + the user's original slack.
-    for (JobId id : resubmit) {
-      const Slot& s = slot_of(id);
-      Job r = s.job;
-      const Duration headroom = r.estimate - std::min(r.runtime, r.estimate);
-      r.submit = t;
-      r.estimate = s.pending_overhead + s.rem_life + headroom;
-      timed([&] { scheduler.on_submit(Submission(r), t); });
-    }
-
-    // (5) start decisions.
-    while (true) {
-      timed([&] { scheduler.select_starts(t, free_nodes, starts); });
-      if (starts.empty()) break;
-      for (JobId id : starts) {
-        if (id >= frontier + window.size()) {
-          throw std::logic_error("simulate: scheduler started unknown job");
-        }
-        if (id < frontier) {
-          throw std::logic_error("simulate: scheduler started job " +
-                                 std::to_string(id) + " twice");
-        }
-        Slot& s = slot_of(id);
-        if (s.running || s.done) {
-          throw std::logic_error("simulate: scheduler started job " +
-                                 std::to_string(id) + " twice");
-        }
-        if (s.job.nodes > free_nodes) {
-          throw std::logic_error(
-              "simulate: scheduler oversubscribed the machine with job " +
-              std::to_string(id));
-        }
-        free_nodes -= s.job.nodes;
-        s.running = true;
-        s.start_of = t;
-        if (faults_active) active.push_back(id);
-        s.charged_overhead = s.pending_overhead;
-        s.pending_overhead = 0;
-        const Duration lifetime = s.charged_overhead + s.rem_life;
-        s.rec.submit = s.job.submit;
-        s.rec.start = t;
-        s.rec.nodes = s.job.nodes;
-        // Rule 2: a job whose true runtime exceeds its original estimate
-        // runs to its (remaining) limit and is recorded as cancelled.
-        s.rec.end = t + lifetime;
-        s.rec.cancelled = s.job.runtime > s.job.estimate;
-        completions.push({t + lifetime, id, s.epoch});
-      }
-    }
-
-    stats.max_queue_length =
-        std::max(stats.max_queue_length, scheduler.queue_length());
-
-    // Fold finished records into the sink in JobId order and free their
-    // slots — the frontier advance that keeps the window bounded.
-    while (!window.empty() && window.front().done) {
-      const Slot& s = window.front();
-      sink.on_record(frontier, s.rec, s.job);
-      stats.makespan = std::max(stats.makespan, s.rec.end);
-      ++stats.jobs;
-      window.pop_front();
-      ++frontier;
-    }
+    kernel.finish(t);
+    window.trim(kernel.frontier());
   }
 
-  stats.scheduler_cpu_seconds = cpu;
+  stats.jobs = kernel.frontier();
+  stats.makespan = kernel.makespan();
+  stats.scheduler_cpu_seconds = kernel.scheduler_cpu_seconds();
+  stats.max_queue_length = kernel.max_queue_length();
   return stats;
 }
 

@@ -1,20 +1,21 @@
 // Bounded-memory simulation: drive a scheduler from a workload::JobSource
 // and fold each finished JobRecord into a visitor instead of retaining it.
 //
-// The materializing `simulate()` holds the whole workload, the whole
-// Schedule and a handful of O(n) side arrays — ~1.4 GB at 10M jobs. This
-// path holds only the *live window*: jobs that have arrived but whose
-// records are not yet final. Arrivals happen in JobId order (ids are dense
-// and submit-sorted), so the live window is a contiguous id range managed
-// as a deque; the frontier advances as jobs complete and each record is
-// handed to the sink exactly once, in JobId order — the same order every
-// batch metric and the schedule fingerprint iterate in, which is what
-// makes streaming aggregates bit-identical to their batch counterparts.
+// The materializing `simulate()` holds the whole workload and the whole
+// Schedule, O(jobs) memory. This path holds only the *live window*:
+// jobs that have arrived but whose records are not yet final. Arrivals
+// happen in JobId order (ids are dense and submit-sorted), so the live
+// window is a contiguous id range (a sim::JobWindow); after each event
+// instant it is trimmed to the event kernel's fold frontier, and each
+// record is handed to the sink exactly once, in JobId order — the same
+// order every batch metric and the schedule fingerprint iterate in, which
+// is what makes streaming aggregates bit-identical to their batch
+// counterparts.
 //
-// One unified event loop serves both the fault-free and the faulty case:
-// with an inactive trace its event order is identical to the fault-free
-// loop in simulator.cpp (completions, arrivals, starts), so decisions —
-// and therefore records — match the materializing simulator exactly.
+// The event instant itself is sim::EventCore (sim/event_core.h), the same
+// kernel behind simulate() and serve::serve(); this driver only pulls and
+// validates the source. Decisions — and therefore records — match the
+// materializing simulator exactly, with and without fault injection.
 #pragma once
 
 #include <cstddef>
@@ -22,34 +23,13 @@
 
 #include "fault/fault.h"
 #include "sim/cancel.h"
+#include "sim/event_core.h"
 #include "sim/machine.h"
 #include "sim/schedule.h"
 #include "sim/scheduler.h"
 #include "workload/job_source.h"
 
 namespace jsched::sim {
-
-/// Visitor receiving the simulation's output as it becomes final.
-/// `on_record` is called exactly once per job, in JobId order; attempts
-/// arrive in kill order and capacity events in trace order — the same
-/// orders the materializing Schedule stores them in.
-class RecordSink {
- public:
-  virtual ~RecordSink() = default;
-
-  /// Final record of job `id` (its workload entry is `j`). The references
-  /// are only valid during the call.
-  virtual void on_record(JobId id, const JobRecord& record, const Job& j) = 0;
-
-  /// A killed execution attempt (fault injection only).
-  virtual void on_attempt(const AttemptRecord& attempt) { (void)attempt; }
-
-  /// A machine capacity step: available nodes after the step.
-  virtual void on_capacity_event(Time t, int capacity) {
-    (void)t;
-    (void)capacity;
-  }
-};
 
 /// What the streaming loop itself measures (everything else — objectives,
 /// fingerprints, resilience — lives in the sink).

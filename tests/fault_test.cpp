@@ -6,6 +6,7 @@
 
 #include <algorithm>
 #include <memory>
+#include <vector>
 
 #include "core/factory.h"
 #include "core/phased_scheduler.h"
@@ -13,8 +14,12 @@
 #include "fault/failure_model.h"
 #include "fault/fault.h"
 #include "metrics/resilience.h"
+#include "serve/daemon.h"
+#include "serve/feed.h"
 #include "sim/simulator.h"
+#include "sim/streaming.h"
 #include "test_support.h"
+#include "workload/job_source.h"
 
 namespace jsched {
 namespace {
@@ -179,6 +184,79 @@ TEST(FaultSim, HandComputedRequeueScenario) {
   const std::vector<std::size_t> counts = metrics::resubmission_counts(s);
   EXPECT_EQ(counts[0], 1u);
   EXPECT_EQ(counts[1], 1u);
+}
+
+/// Collects what simulate_stream emits, for comparison with a Schedule.
+class CollectingSink final : public sim::RecordSink {
+ public:
+  void on_record(JobId, const sim::JobRecord& record, const Job&) override {
+    records.push_back(record);
+  }
+  void on_attempt(const sim::AttemptRecord& attempt) override {
+    attempts.push_back(attempt);
+  }
+  std::vector<sim::JobRecord> records;
+  std::vector<sim::AttemptRecord> attempts;
+};
+
+// 2-node machine, FCFS. A and B (1x100 each) start at 0; at t=10 both
+// nodes fail, killing B (equal start, larger id) then A, which re-queue in
+// that order. One node returns at 20 and B restarts; the other returns at
+// 30 and A restarts. When a node fails again at 40, A is the victim: it
+// started last, although its id is smaller. A restarts at 50 and ends at
+// 150; B ends at 20+100=120. The streaming simulator and the daemon run
+// the same kernel and must reproduce the schedule and its kill order.
+TEST(FaultSim, LatestStartIsKilledBeforeLargerId) {
+  const workload::Workload w = test::make_workload({
+      test::make_job(0, 1, 100),  // id 0 = A
+      test::make_job(0, 1, 100),  // id 1 = B
+  });
+  const FailureTrace trace = fault::make_failure_trace(
+      {{10, -2}, {20, +1}, {30, +1}, {40, -1}, {50, +1}}, 2);
+  const sim::Schedule s = run_with_faults(core::AlgorithmSpec{}, w, 2, trace);
+
+  EXPECT_EQ(s[0].start, 50);
+  EXPECT_EQ(s[0].end, 150);
+  EXPECT_EQ(s[1].start, 20);
+  EXPECT_EQ(s[1].end, 120);
+  ASSERT_EQ(s.attempts.size(), 3u);
+  EXPECT_EQ(s.attempts[0].id, 1u);
+  EXPECT_EQ(s.attempts[1].id, 0u);
+  EXPECT_EQ(s.attempts[2].id, 0u) << "the later start (30, not 20) loses";
+  EXPECT_EQ(s.attempts[2].start, 30);
+  EXPECT_EQ(s.attempts[2].end, 40);
+
+  sim::Machine m;
+  m.nodes = 2;
+  FaultOptions faults;
+  faults.trace = &trace;
+
+  auto scheduler = core::make_scheduler(core::AlgorithmSpec{});
+  workload::WorkloadSource source(w);
+  CollectingSink sink;
+  sim::StreamOptions stream_options;
+  stream_options.faults = faults;
+  sim::simulate_stream(m, *scheduler, source, sink, stream_options);
+  ASSERT_EQ(sink.records.size(), s.size());
+  for (JobId id = 0; id < s.size(); ++id) {
+    EXPECT_EQ(sink.records[id].start, s[id].start);
+    EXPECT_EQ(sink.records[id].end, s[id].end);
+  }
+  ASSERT_EQ(sink.attempts.size(), s.attempts.size());
+  for (std::size_t i = 0; i < s.attempts.size(); ++i) {
+    EXPECT_EQ(sink.attempts[i].id, s.attempts[i].id);
+    EXPECT_EQ(sink.attempts[i].start, s.attempts[i].start);
+    EXPECT_EQ(sink.attempts[i].end, s.attempts[i].end);
+  }
+
+  workload::WorkloadSource served_source(w);
+  serve::JobSourceFeed feed(served_source);
+  serve::ServeOptions options;
+  options.machine = m;
+  options.faults = faults;
+  const serve::ServeReport served = serve::serve(feed, options);
+  EXPECT_EQ(served.killed, 3u);
+  EXPECT_EQ(served.schedule_fnv, sim::schedule_fingerprint(s));
 }
 
 // Same machine, checkpointing every 30s of progress with 10s restart
@@ -349,7 +427,7 @@ TEST(FaultSim, InactiveFaultOptionsMatchFaultFreeFingerprint) {
   for (const core::AlgorithmSpec& spec :
        core::paper_grid(core::WeightKind::kUnit)) {
     const std::uint64_t baseline = test::run_fingerprint(spec, w);
-    // Null trace and empty trace both take the fault-free event loop.
+    // Null trace and empty trace both skip the kernel's fault branch.
     sim::Machine m;
     m.nodes = 16;
     auto scheduler = core::make_scheduler(spec);

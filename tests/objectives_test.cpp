@@ -22,10 +22,8 @@ sim::Machine machine(int nodes = 8) {
 ///   job 1: submit 20, start 110, end 160, 2 nodes (response 140, run 50)
 sim::Schedule two_job_schedule() {
   sim::Schedule s(machine(), 2, "hand");
-  s.record_start(0, 0, 10, 4);
-  s.record_end(0, 110, false);
-  s.record_start(1, 20, 110, 2);
-  s.record_end(1, 160, false);
+  s.record(0) = {0, 10, 110, 4, false};
+  s.record(1) = {20, 110, 160, 2, false};
   return s;
 }
 
@@ -53,10 +51,8 @@ TEST(Objectives, WeightNormalizedVariant) {
 TEST(Objectives, WeightedAndUnweightedAgreeOnUnitJobs) {
   // 1-node, 1-second jobs: weight = 1 for every job, so AWRT == ART.
   sim::Schedule s(machine(), 2, "unit");
-  s.record_start(0, 0, 0, 1);
-  s.record_end(0, 1, false);
-  s.record_start(1, 0, 1, 1);
-  s.record_end(1, 2, false);
+  s.record(0) = {0, 0, 1, 1, false};
+  s.record(1) = {0, 1, 2, 1, false};
   EXPECT_DOUBLE_EQ(average_response_time(s),
                    average_weighted_response_time(s));
 }
@@ -67,8 +63,7 @@ TEST(Objectives, BoundedSlowdown) {
                    (1.1 + 2.8) / 2.0);
   // A tiny job's slowdown is bounded by tau.
   sim::Schedule s(machine(), 1, "tiny");
-  s.record_start(0, 0, 0, 1);
-  s.record_end(0, 1, false);  // run 1, response 1
+  s.record(0) = {0, 0, 1, 1, false};  // run 1, response 1
   EXPECT_DOUBLE_EQ(average_bounded_slowdown(s, 10), 1.0 / 10.0);
 }
 
@@ -97,8 +92,7 @@ TEST(Objectives, EmptyScheduleThrows) {
 TEST(Objectives, CancelledJobWeightUsesOccupiedTime) {
   // Cancelled at its 50 s limit while asking 2 nodes: weight 100.
   sim::Schedule s(machine(), 1, "cancel");
-  s.record_start(0, 0, 0, 2);
-  s.record_end(0, 50, true);
+  s.record(0) = {0, 0, 50, 2, true};
   EXPECT_DOUBLE_EQ(average_weighted_response_time(s), 100.0 * 50.0);
 }
 
@@ -138,10 +132,8 @@ TEST(Objectives, ClassMetrics) {
     return std::vector<Job>{a, b};
   }());
   sim::Schedule s(machine(), 2, "cls");
-  s.record_start(0, 0, 0, 1);
-  s.record_end(0, 10, false);
-  s.record_start(1, 0, 100, 1);
-  s.record_end(1, 110, false);
+  s.record(0) = {0, 0, 10, 1, false};
+  s.record(1) = {0, 100, 110, 1, false};
   EXPECT_DOUBLE_EQ(class_average_response_time(s, w, 1), 10.0);
   EXPECT_DOUBLE_EQ(class_average_response_time(s, w, 0), 110.0);
   EXPECT_DOUBLE_EQ(class_average_response_time(s, w, 9), 0.0);

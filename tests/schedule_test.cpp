@@ -19,8 +19,7 @@ Machine machine(int nodes) {
 
 TEST(Schedule, RecordsRoundTrip) {
   Schedule s(machine(8), 2, "X");
-  s.record_start(0, 5, 10, 4);
-  s.record_end(0, 30, false);
+  s.record(0) = {5, 10, 30, 4, false};
   EXPECT_EQ(s[0].wait(), 5);
   EXPECT_EQ(s[0].response(), 25);
   EXPECT_EQ(s.scheduler_name(), "X");
@@ -28,10 +27,8 @@ TEST(Schedule, RecordsRoundTrip) {
 
 TEST(Schedule, MakespanIsLastCompletion) {
   Schedule s(machine(8), 2, "X");
-  s.record_start(0, 0, 0, 1);
-  s.record_end(0, 100, false);
-  s.record_start(1, 0, 50, 1);
-  s.record_end(1, 80, false);
+  s.record(0) = {0, 0, 100, 1, false};
+  s.record(1) = {0, 50, 80, 1, false};
   EXPECT_EQ(s.makespan(), 100);
 }
 
@@ -45,59 +42,47 @@ class ValidateTest : public ::testing::Test {
 };
 
 TEST_F(ValidateTest, AcceptsValidSchedule) {
-  s_.record_start(0, 0, 0, 4);
-  s_.record_end(0, 20, false);
-  s_.record_start(1, 5, 20, 6);
-  s_.record_end(1, 30, false);
+  s_.record(0) = {0, 0, 20, 4, false};
+  s_.record(1) = {5, 20, 30, 6, false};
   EXPECT_NO_THROW(validate_schedule(s_, w_));
 }
 
 TEST_F(ValidateTest, AcceptsBackToBackAtFullCapacity) {
   // Job 1 starts exactly when job 0's nodes free up: 4+6 > 8 would overlap,
   // but end-at-t release before start-at-t acquire makes this valid.
-  s_.record_start(0, 0, 0, 4);
-  s_.record_end(0, 20, false);
-  s_.record_start(1, 5, 20, 6);
-  s_.record_end(1, 30, false);
+  s_.record(0) = {0, 0, 20, 4, false};
+  s_.record(1) = {5, 20, 30, 6, false};
   EXPECT_NO_THROW(validate_schedule(s_, w_));
 }
 
 TEST_F(ValidateTest, RejectsCapacityViolation) {
-  s_.record_start(0, 0, 0, 4);
-  s_.record_end(0, 20, false);
-  s_.record_start(1, 5, 10, 6);  // overlaps job 0: 10 > 8 nodes
-  s_.record_end(1, 20, false);
+  s_.record(0) = {0, 0, 20, 4, false};
+  s_.record(1) = {5, 10, 20, 6, false};  // overlaps job 0: 10 > 8 nodes
   EXPECT_THROW(validate_schedule(s_, w_), std::logic_error);
 }
 
 TEST_F(ValidateTest, RejectsStartBeforeSubmit) {
-  s_.record_start(0, 0, 0, 4);
-  s_.record_end(0, 20, false);
-  s_.record_start(1, 5, 2, 6);
-  s_.record_end(1, 12, false);
+  s_.record(0) = {0, 0, 20, 4, false};
+  s_.record(1) = {5, 2, 12, 6, false};
   EXPECT_THROW(validate_schedule(s_, w_), std::logic_error);
 }
 
 TEST_F(ValidateTest, RejectsWrongRuntime) {
-  s_.record_start(0, 0, 0, 4);
-  s_.record_end(0, 25, false);  // ran 25, runtime is 20 (no time sharing)
-  s_.record_start(1, 5, 25, 6);
-  s_.record_end(1, 35, false);
+  // Ran 25 but its runtime is 20 (no time sharing).
+  s_.record(0) = {0, 0, 25, 4, false};
+  s_.record(1) = {5, 25, 35, 6, false};
   EXPECT_THROW(validate_schedule(s_, w_), std::logic_error);
 }
 
 TEST_F(ValidateTest, RejectsUnfinishedJob) {
-  s_.record_start(0, 0, 0, 4);
-  s_.record_end(0, 20, false);
-  s_.record_start(1, 5, 20, 6);  // never ended
+  s_.record(0) = {0, 0, 20, 4, false};
+  s_.record(1) = {5, 20, kTimeInfinity, 6, false};  // never ended
   EXPECT_THROW(validate_schedule(s_, w_), std::logic_error);
 }
 
 TEST_F(ValidateTest, RejectsNodeMismatch) {
-  s_.record_start(0, 0, 0, 5);  // job 0 asked for 4
-  s_.record_end(0, 20, false);
-  s_.record_start(1, 5, 20, 6);
-  s_.record_end(1, 30, false);
+  s_.record(0) = {0, 0, 20, 5, false};  // job 0 asked for 4
+  s_.record(1) = {5, 20, 30, 6, false};
   EXPECT_THROW(validate_schedule(s_, w_), std::logic_error);
 }
 
@@ -111,8 +96,7 @@ TEST(ValidateCancellation, AcceptsCancellationAtTheLimit) {
   const workload::Workload w =
       test::make_workload({make_job(0, 2, 80, 50)});
   Schedule s(machine(8), 1, "X");
-  s.record_start(0, 0, 0, 2);
-  s.record_end(0, 50, true);
+  s.record(0) = {0, 0, 50, 2, true};
   EXPECT_NO_THROW(validate_schedule(s, w));
 }
 
@@ -120,8 +104,7 @@ TEST(ValidateCancellation, RejectsCancellationElsewhere) {
   const workload::Workload w =
       test::make_workload({make_job(0, 2, 80, 50)});
   Schedule s(machine(8), 1, "X");
-  s.record_start(0, 0, 0, 2);
-  s.record_end(0, 40, true);  // cancelled before the limit
+  s.record(0) = {0, 0, 40, 2, true};  // cancelled before the limit
   EXPECT_THROW(validate_schedule(s, w), std::logic_error);
 }
 
@@ -129,8 +112,7 @@ TEST(ValidateCancellation, RejectsCancellingAFittingJob) {
   const workload::Workload w =
       test::make_workload({make_job(0, 2, 30, 50)});
   Schedule s(machine(8), 1, "X");
-  s.record_start(0, 0, 0, 2);
-  s.record_end(0, 50, true);  // claims cancellation though 30 <= 50
+  s.record(0) = {0, 0, 50, 2, true};  // claims cancellation though 30 <= 50
   EXPECT_THROW(validate_schedule(s, w), std::logic_error);
 }
 

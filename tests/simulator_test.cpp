@@ -2,10 +2,19 @@
 
 #include <gtest/gtest.h>
 
+#include <memory>
 #include <stdexcept>
+#include <string>
+#include <vector>
 
 #include "core/factory.h"
+#include "fault/fault.h"
+#include "metrics/streaming.h"
+#include "serve/daemon.h"
+#include "serve/feed.h"
+#include "sim/streaming.h"
 #include "test_support.h"
+#include "workload/job_source.h"
 
 namespace jsched::sim {
 namespace {
@@ -103,6 +112,71 @@ TEST(Simulator, SchedulerSeesScrubbedRuntime) {
   EXPECT_EQ(s[0].end - s[0].start, 77);  // ground truth still applies
 }
 
+/// Expects `run` to throw std::logic_error whose message names `what`: the
+/// contract check itself fired, not some later consequence of skipping it.
+template <typename Run>
+void expect_logic_error(Run run, const std::string& what, const char* entry) {
+  try {
+    run();
+    ADD_FAILURE() << entry << " did not throw";
+  } catch (const std::logic_error& e) {
+    EXPECT_NE(std::string(e.what()).find(what), std::string::npos)
+        << entry << ": " << e.what();
+  }
+}
+
+/// Runs a fresh scheduler from `make` over `w` through every entry point of
+/// the event kernel — simulate without and with an active failure trace,
+/// simulate_stream, and serve — and expects each to throw the
+/// std::logic_error naming `what`. The trace's only outage lies after every
+/// job's submission, so it changes nothing before the contract breaks.
+template <typename MakeScheduler>
+void expect_contract_violation(const workload::Workload& w, int nodes,
+                               MakeScheduler make, const std::string& what) {
+  Machine m;
+  m.nodes = nodes;
+  expect_logic_error(
+      [&] {
+        auto scheduler = make();
+        simulate(m, *scheduler, w);
+      },
+      what, "simulate");
+  const fault::FailureTrace trace =
+      fault::make_failure_trace({{100'000, -1}, {100'001, +1}}, nodes);
+  expect_logic_error(
+      [&] {
+        SimOptions options;
+        options.faults.trace = &trace;
+        auto scheduler = make();
+        simulate(m, *scheduler, w, options);
+      },
+      what, "simulate with an active failure trace");
+  expect_logic_error(
+      [&] {
+        auto scheduler = make();
+        workload::WorkloadSource source(w);
+        metrics::StreamingAggregator aggregator(nodes);
+        simulate_stream(m, *scheduler, source, aggregator);
+      },
+      what, "simulate_stream");
+  expect_logic_error(
+      [&] {
+        std::vector<serve::SubmitRecord> records;
+        for (const Job& j : w) {
+          records.push_back(
+              {j.submit, j.nodes, j.runtime, j.estimate, j.user});
+        }
+        serve::ScriptFeed feed(records);
+        serve::ServeOptions options;
+        options.machine = m;
+        options.scheduler_factory = [&](const core::AlgorithmSpec&) {
+          return std::unique_ptr<Scheduler>(make());
+        };
+        serve::serve(feed, options);
+      },
+      what, "serve");
+}
+
 TEST(Simulator, ThrowsWhenSchedulerOversubscribes) {
   class Bad final : public Scheduler {
    public:
@@ -121,10 +195,8 @@ TEST(Simulator, ThrowsWhenSchedulerOversubscribes) {
   };
 
   const auto w = test::make_workload({make_job(0, 5, 10), make_job(0, 5, 10)});
-  Machine m;
-  m.nodes = 8;
-  Bad bad;
-  EXPECT_THROW(simulate(m, bad, w), std::logic_error);
+  expect_contract_violation(
+      w, 8, [] { return std::make_unique<Bad>(); }, "oversubscribed");
 }
 
 TEST(Simulator, ThrowsWhenSchedulerStarvesJobs) {
@@ -142,10 +214,8 @@ TEST(Simulator, ThrowsWhenSchedulerStarvesJobs) {
   };
 
   const auto w = test::make_workload({make_job(0, 1, 10)});
-  Machine m;
-  m.nodes = 8;
-  Lazy lazy;
-  EXPECT_THROW(simulate(m, lazy, w), std::logic_error);
+  expect_contract_violation(
+      w, 8, [] { return std::make_unique<Lazy>(); }, "starved");
 }
 
 TEST(Simulator, ThrowsWhenSchedulerStartsTwice) {
@@ -167,10 +237,32 @@ TEST(Simulator, ThrowsWhenSchedulerStartsTwice) {
   };
 
   const auto w = test::make_workload({make_job(0, 1, 10)});
-  Machine m;
-  m.nodes = 8;
-  Doubler d;
-  EXPECT_THROW(simulate(m, d, w), std::logic_error);
+  expect_contract_violation(
+      w, 8, [] { return std::make_unique<Doubler>(); }, "twice");
+}
+
+TEST(Simulator, ThrowsWhenSchedulerStartsUnknownJob) {
+  // Starts the job after the last one it was given: job 1 exists in the
+  // workload but has not been submitted yet at t = 0.
+  class Prescient final : public Scheduler {
+   public:
+    std::string name() const override { return "prescient"; }
+    void reset(const Machine&) override {}
+    void on_submit(const Submission& job, Time) override { last = job.id; }
+    void on_complete(JobId, Time) override {}
+    void select_starts(Time, int, std::vector<JobId>& starts) override {
+      starts.clear();
+      if (!fired) starts.push_back(last + 1);
+      fired = true;
+    }
+    std::size_t queue_length() const override { return 0; }
+    JobId last = 0;
+    bool fired = false;
+  };
+
+  const auto w = test::make_workload({make_job(0, 1, 10), make_job(50, 1, 10)});
+  expect_contract_violation(
+      w, 8, [] { return std::make_unique<Prescient>(); }, "unknown job");
 }
 
 TEST(Simulator, MeasuresSchedulerCpuWhenAsked) {

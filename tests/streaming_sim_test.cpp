@@ -164,19 +164,17 @@ TEST(StreamingSimTest, FaultInjectionParity) {
   }
 }
 
-TEST(StreamingSimTest, EvalStreamingKnobMatchesBatchRunOne) {
+TEST(StreamingSimTest, RunStreamedMatchesBatchRunOne) {
   const workload::Workload& w = golden_workload();
   const sim::Machine machine{kMachineNodes};
   for (const core::DispatchKind dispatch :
        {core::DispatchKind::kEasy, core::DispatchKind::kConservative}) {
     core::AlgorithmSpec spec;
     spec.dispatch = dispatch;
-    eval::ExperimentOptions batch_options;
-    const eval::RunResult batch = eval::run_one(machine, spec, w, batch_options);
-    eval::ExperimentOptions stream_options;
-    stream_options.streaming = true;
+    const eval::RunResult batch = eval::run_one(machine, spec, w, {});
+    workload::WorkloadSource source(w);
     const eval::RunResult streamed =
-        eval::run_one(machine, spec, w, stream_options);
+        eval::run_streamed(machine, spec, source, {});
 
     EXPECT_EQ(streamed.jobs, batch.jobs);
     EXPECT_EQ(streamed.schedule_fnv, batch.schedule_fnv);

@@ -41,7 +41,7 @@
 // generates a deterministic failure trace (--mttr, --fault-seed,
 // --fault-horizon shape it) and serves through it with requeue or
 // checkpoint-restart recovery (--recovery, --checkpoint-interval,
-// --restart-overhead), exactly as sim::simulate_faulty would.
+// --restart-overhead), through the same event kernel as sim::simulate.
 //
 // SIGINT/SIGTERM: first signal drains (stop intake, finish admitted jobs,
 // write the summary), second aborts. The summary JSON is always written,
