@@ -1,10 +1,7 @@
 #include "bench_common.h"
 
-#include <algorithm>
 #include <chrono>
-#include <cmath>
 #include <cstdio>
-#include <iostream>
 #include <memory>
 
 #include <sys/resource.h>
@@ -12,11 +9,8 @@
 #include "core/factory.h"
 #include "eval/journal.h"
 #include "metrics/streaming.h"
-#include "sim/profile.h"
-#include "sim/reference_profile.h"
 #include "sim/streaming.h"
 #include "util/env.h"
-#include "util/rng.h"
 #include "util/thread_pool.h"
 #include "workload/ctc_model.h"
 #include "workload/transforms.h"
@@ -228,32 +222,6 @@ ScaleRunResult run_scale_stream(std::size_t jobs, std::uint64_t seed,
   return r;
 }
 
-void write_scale_bench_json(const std::string& path, const ScaleRunResult& r) {
-  std::FILE* f = std::fopen(path.c_str(), "w");
-  if (f == nullptr) {
-    std::fprintf(stderr, "warning: could not write %s\n", path.c_str());
-    return;
-  }
-  std::fprintf(f, "{\n");
-  std::fprintf(f, "  \"benchmark\": \"streaming_scale\",\n");
-  std::fprintf(f, "  \"scheduler\": \"FCFS+EASY\",\n");
-  std::fprintf(f, "  \"jobs\": %zu,\n", r.jobs);
-  std::fprintf(f, "  \"wall_seconds\": %.2f,\n", r.wall_seconds);
-  std::fprintf(f, "  \"jobs_per_second\": %.0f,\n", r.jobs_per_second);
-  std::fprintf(f, "  \"peak_rss_mib\": %ld,\n", r.peak_rss_mib);
-  std::fprintf(f, "  \"peak_live_jobs\": %zu,\n", r.peak_live_jobs);
-  std::fprintf(f, "  \"max_queue_length\": %zu,\n", r.max_queue_length);
-  std::fprintf(f, "  \"utilization\": %.4f,\n", r.utilization);
-  std::fprintf(f, "  \"art_seconds\": %.2f,\n", r.art);
-  std::fprintf(f, "  \"makespan_seconds\": %lld,\n",
-               static_cast<long long>(r.makespan));
-  std::fprintf(f, "  \"schedule_fnv\": \"%016llx\"\n",
-               static_cast<unsigned long long>(r.schedule_fnv));
-  std::fprintf(f, "}\n");
-  std::fclose(f);
-  std::printf("wrote %s\n\n", path.c_str());
-}
-
 void print_shape_checks(const std::vector<ShapeCheck>& checks) {
   std::printf("shape checks against the paper's findings:\n");
   for (const auto& c : checks) {
@@ -266,116 +234,6 @@ double metric_of(const std::vector<eval::RunResult>& results,
                  core::OrderKind order, core::DispatchKind dispatch,
                  double eval::RunResult::* metric) {
   return eval::find(results, order, dispatch).*metric;
-}
-
-namespace {
-
-// Sink keeping the timed earliest_fit calls observable to the optimizer.
-volatile std::int64_t g_profile_bench_sink = 0;
-
-// Pack random reservations (same builder as bench/micro_schedulers.cpp)
-// until the profile holds at least `min_breakpoints` breakpoints. Both
-// implementations see the identical operation sequence, so the packed
-// structures are byte-identical (proved by the differential tests).
-template <class P>
-P packed_profile(std::size_t min_breakpoints) {
-  P profile(256);
-  util::Rng rng(3);
-  while (profile.breakpoints() < min_breakpoints) {
-    const int nodes = static_cast<int>(rng.uniform_int(1, 128));
-    const Duration dur = rng.uniform_int(60, 7200);
-    const Time start = profile.earliest_fit(0, dur, nodes);
-    profile.allocate(start, dur, nodes);
-  }
-  return profile;
-}
-
-template <class P>
-double earliest_fit_ns(const P& profile) {
-  using clock = std::chrono::steady_clock;
-  std::size_t iters = 64;
-  for (;;) {
-    std::int64_t acc = 0;
-    const auto t0 = clock::now();
-    for (std::size_t i = 0; i < iters; ++i) {
-      acc += profile.earliest_fit(0, 3600, 64);
-    }
-    const double secs =
-        std::chrono::duration<double>(clock::now() - t0).count();
-    g_profile_bench_sink = acc;
-    if (secs >= 0.02 || iters >= (std::size_t{1} << 24)) {
-      return secs * 1e9 / static_cast<double>(iters);
-    }
-    iters *= 4;
-  }
-}
-
-// Least-squares slope of log(ns) over log(breakpoints): ~1 is linear,
-// ~0 is flat; anything clearly below 1 demonstrates sub-linear queries.
-double loglog_slope(const std::vector<std::size_t>& n,
-                    const std::vector<double>& ns) {
-  double sx = 0, sy = 0, sxx = 0, sxy = 0;
-  const auto k = static_cast<double>(n.size());
-  for (std::size_t i = 0; i < n.size(); ++i) {
-    const double x = std::log(static_cast<double>(n[i]));
-    const double y = std::log(ns[i]);
-    sx += x; sy += y; sxx += x * x; sxy += x * y;
-  }
-  return (k * sxy - sx * sy) / (k * sxx - sx * sx);
-}
-
-}  // namespace
-
-double write_profile_bench_json(const std::string& path) {
-  const std::vector<std::size_t> sizes{16, 64, 256, 1024, 4096, 8192};
-  std::vector<double> flat_ns, map_ns;
-  std::printf("profile micro-benchmark: earliest_fit(0, 3600 s, 64 nodes)\n");
-  std::printf("  %11s %14s %16s %9s\n", "breakpoints", "Profile ns/op",
-              "Reference ns/op", "speedup");
-  double speedup_at_4096 = 0;
-  for (const std::size_t n : sizes) {
-    const auto flat = packed_profile<sim::Profile>(n);
-    const auto ref = packed_profile<sim::ReferenceProfile>(n);
-    flat_ns.push_back(earliest_fit_ns(flat));
-    map_ns.push_back(earliest_fit_ns(ref));
-    const double speedup = map_ns.back() / flat_ns.back();
-    if (n == 4096) speedup_at_4096 = speedup;
-    std::printf("  %11zu %14.1f %16.1f %8.1fx\n", n, flat_ns.back(),
-                map_ns.back(), speedup);
-  }
-  const double flat_slope = loglog_slope(sizes, flat_ns);
-  const double map_slope = loglog_slope(sizes, map_ns);
-  std::printf("  log-log slope: Profile %.2f, Reference %.2f "
-              "(1.0 = linear in breakpoints)\n\n",
-              flat_slope, map_slope);
-
-  if (std::FILE* f = std::fopen(path.c_str(), "w")) {
-    std::fprintf(f, "{\n");
-    std::fprintf(f, "  \"benchmark\": \"profile_earliest_fit\",\n");
-    std::fprintf(f, "  \"machine_nodes\": 256,\n");
-    std::fprintf(f,
-                 "  \"query\": {\"from\": 0, \"duration_s\": 3600, "
-                 "\"nodes\": 64},\n");
-    std::fprintf(f, "  \"points\": [\n");
-    for (std::size_t i = 0; i < sizes.size(); ++i) {
-      std::fprintf(f,
-                   "    {\"breakpoints\": %zu, \"profile_ns\": %.1f, "
-                   "\"reference_ns\": %.1f, \"speedup\": %.2f}%s\n",
-                   sizes[i], flat_ns[i], map_ns[i], map_ns[i] / flat_ns[i],
-                   i + 1 == sizes.size() ? "" : ",");
-    }
-    std::fprintf(f, "  ],\n");
-    std::fprintf(f, "  \"loglog_slope\": {\"profile\": %.3f, "
-                    "\"reference\": %.3f},\n",
-                 flat_slope, map_slope);
-    std::fprintf(f, "  \"speedup_at_4096\": %.2f\n", speedup_at_4096);
-    std::fprintf(f, "}\n");
-    std::fclose(f);
-    std::printf("wrote %s\n\n", path.c_str());
-  } else {
-    std::fprintf(stderr, "warning: could not write %s\n", path.c_str());
-  }
-  return speedup_at_4096;
 }
 
 }  // namespace jsched::bench

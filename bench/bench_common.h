@@ -84,14 +84,6 @@ double metric_of(const std::vector<eval::RunResult>& results,
                  core::OrderKind order, core::DispatchKind dispatch,
                  double eval::RunResult::* metric);
 
-/// Head-to-head micro-benchmark of sim::Profile (flat timeline + segment
-/// tree) against sim::ReferenceProfile (the seed std::map) on byte-identical
-/// packed profiles of 16..8192 breakpoints. Prints a summary table, writes
-/// ns/op plus log-log complexity-slope fits to `path` (BENCH_profile.json),
-/// and returns the earliest_fit speedup at 4096 breakpoints so callers can
-/// shape-check the perf trajectory.
-double write_profile_bench_json(const std::string& path);
-
 /// Write the full-grid perf trajectory as JSON (BENCH_grid.json): wall
 /// seconds per objective plus, per configuration, the scheduler CPU
 /// seconds and the schedule fingerprint. The fingerprints double as the
@@ -126,10 +118,6 @@ ScaleRunResult run_scale_stream(std::size_t jobs, std::uint64_t seed,
 
 /// Whole-process peak resident set in MiB (ru_maxrss).
 long peak_rss_mib();
-
-/// Write the scale run as JSON (BENCH_scale.json): the published jobs/sec
-/// figure plus the memory witnesses (peak RSS, peak live-job window).
-void write_scale_bench_json(const std::string& path, const ScaleRunResult& r);
 
 /// Write a fault-injection degradation curve as JSON (BENCH_fault.json):
 /// one entry per sweep point (failure intensity), each carrying the full

@@ -17,7 +17,6 @@
 #include "fault/failure_model.h"
 #include "metrics/objectives.h"
 #include "sim/simulator.h"
-#include "util/env.h"
 #include "util/table.h"
 #include "util/thread_pool.h"
 
@@ -119,15 +118,6 @@ int main() {
       {"combined dominates pure G&G on the daytime objective",
        combined.day_art < pure_gg.day_art * 1.05});
   bench::print_shape_checks(checks);
-
-  // Perf trajectory: the availability profile underlies every scheduler in
-  // the grid above, so this bench also tracks its query cost against the
-  // retained reference implementation (BENCH_profile.json).
-  std::printf("=== Availability-profile micro-benchmark ===\n");
-  const double speedup = bench::write_profile_bench_json("BENCH_profile.json");
-  bench::print_shape_checks(
-      {{"flat profile earliest_fit is >=5x the seed map at 4096 breakpoints",
-        speedup >= 5.0}});
 
   // Full-grid perf trajectory (BENCH_grid.json): wall seconds for both
   // objectives plus per-config scheduler CPU and schedule fingerprints, so
@@ -233,25 +223,5 @@ int main() {
                    [&](const eval::RunResult& r) { return r.jobs == w.size(); })});
   bench::print_shape_checks(fchecks);
   bench::write_fault_bench_json("BENCH_fault.json", cfg, labels, curve);
-
-  // Scale trajectory (BENCH_scale.json): FCFS+EASY streamed off the CTC
-  // source with bounded memory — the ROADMAP's 10M-job exit criterion.
-  // JSCHED_SCALE_JOBS sets the trace length (the committed JSON is a 10M
-  // run; the default keeps a full combined run affordable).
-  const auto scale_jobs = static_cast<std::size_t>(
-      util::env_int("JSCHED_SCALE_JOBS", 1'000'000));
-  std::printf("=== Streaming scale run: FCFS+EASY, %zu jobs ===\n",
-              scale_jobs);
-  const bench::ScaleRunResult scale =
-      bench::run_scale_stream(scale_jobs, cfg.seed, cfg.machine_nodes);
-  std::printf("  %.2f s wall, %.0f jobs/s, peak RSS %ld MiB, "
-              "peak live jobs %zu, utilization %.3f\n",
-              scale.wall_seconds, scale.jobs_per_second, scale.peak_rss_mib,
-              scale.peak_live_jobs, scale.utilization);
-  bench::print_shape_checks(
-      {{"streaming run completed every job", scale.jobs == scale_jobs},
-       {"peak RSS under the documented 512 MiB ceiling",
-        scale.peak_rss_mib <= 512}});
-  bench::write_scale_bench_json("BENCH_scale.json", scale);
   return 0;
 }

@@ -4,8 +4,7 @@
 // Workload vector, no Schedule record vector — and asserts the process
 // peak RSS (getrusage ru_maxrss) stayed under a fixed ceiling. This is the
 // memory half of the ROADMAP's scale exit criterion, wired into CI as a
-// perf-smoke step; the throughput half is published in BENCH_scale.json by
-// bench/combined.
+// perf-smoke step; perfbench's stream_ctc workload measures throughput.
 //
 // Knobs:
 //   JSCHED_SCALE_JOBS     jobs to stream         (default 1,000,000)

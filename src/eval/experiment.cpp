@@ -6,12 +6,11 @@
 #include "eval/internal.h"
 #include "eval/journal.h"
 #include "eval/shard.h"
-#include "metrics/objectives.h"
-#include "metrics/resilience.h"
 #include "metrics/streaming.h"
 #include "sim/schedule.h"
 #include "sim/simulator.h"
 #include "sim/streaming.h"
+#include "util/hash.h"
 #include "util/thread_pool.h"
 
 namespace jsched::eval {
@@ -130,43 +129,41 @@ std::uint64_t journal_workload_fnv(const ExperimentOptions& options,
   return options.journal == nullptr ? 0 : workload::fingerprint(workload);
 }
 
-/// FNV-1a over a string — salts fault-sweep points by label.
-std::uint64_t label_salt(const std::string& label) {
-  std::uint64_t h = 14695981039346656037ull;
-  for (char c : label) {
-    h ^= static_cast<unsigned char>(c);
-    h *= 1099511628211ull;
-  }
-  return h;
-}
-
 }  // namespace
 
 }  // namespace detail
 
-RunResult run_streamed(const sim::Machine& machine,
-                       const core::AlgorithmSpec& spec,
-                       workload::JobSource& source,
-                       const ExperimentOptions& options) {
+namespace {
+
+/// What one simulation hands back to run_with.
+struct Simulated {
+  metrics::StreamedMetrics metrics;
+  double scheduler_cpu_seconds = 0.0;
+  std::size_t max_queue_length = 0;
+};
+
+/// The part run_one and run_streamed share: announce the run, build the
+/// scheduler, arm the per-run cancel token and assemble the RunResult.
+/// `simulate` runs the scheduler, polling the token when it is non-null.
+RunResult run_with(
+    const core::AlgorithmSpec& spec, const ExperimentOptions& options,
+    const std::function<Simulated(sim::Scheduler&, const sim::CancelToken*)>&
+        simulate) {
   if (options.on_run) options.on_run(spec.display_name());
 
   auto scheduler = options.scheduler_factory ? options.scheduler_factory(spec)
                                              : core::make_scheduler(spec);
-  sim::StreamOptions stream_options;
-  stream_options.measure_scheduler_cpu = options.measure_cpu;
-  stream_options.faults = options.faults;
+  // Per-run deadline token, chained to the sweep-wide token (if any) so an
+  // external cancel and a local deadline both stop this run.
   sim::CancelToken token(options.cancel);
   token.set_clock(options.clock);
   if (options.run_deadline.count() != 0) {
     token.set_deadline_after(options.run_deadline);
   }
-  if (options.cancel != nullptr || options.run_deadline.count() != 0) {
-    stream_options.cancel = &token;
-  }
-  metrics::StreamingAggregator aggregator(machine.nodes);
-  const sim::StreamStats stats = sim::simulate_stream(
-      machine, *scheduler, source, aggregator, stream_options);
-  const metrics::StreamedMetrics m = aggregator.finish();
+  const bool cancellable =
+      options.cancel != nullptr || options.run_deadline.count() != 0;
+  const Simulated run = simulate(*scheduler, cancellable ? &token : nullptr);
+  const metrics::StreamedMetrics& m = run.metrics;
 
   RunResult r;
   r.spec = spec;
@@ -177,8 +174,8 @@ RunResult run_streamed(const sim::Machine& machine,
   r.wait = m.wait;
   r.makespan = static_cast<double>(m.makespan);
   r.utilization = m.utilization;
-  r.scheduler_cpu_seconds = stats.scheduler_cpu_seconds;
-  r.max_queue_length = stats.max_queue_length;
+  r.scheduler_cpu_seconds = run.scheduler_cpu_seconds;
+  r.max_queue_length = run.max_queue_length;
   r.schedule_fnv = m.schedule_fnv;
   r.goodput_node_seconds = m.resilience.useful_node_seconds;
   r.wasted_node_seconds = m.resilience.wasted_node_seconds;
@@ -191,51 +188,42 @@ RunResult run_streamed(const sim::Machine& machine,
   return r;
 }
 
+}  // namespace
+
+RunResult run_streamed(const sim::Machine& machine,
+                       const core::AlgorithmSpec& spec,
+                       workload::JobSource& source,
+                       const ExperimentOptions& options) {
+  return run_with(spec, options, [&](sim::Scheduler& scheduler,
+                                     const sim::CancelToken* cancel) {
+    sim::StreamOptions stream_options;
+    stream_options.measure_scheduler_cpu = options.measure_cpu;
+    stream_options.faults = options.faults;
+    stream_options.cancel = cancel;
+    metrics::StreamingAggregator aggregator(machine.nodes);
+    const sim::StreamStats stats = sim::simulate_stream(
+        machine, scheduler, source, aggregator, stream_options);
+    return Simulated{aggregator.finish(), stats.scheduler_cpu_seconds,
+                     stats.max_queue_length};
+  });
+}
+
 RunResult run_one(const sim::Machine& machine, const core::AlgorithmSpec& spec,
                   const workload::Workload& workload,
                   const ExperimentOptions& options) {
-  if (options.on_run) options.on_run(spec.display_name());
-
-  auto scheduler = options.scheduler_factory ? options.scheduler_factory(spec)
-                                             : core::make_scheduler(spec);
-  sim::SimOptions sim_options;
-  sim_options.validate = options.validate;
-  sim_options.measure_scheduler_cpu = options.measure_cpu;
-  sim_options.faults = options.faults;
-  // Per-run deadline token, chained to the sweep-wide token (if any) so an
-  // external cancel and a local deadline both stop this run.
-  sim::CancelToken token(options.cancel);
-  token.set_clock(options.clock);
-  if (options.run_deadline.count() != 0) {
-    token.set_deadline_after(options.run_deadline);
-  }
-  if (options.cancel != nullptr || options.run_deadline.count() != 0) {
-    sim_options.cancel = &token;
-  }
-  const sim::Schedule schedule =
-      sim::simulate(machine, *scheduler, workload, sim_options);
-
-  RunResult r;
-  r.spec = spec;
-  r.scheduler_name = scheduler->name();
-  r.jobs = workload.size();
-  r.art = metrics::average_response_time(schedule);
-  r.awrt = metrics::average_weighted_response_time(schedule);
-  r.wait = metrics::average_wait_time(schedule);
-  r.makespan = static_cast<double>(metrics::makespan(schedule));
-  r.utilization = metrics::utilization(schedule);
-  r.scheduler_cpu_seconds = schedule.scheduler_cpu_seconds;
-  r.max_queue_length = schedule.max_queue_length;
-  r.schedule_fnv = sim::schedule_fingerprint(schedule);
-  const metrics::ResilienceReport res = metrics::resilience(schedule, workload);
-  r.goodput_node_seconds = res.useful_node_seconds;
-  r.wasted_node_seconds = res.wasted_node_seconds;
-  r.goodput_fraction = res.goodput_fraction;
-  r.availability = res.availability;
-  r.availability_weighted_utilization = res.availability_weighted_utilization;
-  r.kills = res.kills;
-  r.jobs_hit = res.jobs_hit;
-  return r;
+  return run_with(spec, options, [&](sim::Scheduler& scheduler,
+                                     const sim::CancelToken* cancel) {
+    sim::SimOptions sim_options;
+    sim_options.validate = options.validate;
+    sim_options.measure_scheduler_cpu = options.measure_cpu;
+    sim_options.faults = options.faults;
+    sim_options.cancel = cancel;
+    const sim::Schedule schedule =
+        sim::simulate(machine, scheduler, workload, sim_options);
+    return Simulated{metrics::aggregate(schedule, workload).finish(),
+                     schedule.scheduler_cpu_seconds,
+                     schedule.max_queue_length};
+  });
 }
 
 RunOutcome run_one_outcome(const sim::Machine& machine,
@@ -355,7 +343,7 @@ std::vector<GridResult> run_fault_sweep_outcomes(
     // Salt the journal key per point: the same grid cell under different
     // fault intensities is different work.
     per_point.journal_salt =
-        options.journal_salt ^ detail::label_salt(point.label);
+        options.journal_salt ^ util::fnv1a(point.label);
     out.push_back(run_grid_outcomes(machine, weight, workload, per_point));
   }
   return out;

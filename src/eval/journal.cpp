@@ -6,19 +6,11 @@
 #include <utility>
 #include <vector>
 
+#include "util/hash.h"
+
 namespace jsched::eval {
 
 namespace {
-
-constexpr std::uint64_t kFnvOffset = 14695981039346656037ull;
-constexpr std::uint64_t kFnvPrime = 1099511628211ull;
-
-void mix(std::uint64_t& h, std::uint64_t v) noexcept {
-  for (int byte = 0; byte < 8; ++byte) {
-    h ^= (v >> (8 * byte)) & 0xffu;
-    h *= kFnvPrime;
-  }
-}
 
 using util::hex64;
 
@@ -42,21 +34,20 @@ double parse_hex_double(const std::string& token, std::size_t line_no) {
 std::uint64_t cell_key(std::uint64_t workload_fnv, int machine_nodes,
                        const core::AlgorithmSpec& spec,
                        std::uint64_t salt) noexcept {
-  std::uint64_t h = kFnvOffset;
-  mix(h, workload_fnv);
-  mix(h, static_cast<std::uint64_t>(static_cast<std::int64_t>(machine_nodes)));
-  mix(h, static_cast<std::uint64_t>(spec.order));
-  mix(h, static_cast<std::uint64_t>(spec.dispatch));
-  mix(h, static_cast<std::uint64_t>(spec.weight));
-  mix(h, salt);
-  return h;
+  std::uint64_t h = util::fnv1a_mix(util::kFnvOffset, workload_fnv);
+  h = util::fnv1a_mix(
+      h, static_cast<std::uint64_t>(static_cast<std::int64_t>(machine_nodes)));
+  h = util::fnv1a_mix(h, static_cast<std::uint64_t>(spec.order));
+  h = util::fnv1a_mix(h, static_cast<std::uint64_t>(spec.dispatch));
+  h = util::fnv1a_mix(h, static_cast<std::uint64_t>(spec.weight));
+  return util::fnv1a_mix(h, salt);
 }
 
 std::uint64_t sweep_fingerprint(std::uint64_t workload_fnv,
                                 int machine_nodes) noexcept {
-  std::uint64_t h = kFnvOffset;
-  mix(h, workload_fnv);
-  mix(h, static_cast<std::uint64_t>(static_cast<std::int64_t>(machine_nodes)));
+  const std::uint64_t h = util::fnv1a_mix(
+      util::fnv1a_mix(util::kFnvOffset, workload_fnv),
+      static_cast<std::uint64_t>(static_cast<std::int64_t>(machine_nodes)));
   // 0 is the adopted-legacy sentinel inside SweepJournal; keep real
   // fingerprints out of it.
   return h == 0 ? 1 : h;

@@ -2,10 +2,9 @@
 // process runs, and the coordinator loop that spawns, monitors and
 // restarts N of them.
 //
-// The split keeps policy out of the binaries: tools/sweepd and the
-// bench/shard_scale harness both delegate here, differing only in how
-// they build argv for a worker and which workload they materialize. The
-// coordinator's knowledge of a worker is deliberately thin — an exit code
+// The split keeps policy out of the binary: tools/sweepd delegates here
+// and only decides how to build argv for a worker and which workload to
+// materialize. The coordinator's knowledge of a worker is deliberately thin — an exit code
 // and the growing shard journal (util::count_complete_lines over "v2 " /
 // legacy "v1 " records) — so the same monitoring works for workers it did
 // not spawn,

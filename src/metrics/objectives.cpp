@@ -2,15 +2,12 @@
 
 #include <algorithm>
 #include <stdexcept>
+#include <string>
+
+#include "metrics/streaming.h"
 
 namespace jsched::metrics {
 namespace {
-
-double job_weight(const sim::JobRecord& r) {
-  // Resource consumption as executed: nodes x occupied time. For a
-  // cancelled job the occupied time is its upper limit.
-  return static_cast<double>(r.nodes) * static_cast<double>(r.end - r.start);
-}
 
 void require_jobs(const sim::Schedule& s, const char* what) {
   if (s.size() == 0) {
@@ -18,66 +15,58 @@ void require_jobs(const sim::Schedule& s, const char* what) {
   }
 }
 
+RecordSums sums_of(const sim::Schedule& s) {
+  RecordSums sums;
+  for (const auto& r : s.records()) sums.add(r);
+  return sums;
+}
+
+/// RecordSums over the records of `s` selected by `pred`.
+RecordSums sums_if(
+    const sim::Schedule& s,
+    const std::function<bool(JobId, const sim::JobRecord&)>& pred) {
+  RecordSums sums;
+  for (JobId id = 0; id < s.size(); ++id) {
+    if (pred(id, s[id])) sums.add(s[id]);
+  }
+  return sums;
+}
+
 }  // namespace
 
 double average_response_time(const sim::Schedule& s) {
   require_jobs(s, "average_response_time");
-  double sum = 0.0;
-  for (const auto& r : s.records()) sum += static_cast<double>(r.response());
-  return sum / static_cast<double>(s.size());
+  return sums_of(s).art();
 }
 
 double average_weighted_response_time(const sim::Schedule& s) {
   require_jobs(s, "average_weighted_response_time");
-  double sum = 0.0;
-  for (const auto& r : s.records()) {
-    sum += job_weight(r) * static_cast<double>(r.response());
-  }
-  return sum / static_cast<double>(s.size());
+  return sums_of(s).awrt();
 }
 
 double weight_normalized_response_time(const sim::Schedule& s) {
   require_jobs(s, "weight_normalized_response_time");
-  double sum = 0.0;
-  double weights = 0.0;
-  for (const auto& r : s.records()) {
-    sum += job_weight(r) * static_cast<double>(r.response());
-    weights += job_weight(r);
-  }
-  return weights > 0.0 ? sum / weights : 0.0;
+  const RecordSums sums = sums_of(s);
+  return sums.busy > 0.0 ? sums.weighted_response / sums.busy : 0.0;
 }
 
 double average_response_time_if(
     const sim::Schedule& s,
     const std::function<bool(JobId, const sim::JobRecord&)>& pred) {
-  double sum = 0.0;
-  std::size_t n = 0;
-  for (JobId id = 0; id < s.size(); ++id) {
-    if (!pred(id, s[id])) continue;
-    sum += static_cast<double>(s[id].response());
-    ++n;
-  }
-  return n == 0 ? 0.0 : sum / static_cast<double>(n);
+  const RecordSums sums = sums_if(s, pred);
+  return sums.jobs == 0 ? 0.0 : sums.art();
 }
 
 double average_weighted_response_time_if(
     const sim::Schedule& s,
     const std::function<bool(JobId, const sim::JobRecord&)>& pred) {
-  double sum = 0.0;
-  std::size_t n = 0;
-  for (JobId id = 0; id < s.size(); ++id) {
-    if (!pred(id, s[id])) continue;
-    sum += job_weight(s[id]) * static_cast<double>(s[id].response());
-    ++n;
-  }
-  return n == 0 ? 0.0 : sum / static_cast<double>(n);
+  const RecordSums sums = sums_if(s, pred);
+  return sums.jobs == 0 ? 0.0 : sums.awrt();
 }
 
 double average_wait_time(const sim::Schedule& s) {
   require_jobs(s, "average_wait_time");
-  double sum = 0.0;
-  for (const auto& r : s.records()) sum += static_cast<double>(r.wait());
-  return sum / static_cast<double>(s.size());
+  return sums_of(s).mean_wait();
 }
 
 double average_bounded_slowdown(const sim::Schedule& s, Duration tau) {
@@ -94,11 +83,7 @@ double average_bounded_slowdown(const sim::Schedule& s, Duration tau) {
 Time makespan(const sim::Schedule& s) { return s.makespan(); }
 
 double utilization(const sim::Schedule& s) {
-  const Time m = s.makespan();
-  if (m <= 0) return 0.0;
-  double busy = 0.0;
-  for (const auto& r : s.records()) busy += job_weight(r);
-  return busy / (static_cast<double>(s.machine().nodes) * static_cast<double>(m));
+  return sums_of(s).utilization(s.machine().nodes);
 }
 
 double idle_node_seconds(const sim::Schedule& s, Time frame_start,
@@ -133,14 +118,9 @@ double fraction_within(const sim::Schedule& s, const workload::Workload& w,
 double class_average_response_time(const sim::Schedule& s,
                                    const workload::Workload& w,
                                    std::int32_t priority_class) {
-  std::size_t total = 0;
-  double sum = 0.0;
-  for (JobId id = 0; id < s.size(); ++id) {
-    if (w.job(id).priority_class != priority_class) continue;
-    ++total;
-    sum += static_cast<double>(s[id].response());
-  }
-  return total == 0 ? 0.0 : sum / static_cast<double>(total);
+  return average_response_time_if(s, [&](JobId id, const sim::JobRecord&) {
+    return w.job(id).priority_class == priority_class;
+  });
 }
 
 Objective unweighted_objective() {

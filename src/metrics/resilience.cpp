@@ -1,56 +1,13 @@
 #include "metrics/resilience.h"
 
-#include <algorithm>
-
 #include "metrics/streaming.h"
 
 namespace jsched::metrics {
 
 ResilienceReport resilience(const sim::Schedule& s,
                             const workload::Workload& w) {
-  ResilienceReport r;
-
-  for (JobId id = 0; id < s.size(); ++id) {
-    const sim::JobRecord& rec = s[id];
-    const Job& j = w.job(id);
-    r.executed_node_seconds += static_cast<double>(rec.nodes) *
-                               static_cast<double>(rec.end - rec.start);
-    r.useful_node_seconds += static_cast<double>(j.nodes) *
-                             static_cast<double>(std::min(j.runtime, j.estimate));
-  }
-  const std::vector<std::size_t> counts = resubmission_counts(s);
-  for (const sim::AttemptRecord& a : s.attempts) {
-    r.executed_node_seconds +=
-        static_cast<double>(a.nodes) * static_cast<double>(a.end - a.start);
-  }
-  r.kills = s.attempts.size();
-  for (std::size_t c : counts) {
-    if (c > 0) ++r.jobs_hit;
-    r.max_resubmissions = std::max(r.max_resubmissions, c);
-  }
-  r.wasted_node_seconds = r.executed_node_seconds - r.useful_node_seconds;
-  r.goodput_fraction = r.executed_node_seconds > 0.0
-                           ? r.useful_node_seconds / r.executed_node_seconds
-                           : 1.0;
-
-  // Integrate the capacity step function over [0, makespan].
-  const Time makespan = s.makespan();
-  if (makespan > 0) {
-    const double available = available_node_seconds(
-        s.capacity_events, s.machine().nodes, makespan);
-    const double total = static_cast<double>(s.machine().nodes) *
-                         static_cast<double>(makespan);
-    r.availability = total > 0.0 ? available / total : 1.0;
-    r.availability_weighted_utilization =
-        available > 0.0 ? r.executed_node_seconds / available : 0.0;
-  }
-  return r;
-}
-
-std::vector<std::size_t> resubmission_counts(const sim::Schedule& s) {
-  std::vector<std::size_t> counts(s.size(), 0);
-  for (const sim::AttemptRecord& a : s.attempts) ++counts[a.id];
-  return counts;
+  if (s.size() == 0) return {};
+  return aggregate(s, w).finish().resilience;
 }
 
 }  // namespace jsched::metrics

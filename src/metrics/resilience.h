@@ -9,7 +9,6 @@
 #pragma once
 
 #include <cstddef>
-#include <vector>
 
 #include "sim/schedule.h"
 #include "workload/workload.h"
@@ -47,11 +46,9 @@ struct ResilienceReport {
   double availability_weighted_utilization = 0.0;
 };
 
-/// Compute the report for `s` produced over `w`. Works on fault-free
-/// schedules too (wasted = 0, availability = 1).
+/// Compute the report for `s` produced over `w` (StreamingAggregator's,
+/// replayed). Works on fault-free schedules too (wasted = 0,
+/// availability = 1); an empty schedule gets the default report.
 ResilienceReport resilience(const sim::Schedule& s, const workload::Workload& w);
-
-/// Per-job kill counts (resubmissions), indexed by JobId.
-std::vector<std::size_t> resubmission_counts(const sim::Schedule& s);
 
 }  // namespace jsched::metrics

@@ -6,15 +6,8 @@
 namespace jsched::metrics {
 namespace {
 
-void fnv_mix(std::uint64_t& h, std::uint64_t v) {
-  for (int byte = 0; byte < 8; ++byte) {
-    h ^= (v >> (8 * byte)) & 0xffu;
-    h *= 1099511628211ull;
-  }
-}
-
-}  // namespace
-
+/// ∫ capacity(t) dt over [0, makespan], clipping events past the makespan.
+/// Capacity is `machine_nodes` before the first event.
 double available_node_seconds(
     const std::vector<std::pair<Time, int>>& capacity_events,
     int machine_nodes, Time makespan) {
@@ -38,34 +31,17 @@ double available_node_seconds(
   return available;
 }
 
-StreamingAggregator::StreamingAggregator(int machine_nodes)
-    : machine_nodes_(machine_nodes), record_fnv_(14695981039346656037ull) {}
+}  // namespace
 
-void StreamingAggregator::on_record(JobId id, const sim::JobRecord& r,
+StreamingAggregator::StreamingAggregator(int machine_nodes)
+    : machine_nodes_(machine_nodes) {}
+
+void StreamingAggregator::on_record(JobId, const sim::JobRecord& r,
                                     const Job& j) {
-  (void)id;
-  ++jobs_;
-  const double response = static_cast<double>(r.response());
-  const double wait = static_cast<double>(r.wait());
-  const double weight =
-      static_cast<double>(r.nodes) * static_cast<double>(r.end - r.start);
-  response_sum_ += response;
-  weighted_sum_ += weight * response;
-  wait_sum_ += wait;
-  busy_ += weight;
-  executed_records_ += static_cast<double>(r.nodes) *
-                       static_cast<double>(r.end - r.start);
+  sums_.add(r);
   useful_ += static_cast<double>(j.nodes) *
              static_cast<double>(std::min(j.runtime, j.estimate));
-  makespan_ = std::max(makespan_, r.end);
-  response_stats_.add(response);
-  wait_stats_.add(wait);
-  fnv_mix(record_fnv_, static_cast<std::uint64_t>(r.submit));
-  fnv_mix(record_fnv_, static_cast<std::uint64_t>(r.start));
-  fnv_mix(record_fnv_, static_cast<std::uint64_t>(r.end));
-  fnv_mix(record_fnv_,
-          static_cast<std::uint64_t>(static_cast<std::int64_t>(r.nodes)));
-  fnv_mix(record_fnv_, r.cancelled ? 1u : 0u);
+  records_hash_.add(r);
 }
 
 void StreamingAggregator::on_attempt(const sim::AttemptRecord& attempt) {
@@ -77,43 +53,26 @@ void StreamingAggregator::on_capacity_event(Time t, int capacity) {
 }
 
 StreamedMetrics StreamingAggregator::finish() const {
-  if (jobs_ == 0) {
+  if (sums_.jobs == 0) {
     throw std::invalid_argument("streamed metrics of an empty schedule");
   }
   StreamedMetrics m;
-  m.jobs = jobs_;
-  const double n = static_cast<double>(jobs_);
-  m.art = response_sum_ / n;
-  m.awrt = weighted_sum_ / n;
-  m.wait = wait_sum_ / n;
-  m.makespan = makespan_;
-  m.utilization =
-      makespan_ > 0 ? busy_ / (static_cast<double>(machine_nodes_) *
-                               static_cast<double>(makespan_))
-                    : 0.0;
-  m.response_stats = response_stats_;
-  m.wait_stats = wait_stats_;
+  m.jobs = sums_.jobs;
+  m.art = sums_.art();
+  m.awrt = sums_.awrt();
+  m.wait = sums_.mean_wait();
+  m.makespan = sums_.makespan;
+  m.utilization = sums_.utilization(machine_nodes_);
 
-  // Fingerprint: the record chain was folded as records streamed by;
-  // attempts and capacity events follow in batch order.
-  std::uint64_t h = record_fnv_;
-  for (const sim::AttemptRecord& a : attempts_) {
-    fnv_mix(h, static_cast<std::uint64_t>(a.id));
-    fnv_mix(h, static_cast<std::uint64_t>(a.start));
-    fnv_mix(h, static_cast<std::uint64_t>(a.end));
-    fnv_mix(h, static_cast<std::uint64_t>(static_cast<std::int64_t>(a.nodes)));
-    fnv_mix(h, static_cast<std::uint64_t>(a.saved));
-  }
+  sim::ScheduleHasher hash = records_hash_;
+  for (const sim::AttemptRecord& a : attempts_) hash.add(a);
   for (const auto& [t, capacity] : capacity_events_) {
-    fnv_mix(h, static_cast<std::uint64_t>(t));
-    fnv_mix(h, static_cast<std::uint64_t>(static_cast<std::int64_t>(capacity)));
+    hash.add_capacity_event(t, capacity);
   }
-  m.schedule_fnv = h;
+  m.schedule_fnv = hash.value();
 
-  // Resilience: the per-record sums accumulated in JobId order, then the
-  // attempt folds — the exact addition order of metrics::resilience.
   ResilienceReport& r = m.resilience;
-  r.executed_node_seconds = executed_records_;
+  r.executed_node_seconds = sums_.busy;
   r.useful_node_seconds = useful_;
   for (const sim::AttemptRecord& a : attempts_) {
     r.executed_node_seconds +=
@@ -135,16 +94,27 @@ StreamedMetrics StreamingAggregator::finish() const {
   r.goodput_fraction = r.executed_node_seconds > 0.0
                            ? r.useful_node_seconds / r.executed_node_seconds
                            : 1.0;
-  if (makespan_ > 0) {
-    const double available =
-        available_node_seconds(capacity_events_, machine_nodes_, makespan_);
+  if (sums_.makespan > 0) {
+    const double available = available_node_seconds(
+        capacity_events_, machine_nodes_, sums_.makespan);
     const double total = static_cast<double>(machine_nodes_) *
-                         static_cast<double>(makespan_);
+                         static_cast<double>(sums_.makespan);
     r.availability = total > 0.0 ? available / total : 1.0;
     r.availability_weighted_utilization =
         available > 0.0 ? r.executed_node_seconds / available : 0.0;
   }
   return m;
+}
+
+StreamingAggregator aggregate(const sim::Schedule& s,
+                              const workload::Workload& w) {
+  StreamingAggregator agg(s.machine().nodes);
+  for (JobId id = 0; id < s.size(); ++id) agg.on_record(id, s[id], w.job(id));
+  for (const sim::AttemptRecord& a : s.attempts) agg.on_attempt(a);
+  for (const auto& [t, capacity] : s.capacity_events) {
+    agg.on_capacity_event(t, capacity);
+  }
+  return agg;
 }
 
 }  // namespace jsched::metrics

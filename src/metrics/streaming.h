@@ -1,17 +1,18 @@
 // Streaming metric aggregation: a sim::RecordSink folding each finished
 // JobRecord into scalar accumulators as the bounded-memory simulation
-// emits it, reproducing the batch pipeline bit-for-bit.
+// emits it.
 //
-// Bit-identity argument: every batch metric (objectives.cpp, resilience.cpp,
-// schedule_fingerprint) is a left-to-right fold over records in JobId
-// order, optionally followed by folds over the attempt and capacity-event
-// vectors. simulate_stream delivers records in JobId order, so each
-// accumulator here performs the *same floating-point additions in the same
-// order* as its batch counterpart. Attempts and capacity events are O(#
-// failures) — they are buffered and folded at finish() in the exact batch
-// order (records first, then attempts, then capacity events).
+// This is the one implementation of every per-schedule figure: ART, AWRT,
+// wait, makespan, utilization, the schedule fingerprint and the
+// ResilienceReport. A materialized Schedule is replayed through it
+// (`aggregate`), and the Schedule-only objectives of objectives.h read the
+// same RecordSums, so batch and streamed runs agree by construction: both
+// perform the same floating-point additions in JobId order. Attempts and
+// capacity events are O(# failures); they are buffered and folded at
+// finish(), after the records.
 #pragma once
 
+#include <algorithm>
 #include <cstddef>
 #include <cstdint>
 #include <utility>
@@ -20,18 +21,52 @@
 #include "metrics/resilience.h"
 #include "sim/schedule.h"
 #include "sim/streaming.h"
-#include "util/stats.h"
 #include "util/time.h"
+#include "workload/workload.h"
 
 namespace jsched::metrics {
 
-/// The availability integral of metrics::resilience — ∫ capacity(t) dt
-/// over [0, makespan], clipping events past the makespan. Factored out so
-/// the batch and streaming paths share one definition (and stay
-/// bit-identical). Capacity is `machine_nodes` before the first event.
-double available_node_seconds(
-    const std::vector<std::pair<Time, int>>& capacity_events,
-    int machine_nodes, Time makespan);
+/// Left-to-right sums over job records, the fold behind ART, AWRT, wait,
+/// makespan and utilization. A record's weight is its resource
+/// consumption as executed: nodes x (end - start), so a cancelled job
+/// weighs its upper limit.
+struct RecordSums {
+  std::size_t jobs = 0;
+  double response = 0.0;
+  double weighted_response = 0.0;  // sum of weight x response
+  double wait = 0.0;
+  double busy = 0.0;  // sum of weights: node-seconds of final attempts
+  Time makespan = 0;
+
+  void add(const sim::JobRecord& r) noexcept {
+    ++jobs;
+    const double resp = static_cast<double>(r.response());
+    const double weight =
+        static_cast<double>(r.nodes) * static_cast<double>(r.end - r.start);
+    response += resp;
+    weighted_response += weight * resp;
+    wait += static_cast<double>(r.wait());
+    busy += weight;
+    makespan = std::max(makespan, r.end);
+  }
+
+  /// Means over `jobs` (NaN when no record was added).
+  double art() const noexcept {
+    return response / static_cast<double>(jobs);
+  }
+  double awrt() const noexcept {
+    return weighted_response / static_cast<double>(jobs);
+  }
+  double mean_wait() const noexcept {
+    return wait / static_cast<double>(jobs);
+  }
+  /// busy / (machine_nodes x makespan); 0 when makespan is 0.
+  double utilization(int machine_nodes) const noexcept {
+    return makespan > 0 ? busy / (static_cast<double>(machine_nodes) *
+                                  static_cast<double>(makespan))
+                        : 0.0;
+  }
+};
 
 /// Everything run_one derives from a materialized Schedule, computed
 /// without one.
@@ -44,12 +79,6 @@ struct StreamedMetrics {
   double utilization = 0.0;
   std::uint64_t schedule_fnv = 0;  // sim::schedule_fingerprint
   ResilienceReport resilience;
-
-  /// Bonus distribution info the batch scalar metrics do not expose
-  /// (Welford moments + min/max of per-job response and wait). Streaming
-  /// only — not part of the batch-parity contract.
-  util::RunningStats response_stats;
-  util::RunningStats wait_stats;
 };
 
 /// Sink that aggregates as the simulation runs. O(1) state per record;
@@ -63,7 +92,7 @@ class StreamingAggregator final : public sim::RecordSink {
   void on_attempt(const sim::AttemptRecord& attempt) override;
   void on_capacity_event(Time t, int capacity) override;
 
-  std::size_t jobs() const noexcept { return jobs_; }
+  std::size_t jobs() const noexcept { return sums_.jobs; }
 
   /// Finalize. Throws std::invalid_argument on an empty stream, mirroring
   /// the batch metrics' refusal to average an empty schedule.
@@ -71,19 +100,17 @@ class StreamingAggregator final : public sim::RecordSink {
 
  private:
   int machine_nodes_;
-  std::size_t jobs_ = 0;
-  double response_sum_ = 0.0;
-  double weighted_sum_ = 0.0;
-  double wait_sum_ = 0.0;
-  double busy_ = 0.0;
-  double executed_records_ = 0.0;
+  RecordSums sums_;
   double useful_ = 0.0;
-  Time makespan_ = 0;
-  std::uint64_t record_fnv_;  // FNV chain over the records seen so far
-  util::RunningStats response_stats_;
-  util::RunningStats wait_stats_;
+  sim::ScheduleHasher records_hash_;  // over the records seen so far
   std::vector<sim::AttemptRecord> attempts_;
   std::vector<std::pair<Time, int>> capacity_events_;
 };
+
+/// A finished schedule replayed through a fresh aggregator: its records
+/// in JobId order, then its killed attempts, then its capacity events.
+/// simulate_stream's sink folds the same run to the same state.
+StreamingAggregator aggregate(const sim::Schedule& s,
+                              const workload::Workload& w);
 
 }  // namespace jsched::metrics

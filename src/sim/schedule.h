@@ -12,6 +12,7 @@
 #include <vector>
 
 #include "sim/machine.h"
+#include "util/hash.h"
 #include "util/time.h"
 #include "workload/workload.h"
 
@@ -95,15 +96,49 @@ class Schedule {
   std::vector<JobRecord> records_;
 };
 
-/// FNV-1a (64-bit) fingerprint over every job record of `s`, in JobId
-/// order: submit, start, end, nodes and the cancelled flag of each job are
-/// folded in, followed by every killed attempt and capacity event (both
-/// empty in fault-free simulations, so fault-free fingerprints are
-/// unchanged from before fault injection existed). Two schedules
-/// fingerprint equal iff they are bit-identical as (per-job) start/end
-/// decisions — the check optimization PRs use to prove they changed cost,
-/// never decisions, and fault PRs use to prove zero-failure runs are
-/// untouched.
+/// Incremental FNV-1a (64-bit) over a schedule's parts, each field folded
+/// as its 64-bit value: add every JobRecord in JobId order (submit, start,
+/// end, nodes, cancelled), then every killed attempt in kill order (id,
+/// start, end, nodes, saved), then every capacity event (time, capacity).
+/// schedule_fingerprint and metrics::StreamingAggregator both hash through
+/// this, so a streamed run and its materialized Schedule fingerprint equal
+/// by construction.
+class ScheduleHasher {
+ public:
+  void add(const JobRecord& r) noexcept {
+    mix(r.submit);
+    mix(r.start);
+    mix(r.end);
+    mix(r.nodes);
+    mix(r.cancelled ? 1 : 0);
+  }
+  void add(const AttemptRecord& a) noexcept {
+    mix(a.id);
+    mix(a.start);
+    mix(a.end);
+    mix(a.nodes);
+    mix(a.saved);
+  }
+  void add_capacity_event(Time t, int capacity) noexcept {
+    mix(t);
+    mix(capacity);
+  }
+  std::uint64_t value() const noexcept { return h_; }
+
+ private:
+  void mix(std::int64_t v) noexcept {
+    h_ = util::fnv1a_mix(h_, static_cast<std::uint64_t>(v));
+  }
+
+  std::uint64_t h_ = util::kFnvOffset;
+};
+
+/// ScheduleHasher over all of `s`. Attempts and capacity events are empty
+/// in fault-free simulations, so fault-free fingerprints are unchanged from
+/// before fault injection existed. Two schedules fingerprint equal iff they
+/// are bit-identical as (per-job) start/end decisions: the check that an
+/// optimization changed cost, never decisions, and that zero-failure runs
+/// are untouched by fault support.
 std::uint64_t schedule_fingerprint(const Schedule& s);
 
 /// Thrown by validate_schedule. Still a std::logic_error (an invalid
@@ -122,12 +157,13 @@ class ValidationError : public std::logic_error {
 /// estimate), and — since the machine has no time sharing — allocations are
 /// contiguous in time.
 ///
-/// Under fault injection (non-empty attempts/capacity_events) the per-job
-/// duration check is replaced by a conservation bound — total executed
-/// time across all attempts covers at least the job's fault-free lifetime
-/// — and the capacity sweep checks usage against the *time-varying*
-/// capacity, with releases and capacity steps applied before acquisitions
-/// at equal instants (the simulator's own event order).
+/// Under fault injection a job with killed attempts gets a conservation
+/// bound instead of the duration check: total executed time across all
+/// its attempts covers at least its fault-free lifetime. Every other job
+/// still runs exactly its runtime (or is cancelled at its estimate). The
+/// capacity sweep checks usage against the *time-varying* capacity, with
+/// releases and capacity steps applied before acquisitions at equal
+/// instants (the simulator's own event order).
 ///
 /// Throws sim::ValidationError describing the first violation.
 void validate_schedule(const Schedule& s, const workload::Workload& w);

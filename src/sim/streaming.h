@@ -7,10 +7,9 @@
 // happen in JobId order (ids are dense and submit-sorted), so the live
 // window is a contiguous id range (a sim::JobWindow); after each event
 // instant it is trimmed to the event kernel's fold frontier, and each
-// record is handed to the sink exactly once, in JobId order — the same
-// order every batch metric and the schedule fingerprint iterate in, which
-// is what makes streaming aggregates bit-identical to their batch
-// counterparts.
+// record is handed to the sink exactly once, in JobId order — the order
+// metrics::aggregate replays a materialized Schedule in, so streamed and
+// batch runs fold the same records through the same aggregator.
 //
 // The event instant itself is sim::EventCore (sim/event_core.h), the same
 // kernel behind simulate() and serve::serve(); this driver only pulls and

@@ -14,20 +14,6 @@
 
 namespace jsched::util {
 
-namespace {
-constexpr std::uint64_t kFnvOffset = 14695981039346656037ull;
-constexpr std::uint64_t kFnvPrime = 1099511628211ull;
-}  // namespace
-
-std::uint64_t fnv1a(std::string_view data) noexcept {
-  std::uint64_t h = kFnvOffset;
-  for (const char c : data) {
-    h ^= static_cast<unsigned char>(c);
-    h *= kFnvPrime;
-  }
-  return h;
-}
-
 std::string hex64(std::uint64_t v) {
   char buf[17];
   for (int i = 15; i >= 0; --i) {

@@ -18,6 +18,8 @@
 #include <string_view>
 #include <vector>
 
+#include "util/hash.h"
+
 namespace jsched::util {
 
 /// A complete record whose checksum does not match its payload: the file
@@ -28,11 +30,6 @@ class CorruptRecordError : public std::runtime_error {
  public:
   using std::runtime_error::runtime_error;
 };
-
-/// FNV-1a over `data` — the framework's standard 64-bit content hash
-/// (same constants as the schedule fingerprint), here exposed for
-/// per-record journal checksums.
-std::uint64_t fnv1a(std::string_view data) noexcept;
 
 /// `v` as exactly 16 lowercase hex digits.
 std::string hex64(std::uint64_t v);

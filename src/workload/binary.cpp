@@ -3,7 +3,10 @@
 #include <cstring>
 #include <fstream>
 #include <stdexcept>
+#include <string_view>
 #include <utility>
+
+#include "util/hash.h"
 
 namespace jsched::workload {
 namespace {
@@ -11,15 +14,6 @@ namespace {
 constexpr char kMagic[4] = {'J', 'W', 'B', '1'};
 constexpr char kEndMagic[4] = {'J', 'W', 'B', 'E'};
 constexpr std::uint16_t kVersion = 1;
-
-std::uint64_t fnv1a_bytes(const unsigned char* data, std::size_t n) {
-  std::uint64_t h = 14695981039346656037ull;
-  for (std::size_t i = 0; i < n; ++i) {
-    h ^= data[i];
-    h *= 1099511628211ull;
-  }
-  return h;
-}
 
 std::uint64_t zigzag(std::int64_t v) {
   return (static_cast<std::uint64_t>(v) << 1) ^
@@ -108,9 +102,7 @@ void BinaryWriter::flush_block() {
   std::string header;
   put_u32(header, static_cast<std::uint32_t>(payload_.size()));
   put_u32(header, block_count_);
-  put_u64(header, fnv1a_bytes(
-                      reinterpret_cast<const unsigned char*>(payload_.data()),
-                      payload_.size()));
+  put_u64(header, util::fnv1a(payload_));
   write_all(*out_, header);
   write_all(*out_, payload_);
   payload_.clear();
@@ -201,7 +193,9 @@ bool BinaryJobSource::load_block() {
   if (!read_exact(in_, payload_.data(), payload_bytes)) {
     corrupt("truncated block payload");
   }
-  if (fnv1a_bytes(payload_.data(), payload_.size()) != checksum) {
+  const std::string_view bytes(reinterpret_cast<const char*>(payload_.data()),
+                               payload_.size());
+  if (util::fnv1a(bytes) != checksum) {
     corrupt("block checksum mismatch");
   }
   pos_ = 0;

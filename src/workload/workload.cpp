@@ -116,34 +116,24 @@ std::string describe(const WorkloadSummary& s) {
   return os.str();
 }
 
-namespace {
-
-inline std::uint64_t fnv_mix(std::uint64_t h, std::uint64_t v) noexcept {
-  for (int byte = 0; byte < 8; ++byte) {
-    h ^= (v >> (8 * byte)) & 0xffu;
-    h *= 1099511628211ull;
-  }
-  return h;
-}
-
-}  // namespace
-
 void FingerprintAccumulator::add(const Job& j) noexcept {
   std::uint64_t h = h_;
-  h = fnv_mix(h, static_cast<std::uint64_t>(j.submit));
-  h = fnv_mix(h, static_cast<std::uint64_t>(static_cast<std::int64_t>(j.nodes)));
-  h = fnv_mix(h, static_cast<std::uint64_t>(j.runtime));
-  h = fnv_mix(h, static_cast<std::uint64_t>(j.estimate));
-  h = fnv_mix(h, static_cast<std::uint64_t>(static_cast<std::int64_t>(j.user)));
-  h = fnv_mix(h,
-              static_cast<std::uint64_t>(static_cast<std::int64_t>(j.priority_class)));
-  h = fnv_mix(h, static_cast<std::uint64_t>(static_cast<std::int8_t>(j.status)));
+  const auto mix = [&h](std::int64_t v) {
+    h = util::fnv1a_mix(h, static_cast<std::uint64_t>(v));
+  };
+  mix(j.submit);
+  mix(j.nodes);
+  mix(j.runtime);
+  mix(j.estimate);
+  mix(j.user);
+  mix(j.priority_class);
+  mix(static_cast<std::int8_t>(j.status));
   h_ = h;
   ++n_;
 }
 
 std::uint64_t FingerprintAccumulator::value() const noexcept {
-  return fnv_mix(h_, n_);
+  return util::fnv1a_mix(h_, n_);
 }
 
 std::uint64_t fingerprint(const Workload& w) {

@@ -7,6 +7,7 @@
 #include <string>
 #include <vector>
 
+#include "util/hash.h"
 #include "util/stats.h"
 #include "workload/job.h"
 
@@ -112,7 +113,7 @@ class FingerprintAccumulator {
   std::uint64_t count() const noexcept { return n_; }
 
  private:
-  std::uint64_t h_ = 14695981039346656037ull;
+  std::uint64_t h_ = util::kFnvOffset;
   std::uint64_t n_ = 0;
 };
 

@@ -195,6 +195,32 @@ TEST_F(BinaryFormatTest, FooterCountMismatchIsDetected) {
   EXPECT_THROW(drain(), std::runtime_error);
 }
 
+TEST_F(BinaryFormatTest, BlockChecksumAndFooterArePinned) {
+  // JWB1 files outlive the build that wrote them: the block checksum and
+  // the footer fingerprint of fixed jobs are pinned, so a reader never
+  // starts rejecting (or a writer stops matching) files already on disk.
+  std::vector<Job> jobs = {test::make_job(0, 4, 100, 120),
+                           test::make_job(30, 1, 5),
+                           test::make_job(30, 64, 7200, 3600)};
+  jobs[1].user = 7;
+  jobs[1].priority_class = 2;
+  jobs[2].user = -3;
+  jobs[2].status = JobStatus::kFailed;
+  std::ostringstream out;
+  workload::write_binary(out, test::make_workload(std::move(jobs)));
+  const std::string bytes = out.str();
+  const auto u64_at = [&bytes](std::size_t off) {
+    std::uint64_t v = 0;
+    for (std::size_t i = 8; i-- > 0;) {
+      v = (v << 8) | static_cast<unsigned char>(bytes[off + i]);
+    }
+    return v;
+  };
+  // Header (8 bytes), then the block's u32 payload size and u32 job count.
+  EXPECT_EQ(u64_at(16), 10735859924553216072ull);
+  EXPECT_EQ(u64_at(bytes.size() - 8), 16512192874762797243ull);
+}
+
 TEST_F(BinaryFormatTest, StreamedReadMatchesSourceContract) {
   workload::CtcModelParams params;
   params.job_count = 300;

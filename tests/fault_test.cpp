@@ -180,10 +180,6 @@ TEST(FaultSim, HandComputedRequeueScenario) {
   EXPECT_DOUBLE_EQ(r.availability, 520.0 / 720.0);
   // Every available node-second was used: perfectly packed recovery.
   EXPECT_DOUBLE_EQ(r.availability_weighted_utilization, 1.0);
-
-  const std::vector<std::size_t> counts = metrics::resubmission_counts(s);
-  EXPECT_EQ(counts[0], 1u);
-  EXPECT_EQ(counts[1], 1u);
 }
 
 /// Collects what simulate_stream emits, for comparison with a Schedule.

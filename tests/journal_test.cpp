@@ -293,6 +293,20 @@ TEST(Journal, CellKeySeparatesAxes) {
   EXPECT_EQ(base, eval::cell_key(1, 256, spec, 0));   // deterministic
 }
 
+TEST(Journal, CellKeyAndSweepFingerprintArePinned) {
+  // Journals on disk are keyed by these hashes; a journal written by an
+  // older build must still resume, so their values for fixed inputs are
+  // pinned.
+  core::AlgorithmSpec spec;
+  spec.order = core::OrderKind::kSmartFfia;
+  spec.dispatch = core::DispatchKind::kEasy;
+  spec.weight = core::WeightKind::kEstimatedArea;
+  const std::uint64_t wfp = 0x0123456789abcdefull;
+  EXPECT_EQ(eval::cell_key(wfp, 256, spec, 7), 14603003238918717278ull);
+  EXPECT_EQ(eval::cell_key(wfp, 256, spec, 0), 3441426204080770233ull);
+  EXPECT_EQ(eval::sweep_fingerprint(wfp, 256), 7358568528253904410ull);
+}
+
 /// Grid fingerprints with no journal (the uninterrupted reference).
 std::vector<std::uint64_t> grid_fingerprints(const eval::GridResult& grid) {
   std::vector<std::uint64_t> out;

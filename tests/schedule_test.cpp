@@ -3,6 +3,7 @@
 #include <gtest/gtest.h>
 
 #include <stdexcept>
+#include <string>
 
 #include "test_support.h"
 
@@ -114,6 +115,100 @@ TEST(ValidateCancellation, RejectsCancellingAFittingJob) {
   Schedule s(machine(8), 1, "X");
   s.record(0) = {0, 0, 50, 2, true};  // claims cancellation though 30 <= 50
   EXPECT_THROW(validate_schedule(s, w), std::logic_error);
+}
+
+/// A valid faulty schedule on 4 nodes. Two nodes fail at t=40 and stay
+/// down (one capacity step). Job 0 is never killed and runs its exact 50 s
+/// runtime. Job 1 (submit 5) is killed at 40 after 35 s, with 30 s
+/// checkpointed; it restarts at 60 and runs its remaining 70 s plus a 5 s
+/// restart overhead.
+class ValidateFaulty : public ::testing::Test {
+ protected:
+  ValidateFaulty() {
+    s_.record(0) = {0, 2, 52, 2, false};
+    s_.record(1) = {5, 60, 135, 2, false};
+    s_.attempts.push_back({1, 5, 40, 2, 30});
+    s_.capacity_events.emplace_back(40, 2);
+  }
+
+  workload::Workload w_ = test::make_workload({
+      make_job(0, 2, 50, 50),    // job 0
+      make_job(5, 2, 100, 100),  // job 1
+  });
+  Schedule s_{machine(4), 2, "X"};
+};
+
+TEST_F(ValidateFaulty, AcceptsTheBaseSchedule) {
+  EXPECT_NO_THROW(validate_schedule(s_, w_));
+}
+
+TEST_F(ValidateFaulty, EachRuleRejectsItsMutation) {
+  struct Case {
+    const char* rule;  // must appear in the error message
+    void (*mutate)(Schedule&);
+  };
+  const Case cases[] = {
+      {"attempt of job 2: unknown job",
+       [](Schedule& s) { s.attempts[0].id = 2; }},
+      {"attempt of job 1: node count mismatch",
+       [](Schedule& s) { s.attempts[0].nodes = 1; }},
+      {"attempt of job 1: started before submission",
+       [](Schedule& s) { s.attempts[0].start = 4; }},
+      {"attempt of job 1: non-positive attempt",
+       [](Schedule& s) { s.attempts[0].end = s.attempts[0].start; }},
+      {"attempt of job 1: killed attempt overlaps the final attempt",
+       [](Schedule& s) { s.attempts[0].end = 61; }},
+      {"attempt of job 1: saved work outside the attempt",
+       [](Schedule& s) { s.attempts[0].saved = 36; }},
+      {"attempt of job 1: saved work outside the attempt",
+       [](Schedule& s) { s.attempts[0].saved = -1; }},
+      {"job 1: executed less than its lifetime",
+       [](Schedule& s) { s.record(1).end = 124; }},
+      {"job 1: non-positive final attempt",
+       [](Schedule& s) { s.record(1).end = s.record(1).start; }},
+      {"node capacity exceeded at time 40",
+       [](Schedule& s) { s.capacity_events[0].second = 1; }},
+      {"node capacity exceeded at time 60",
+       [](Schedule& s) { s.capacity_events.emplace_back(60, 1); }},
+      {"job 0: never completed",
+       [](Schedule& s) { s.record(0).end = kTimeInfinity; }},
+      {"job 0: node count mismatch",
+       [](Schedule& s) { s.record(0).nodes = 1; }},
+      {"job 0: submit time mismatch",
+       [](Schedule& s) { s.record(0).submit = 1; }},
+      {"job 0: started before submission",
+       [](Schedule& s) {
+         s.record(0).start = -1;
+         s.record(0).end = 49;
+       }},
+  };
+  for (const Case& c : cases) {
+    SCOPED_TRACE(c.rule);
+    Schedule mutated = s_;
+    c.mutate(mutated);
+    try {
+      validate_schedule(mutated, w_);
+      ADD_FAILURE() << "accepted";
+    } catch (const ValidationError& e) {
+      EXPECT_NE(std::string(e.what()).find(c.rule), std::string::npos)
+          << e.what();
+    }
+  }
+}
+
+TEST_F(ValidateFaulty, RejectsNeverKilledJobThatOverran) {
+  // Job 0 was never killed, so under faults it still owes exactly its
+  // runtime; 55 s would pass a conservation-only check (55 >= 50).
+  s_.record(0).end = 57;
+  try {
+    validate_schedule(s_, w_);
+    FAIL() << "accepted";
+  } catch (const ValidationError& e) {
+    EXPECT_NE(std::string(e.what()).find(
+                  "job 0: ran for other than its runtime"),
+              std::string::npos)
+        << e.what();
+  }
 }
 
 }  // namespace

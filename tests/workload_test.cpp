@@ -80,6 +80,26 @@ TEST(Workload, EmptyWorkloadProperties) {
   EXPECT_EQ(w.total_area(), 0.0);
 }
 
+/// Jobs exercising every fingerprinted field, including negative users
+/// and a non-default status.
+Workload pinned_jobs() {
+  std::vector<Job> jobs = {make_job(0, 4, 100, 120), make_job(30, 1, 5),
+                           make_job(30, 64, 7200, 3600)};
+  jobs[1].user = 7;
+  jobs[1].priority_class = 2;
+  jobs[2].user = -3;
+  jobs[2].status = JobStatus::kFailed;
+  return test::make_workload(std::move(jobs));
+}
+
+TEST(Workload, FingerprintIsPinned) {
+  // workload::fingerprint is an on-disk identity: the JWB1 footer and every
+  // sweep-journal cell key carry it, so a file written by an older build
+  // must still match. Pinned for fixed jobs, and for the empty workload.
+  EXPECT_EQ(fingerprint(pinned_jobs()), 16512192874762797243ull);
+  EXPECT_EQ(fingerprint(Workload{}), 12161962213042174405ull);
+}
+
 TEST(JobModel, AreaUsesActualRuntime) {
   const Job j = make_job(0, 8, 100, 400);
   EXPECT_DOUBLE_EQ(j.area(), 800.0);

@@ -250,8 +250,8 @@ int merge_and_report(const Cli& cli, const SweepSetup& s,
               results[0].size() + results[1].size());
   if (!cli.out_json.empty()) {
     // wall_seconds here time the resume pass, not the sweep (the sweep's
-    // wall belongs to the coordinator log / BENCH_shard.json); the
-    // comparable payload is the schedule fingerprints.
+    // wall belongs to the coordinator log); the comparable payload is the
+    // schedule fingerprints.
     eval::GridJsonMeta meta;
     meta.jobs = s.ctc_jobs;
     meta.machine_nodes = s.machine.nodes;
