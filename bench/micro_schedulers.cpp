@@ -337,7 +337,9 @@ BENCHMARK(BM_ConservativeIncrementalReplan)
 // trace. With either the event kernel never enters its fault branch, so
 // the two variants run identical work; CI asserts their times stay within
 // 2% of each other — if inactive fault options ever leak per-event work
-// into the hot loop, the ratio blows up.
+// into the hot loop, the ratio blows up. Arg 2 is the same simulation with
+// measure_scheduler_cpu on: CI bounds its ratio to arg 0, the cost of the
+// Tables 7/8 instrument (one steady-clock bracket per callback).
 void BM_SimulateZeroFailure(benchmark::State& state) {
   const auto& w = bench_workload();
   core::AlgorithmSpec spec;
@@ -349,12 +351,15 @@ void BM_SimulateZeroFailure(benchmark::State& state) {
   sim::SimOptions opt;
   opt.validate = false;
   if (state.range(0) == 1) opt.faults.trace = &empty_trace;
+  opt.measure_scheduler_cpu = state.range(0) == 2;
   for (auto _ : state) {
     benchmark::DoNotOptimize(sim::simulate(m, *scheduler, w, opt));
   }
-  state.SetLabel(state.range(0) == 1 ? "empty trace" : "no fault options");
+  static const char* const kLabels[] = {"no fault options", "empty trace",
+                                        "scheduler CPU measured"};
+  state.SetLabel(kLabels[state.range(0)]);
 }
-BENCHMARK(BM_SimulateZeroFailure)->Arg(0)->Arg(1);
+BENCHMARK(BM_SimulateZeroFailure)->Arg(0)->Arg(1)->Arg(2);
 
 // Bounded-memory simulation throughput: the same FCFS+EASY simulation as
 // the batch loop, but consumed as a stream with metrics folded by the

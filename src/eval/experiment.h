@@ -170,9 +170,11 @@ struct ExperimentOptions {
   /// Worker threads for run_grid / run_replicated sweeps. 1 = fully serial
   /// (today's behavior, bit-for-bit); 0 = one per hardware thread. Results
   /// are aggregated in task-index order regardless of completion order, so
-  /// any thread count returns identical RunResult vectors — per-run
-  /// scheduler CPU time stays exact because the simulator measures with
-  /// the thread CPU clock.
+  /// any thread count returns identical RunResult vectors. Per-run
+  /// scheduler CPU time stays per-thread: the event kernel scales its
+  /// steady-clock callback brackets by the run's thread CPU / wall share,
+  /// so time a worker spends waiting for a core (threads > cores) is not
+  /// charged to its scheduler.
   std::size_t threads = 1;
   /// Called before each run with the algorithm display name (progress
   /// reporting in long benches); may be empty. With threads > 1 the

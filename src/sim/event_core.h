@@ -27,6 +27,7 @@
 #pragma once
 
 #include <cassert>
+#include <chrono>
 #include <cstddef>
 #include <cstdint>
 #include <deque>
@@ -118,9 +119,11 @@ class EventCore {
   };
 
   /// Validates the fault options against `machine` (std::invalid_argument)
-  /// and resets `scheduler`. `measure_cpu` charges thread CPU time around
-  /// every scheduler callback except next_wakeup and queue_length; `cancel`
-  /// (may be null) is polled once per next_event.
+  /// and resets `scheduler`. `measure_cpu` brackets every scheduler callback
+  /// except next_wakeup and queue_length with the steady clock, and reads
+  /// the thread CPU and steady clocks once here for scheduler_cpu_seconds();
+  /// off, no clock is read. `cancel` (may be null) is polled once per
+  /// next_event.
   EventCore(const Machine& machine, Scheduler& scheduler, JobTable& table,
             RecordSink& sink, const fault::FaultOptions& faults,
             bool measure_cpu, const CancelToken* cancel);
@@ -157,7 +160,11 @@ class EventCore {
   Time makespan() const noexcept { return makespan_; }
   /// Peak scheduler queue length seen at the end of a round.
   std::size_t max_queue_length() const noexcept { return max_queue_length_; }
-  double scheduler_cpu_seconds() const noexcept { return cpu_; }
+  /// Scheduler CPU seconds so far (0 without measure_cpu): the summed
+  /// callback brackets times the run's on-CPU share, min(1, thread CPU /
+  /// wall) since construction. Reads both clocks, so a driver calls it once,
+  /// right after its last round.
+  double scheduler_cpu_seconds() const noexcept;
 
  private:
   struct Completion {
@@ -223,7 +230,11 @@ class EventCore {
 
   Time makespan_ = 0;
   std::size_t max_queue_length_ = 0;
-  double cpu_ = 0.0;
+  // measure_cpu only: the summed callback brackets, and both clocks at
+  // construction.
+  std::chrono::steady_clock::duration callbacks_{};
+  std::chrono::steady_clock::time_point wall0_{};
+  double thread_cpu0_ = 0.0;
 };
 
 }  // namespace jsched::sim

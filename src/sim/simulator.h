@@ -18,8 +18,10 @@ struct SimOptions {
   /// Validate the produced schedule before returning (cheap: O(n log n)).
   bool validate = true;
 
-  /// Measure CPU time spent in scheduler callbacks (Tables 7/8). Uses
-  /// thread CPU clock; adds two clock reads per callback.
+  /// Measure CPU time spent in scheduler callbacks (Tables 7/8): two
+  /// steady-clock reads per callback, scaled once per run by the thread's
+  /// on-CPU share (thread CPU / wall, read at the start and end of the run;
+  /// see EventCore::scheduler_cpu_seconds). Off, no clock is read.
   bool measure_scheduler_cpu = false;
 
   /// Record the queue-length time series into Schedule::backlog.

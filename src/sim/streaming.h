@@ -45,7 +45,8 @@ struct StreamStats {
 /// Options for simulate_stream — SimOptions minus the pieces that require
 /// a materialized Schedule (validate, record_backlog).
 struct StreamOptions {
-  /// Measure CPU time spent in scheduler callbacks (Tables 7/8).
+  /// Measure CPU time spent in scheduler callbacks (Tables 7/8); identical
+  /// semantics and cost to SimOptions::measure_scheduler_cpu.
   bool measure_scheduler_cpu = false;
 
   /// Fault injection; identical semantics to SimOptions::faults.
