@@ -13,9 +13,14 @@ ListScheduler::ListScheduler(std::unique_ptr<OrderingPolicy> ordering,
   }
 }
 
+std::string ListScheduler::pair_name(const OrderingPolicy& ordering,
+                                     const Dispatcher& dispatcher) {
+  const std::string d = dispatcher.name();
+  return d.empty() ? ordering.name() : ordering.name() + "+" + d;
+}
+
 std::string ListScheduler::name() const {
-  const std::string d = dispatcher_->name();
-  return d.empty() ? ordering_->name() : ordering_->name() + "+" + d;
+  return pair_name(*ordering_, *dispatcher_);
 }
 
 void ListScheduler::reset(const sim::Machine& machine) {
@@ -23,6 +28,13 @@ void ListScheduler::reset(const sim::Machine& machine) {
   running_.clear();
   ordering_->reset(machine, store_);
   dispatcher_->reset(machine, store_);
+  seen_version_ = ordering_->version();
+}
+
+void ListScheduler::swap_pair(std::unique_ptr<OrderingPolicy>& ordering,
+                              std::unique_ptr<Dispatcher>& dispatcher) noexcept {
+  ordering_.swap(ordering);
+  dispatcher_.swap(dispatcher);
   seen_version_ = ordering_->version();
 }
 

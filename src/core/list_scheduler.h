@@ -2,7 +2,9 @@
 // scheduler — the paper's architecture in one class: every evaluated
 // algorithm is "a job order" (FCFS / SMART / PSRS) "plus a greedy list
 // dispatch" (head-only, Garey&Graham first fit, EASY or conservative
-// backfilling).
+// backfilling). It owns everything the pair shares: the job store, the
+// running set and the reorder-version sync. PhasedScheduler (§7) is this
+// class with a second pair swapped in at phase boundaries.
 #pragma once
 
 #include <memory>
@@ -16,7 +18,7 @@
 
 namespace jsched::core {
 
-class ListScheduler final : public sim::Scheduler {
+class ListScheduler : public sim::Scheduler {
  public:
   ListScheduler(std::unique_ptr<OrderingPolicy> ordering,
                 std::unique_ptr<Dispatcher> dispatcher);
@@ -35,6 +37,20 @@ class ListScheduler final : public sim::Scheduler {
   const OrderingPolicy& ordering() const { return *ordering_; }
   const Dispatcher& dispatcher() const { return *dispatcher_; }
   const std::vector<RunningJob>& running() const { return running_; }
+
+ protected:
+  /// "ORDER+DISPATCH", or just "ORDER" for the plain list schedule.
+  static std::string pair_name(const OrderingPolicy& ordering,
+                               const Dispatcher& dispatcher);
+
+  const JobStore& store() const { return store_; }
+
+  /// Exchange the active (ordering, dispatcher) pair with the given one and
+  /// take the incoming ordering's version as seen. The caller hands the
+  /// wait queue to the incoming ordering first and has the incoming
+  /// dispatcher adopt the machine.
+  void swap_pair(std::unique_ptr<OrderingPolicy>& ordering,
+                 std::unique_ptr<Dispatcher>& dispatcher) noexcept;
 
  private:
   void sync_order_version(Time now);

@@ -6,58 +6,29 @@
 
 namespace jsched::core {
 
-// --- IndexedJobList ---------------------------------------------------------
+namespace {
 
-void IndexedJobList::clear() {
-  order_.clear();
-  pos_.clear();
-  removals_since_reindex_ = 0;
-}
-
-void IndexedJobList::reindex() {
-  for (std::size_t j = 0; j < order_.size(); ++j) pos_.put(order_[j], j);
-  removals_since_reindex_ = 0;
-}
-
-void IndexedJobList::push_back(JobId id) {
-  pos_.put(id, order_.size());
-  order_.push_back(id);
-}
-
-void IndexedJobList::insert(std::size_t index, JobId id) {
-  order_.insert(order_.begin() + static_cast<std::ptrdiff_t>(index), id);
-  // The shifted suffix must be re-indexed exactly: a right shift would
-  // break the "stored position >= true position" invariant remove() scans
-  // under, so stale hints are not an option here.
-  for (std::size_t j = index; j < order_.size(); ++j) pos_.put(order_[j], j);
-}
-
-std::size_t IndexedJobList::remove(JobId id, const char* who) {
-  if (!pos_.contains(id)) {
+/// Remove `id` from `queue`, returning the position it held. Throws
+/// std::logic_error (prefixed with `who`) when the job is not queued.
+std::size_t erase_queued(std::vector<JobId>& queue, JobId id, const char* who) {
+  const auto it = std::find(queue.begin(), queue.end(), id);
+  if (it == queue.end()) {
     throw std::logic_error(std::string(who) + ": removing job not in queue");
   }
-  // The stored position is an upper bound whose drift is capped by the
-  // reindex period; scan left from the hint to the true position.
-  std::size_t i = std::min(pos_.get(id), order_.size() - 1);
-  while (order_[i] != id) --i;
-  pos_.erase(id);
-  order_.erase(order_.begin() + static_cast<std::ptrdiff_t>(i));
-  if (++removals_since_reindex_ >= kReindexPeriod) reindex();
+  const auto i = static_cast<std::size_t>(it - queue.begin());
+  queue.erase(it);
   return i;
 }
 
-void IndexedJobList::assign(std::vector<JobId> fresh) {
-  order_ = std::move(fresh);
-  reindex();
-}
-
-// --- policies ---------------------------------------------------------------
+}  // namespace
 
 void FcfsOrder::reset(const sim::Machine&, const JobStore&) { queue_.clear(); }
 
 void FcfsOrder::on_submit(JobId id, Time) { queue_.push_back(id); }
 
-void FcfsOrder::on_remove(JobId id, Time) { queue_.remove(id, "FcfsOrder"); }
+void FcfsOrder::on_remove(JobId id, Time) {
+  erase_queued(queue_, id, "FcfsOrder");
+}
 
 void PriorityFcfsOrder::reset(const sim::Machine&, const JobStore& store) {
   store_ = &store;
@@ -69,16 +40,15 @@ void PriorityFcfsOrder::on_submit(JobId id, Time) {
   const std::int32_t cls = store_->get(id).priority_class;
   // Insert behind the last queued job with priority >= cls (stable FCFS
   // inside a class).
-  const std::vector<JobId>& order = queue_.order();
-  std::size_t i = order.size();
-  while (i > 0 && store_->get(order[i - 1]).priority_class < cls) --i;
-  const bool mid_queue = i != order.size();
-  queue_.insert(i, id);
+  std::size_t i = queue_.size();
+  while (i > 0 && store_->get(queue_[i - 1]).priority_class < cls) --i;
+  const bool mid_queue = i != queue_.size();
+  queue_.insert(queue_.begin() + static_cast<std::ptrdiff_t>(i), id);
   if (mid_queue) ++version_;
 }
 
 void PriorityFcfsOrder::on_remove(JobId id, Time) {
-  queue_.remove(id, "PriorityFcfsOrder");
+  erase_queued(queue_, id, "PriorityFcfsOrder");
 }
 
 ReplanningOrder::ReplanningOrder(double planned_ratio_threshold)
@@ -106,7 +76,7 @@ void ReplanningOrder::on_submit(JobId id, Time) {
 }
 
 void ReplanningOrder::on_remove(JobId id, Time) {
-  const std::size_t i = queue_.remove(id, "ReplanningOrder");
+  const std::size_t i = erase_queued(queue_, id, "ReplanningOrder");
   if (i < planned_) --planned_;
 }
 
@@ -115,7 +85,7 @@ void ReplanningOrder::maybe_replan() {
   const double ratio =
       static_cast<double>(planned_) / static_cast<double>(queue_.size());
   if (ratio >= threshold_) return;
-  queue_.assign(plan(queue_.order()));
+  queue_ = plan(queue_);
   planned_ = queue_.size();
   ++version_;
   ++replans_;

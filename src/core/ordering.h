@@ -5,6 +5,10 @@
 // recomputed off-line plans, §5.4/§5.5) times "how is the list dispatched
 // onto the machine" (greedy head-only, whole-queue first fit, EASY or
 // conservative backfilling, §5.1-§5.3). This header is the first factor.
+// Every policy keeps its wait queue as a plain vector in queue order and
+// finds a started job by scanning from the head, where started jobs
+// mostly stand; a by-id position index beside it made no end-to-end
+// difference on the benchmark's workloads.
 #pragma once
 
 #include <cstdint>
@@ -14,7 +18,6 @@
 
 #include "core/job_store.h"
 #include "sim/machine.h"
-#include "util/paged_table.h"
 #include "util/time.h"
 
 namespace jsched::core {
@@ -46,52 +49,6 @@ class OrderingPolicy {
   virtual std::uint64_t version() const noexcept = 0;
 };
 
-/// Ordered job list with an id -> position index, shared by the ordering
-/// policies. Removal previously scanned the whole queue with std::find
-/// (O(Q) comparisons before the O(Q) erase shift); the index locates the
-/// position in O(1) + a bounded hint scan instead.
-///
-/// The index is deliberately *stale-tolerant*: erasing position i shifts
-/// the whole suffix left, and rewriting every shifted entry per removal
-/// costs more than the memmove it rides on (it serializes on a
-/// load-then-scattered-store chain). Instead, stored positions are upper
-/// bounds — a removal only ever moves jobs left, never right — and a
-/// lookup scans left from the hint to the true position. A full re-index
-/// runs every kReindexPeriod removals, bounding the drift (and thus any
-/// scan) by that constant; mid-queue insertions re-index their shifted
-/// suffix exactly, which keeps the upper-bound invariant intact. JobIds
-/// are dense workload indices, so the index is a paged dense table (not a
-/// hash map): O(1) lookups, and hint pages are reclaimed as their id range
-/// drains so index memory is O(live ids), not O(largest id ever queued) —
-/// on a streamed multi-million-job trace a flat vector here would pin
-/// 8 bytes per job forever.
-class IndexedJobList {
- public:
-  void clear();
-  void push_back(JobId id);
-  /// Insert `id` before position `index`, shifting the suffix right.
-  void insert(std::size_t index, JobId id);
-  /// Remove `id`, returning the position it held. Throws std::logic_error
-  /// (prefixed with `who`) when the job is not queued.
-  std::size_t remove(JobId id, const char* who);
-  /// Replace the whole order (a replan); rebuilds the index.
-  void assign(std::vector<JobId> fresh);
-  const std::vector<JobId>& order() const noexcept { return order_; }
-  std::size_t size() const noexcept { return order_.size(); }
-  bool empty() const noexcept { return order_.empty(); }
-
- private:
-  static constexpr std::size_t kReindexPeriod = 64;
-
-  void reindex();
-
-  std::vector<JobId> order_;
-  // Indexed by JobId: absent when not queued, otherwise an upper bound on
-  // the job's position, exact to within kReindexPeriod - 1.
-  util::PagedTable<std::size_t> pos_;
-  std::size_t removals_since_reindex_ = 0;
-};
-
 /// First-Come-First-Serve (paper §5.1): jobs ordered by submission time.
 /// "It is fair as the completion time of each job is independent of any
 /// job submitted later", needs no execution-time knowledge, and is the
@@ -102,11 +59,11 @@ class FcfsOrder final : public OrderingPolicy {
   void reset(const sim::Machine& machine, const JobStore& store) override;
   void on_submit(JobId id, Time now) override;
   void on_remove(JobId id, Time now) override;
-  const std::vector<JobId>& order() const override { return queue_.order(); }
+  const std::vector<JobId>& order() const override { return queue_; }
   std::uint64_t version() const noexcept override { return 0; }
 
  private:
-  IndexedJobList queue_;
+  std::vector<JobId> queue_;
 };
 
 /// FCFS within priority classes, higher class first (the policy layer's
@@ -120,14 +77,14 @@ class PriorityFcfsOrder final : public OrderingPolicy {
   void reset(const sim::Machine& machine, const JobStore& store) override;
   void on_submit(JobId id, Time now) override;
   void on_remove(JobId id, Time now) override;
-  const std::vector<JobId>& order() const override { return queue_.order(); }
+  const std::vector<JobId>& order() const override { return queue_; }
   /// Insertions can place a job mid-queue, which changes relative order
   /// for dispatchers holding reservations; bump the version then.
   std::uint64_t version() const noexcept override { return version_; }
 
  private:
   const JobStore* store_ = nullptr;
-  IndexedJobList queue_;
+  std::vector<JobId> queue_;
   std::uint64_t version_ = 1;
 };
 
@@ -149,7 +106,7 @@ class ReplanningOrder : public OrderingPolicy {
   void reset(const sim::Machine& machine, const JobStore& store) override;
   void on_submit(JobId id, Time now) override;
   void on_remove(JobId id, Time now) override;
-  const std::vector<JobId>& order() const override { return queue_.order(); }
+  const std::vector<JobId>& order() const override { return queue_; }
   std::uint64_t version() const noexcept override { return version_; }
 
   /// Number of plan recomputations so far (introspection for tests).
@@ -168,8 +125,8 @@ class ReplanningOrder : public OrderingPolicy {
   double threshold_;
   const JobStore* store_ = nullptr;
   int machine_nodes_ = 1;
-  IndexedJobList queue_;     // planned jobs ... unplanned tail (FCFS)
-  std::size_t planned_ = 0;  // first `planned_` entries came from plan()
+  std::vector<JobId> queue_;  // planned jobs ... unplanned tail (FCFS)
+  std::size_t planned_ = 0;   // first `planned_` entries came from plan()
   std::uint64_t version_ = 1;
   std::uint64_t replans_ = 0;
 };

@@ -5,8 +5,9 @@
 // either SMART or PSRS together with some form of backfilling" for the
 // unweighted case — and notes that "she must evaluate the effect of
 // combining the selected algorithms". This scheduler is that combination:
-// it holds one wait queue but switches the active (ordering, dispatcher)
-// pair between the policy's day and night phases.
+// a ListScheduler (one job store, one running set, one wait queue) that
+// holds a second (ordering, dispatcher) pair and swaps it in between the
+// policy's day and night phases.
 //
 // On a phase flip the queue is re-ordered under the incoming policy and
 // the incoming dispatcher adopts the machine state (running jobs and the
@@ -19,9 +20,8 @@
 #include <vector>
 
 #include "core/dispatch.h"
-#include "core/job_store.h"
+#include "core/list_scheduler.h"
 #include "core/ordering.h"
-#include "sim/scheduler.h"
 #include "util/time.h"
 
 namespace jsched::core {
@@ -40,7 +40,7 @@ struct PhaseWindow {
   Time next_boundary(Time t) const noexcept;
 };
 
-class PhasedScheduler final : public sim::Scheduler {
+class PhasedScheduler final : public ListScheduler {
  public:
   /// `day_*` are active while `window.contains(now)`, `night_*` otherwise.
   PhasedScheduler(PhaseWindow window,
@@ -57,33 +57,19 @@ class PhasedScheduler final : public sim::Scheduler {
   void select_starts(Time now, int free_nodes,
                      std::vector<JobId>& starts) override;
   Time next_wakeup(Time now) const override;
-  std::size_t queue_length() const override;
 
   /// Which phase is active (introspection for tests).
   bool in_day_phase() const noexcept { return day_active_; }
   std::size_t phase_flips() const noexcept { return flips_; }
 
  private:
-  OrderingPolicy& order() { return day_active_ ? *day_order_ : *night_order_; }
-  Dispatcher& dispatch() {
-    return day_active_ ? *day_dispatch_ : *night_dispatch_;
-  }
-  const Dispatcher& dispatch() const {
-    return day_active_ ? *day_dispatch_ : *night_dispatch_;
-  }
   void sync_phase(Time now);
-  void sync_order_version(Time now);
 
   PhaseWindow window_;
-  std::unique_ptr<OrderingPolicy> day_order_;
-  std::unique_ptr<Dispatcher> day_dispatch_;
-  std::unique_ptr<OrderingPolicy> night_order_;
-  std::unique_ptr<Dispatcher> night_dispatch_;
-
-  JobStore store_;
-  std::vector<RunningJob> running_;
+  /// The inactive phase's pair; the active one lives in ListScheduler.
+  std::unique_ptr<OrderingPolicy> idle_order_;
+  std::unique_ptr<Dispatcher> idle_dispatch_;
   bool day_active_ = true;
-  std::uint64_t seen_version_ = 0;
   std::size_t flips_ = 0;
   Time last_sync_ = -1;
   /// Machine size and last advertised capacity (fault injection). adopt()

@@ -56,7 +56,7 @@ std::uint64_t sweep_fingerprint(std::uint64_t workload_fnv,
 SweepJournal::SweepJournal(std::string path) : log_(std::move(path)) {
   std::size_t line_no = 0;
   std::uint64_t first_segment = kLegacySegment;
-  for (const std::string& line : util::AppendLog::read_lines(log_.path())) {
+  util::AppendLog::for_each_line(log_.path(), [&](const std::string& line) {
     ++line_no;
     std::istringstream in(line);
     std::string tag;
@@ -71,7 +71,7 @@ SweepJournal::SweepJournal(std::string path) : log_(std::move(path)) {
         segment_ = parse_hex64(fp, line_no);
         if (first_segment == kLegacySegment) first_segment = segment_;
       }
-      continue;
+      return;
     }
     if (tag == "v2") {
       // Checksummed record (PR 10): `v2 <fnv1a(body)> <body>` where the
@@ -88,7 +88,7 @@ SweepJournal::SweepJournal(std::string path) : log_(std::move(path)) {
       in.str(body);
       in.clear();
     } else if (tag != "v1") {
-      continue;  // unknown record versions are skipped
+      return;  // unknown record versions are skipped
     }
 
     const auto fail = [&](const char* what) -> std::runtime_error {
@@ -148,7 +148,7 @@ SweepJournal::SweepJournal(std::string path) : log_(std::move(path)) {
 
     cells_[key] = {segment_, r};  // last record wins, matching append order
     ++loaded_;
-  }
+  });
   if (first_segment != kLegacySegment) {
     // Records before the first header were adopted by the open_segment()
     // that wrote it; reconstruct that adoption. Records superseded by a

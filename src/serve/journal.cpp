@@ -31,12 +31,12 @@ AdmissionJournal::AdmissionJournal(std::string path,
 
 void AdmissionJournal::load() {
   std::size_t line_no = 0;
-  for (const std::string& line : util::AppendLog::read_lines(log_.path())) {
+  util::AppendLog::for_each_line(log_.path(), [&](const std::string& line) {
     ++line_no;
     std::string payload;
     try {
       if (!util::AppendLog::check_record(line, kTag, &payload)) {
-        continue;  // unknown record versions are skipped (forward compat)
+        return;  // unknown record versions are skipped (forward compat)
       }
     } catch (const util::CorruptRecordError& e) {
       throw util::CorruptRecordError("admission journal " + log_.path() +
@@ -100,7 +100,7 @@ void AdmissionJournal::load() {
     }
     // Unknown verbs under a valid checksum: written by a newer daemon;
     // skipping them keeps old binaries able to at least open the file.
-  }
+  });
   completed_at_open_ = dones_.size();  // one done per job, at its last epoch
 }
 

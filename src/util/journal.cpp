@@ -3,7 +3,6 @@
 #include <algorithm>
 #include <charconv>
 #include <ostream>
-#include <sstream>
 #include <stdexcept>
 #include <utility>
 
@@ -169,21 +168,15 @@ bool AppendLog::check_record(std::string_view line, std::string_view tag,
   return true;
 }
 
-std::vector<std::string> AppendLog::read_lines(const std::string& path) {
+void AppendLog::for_each_line(
+    const std::string& path,
+    const std::function<void(const std::string&)>& fn) {
   std::ifstream in(path, std::ios::in | std::ios::binary);
-  std::vector<std::string> lines;
-  if (!in) return lines;  // no journal yet: a fresh sweep
-  std::ostringstream buf;
-  buf << in.rdbuf();
-  const std::string content = buf.str();
-  std::size_t pos = 0;
-  while (pos < content.size()) {
-    const std::size_t nl = content.find('\n', pos);
-    if (nl == std::string::npos) break;  // torn trailing record: drop it
-    lines.push_back(content.substr(pos, nl - pos));
-    pos = nl + 1;
+  std::string line;
+  while (std::getline(in, line)) {
+    if (in.eof()) break;  // torn trailing record: no newline, drop it
+    fn(line);
   }
-  return lines;
 }
 
 }  // namespace jsched::util

@@ -2,21 +2,23 @@
 //
 // The checkpoint/resume layer of the evaluation harness journals one line
 // per completed sweep cell; a killed process leaves at worst one torn
-// trailing line, which the reader drops. This file is the I/O half only —
+// trailing line, which the reader drops. This file is the I/O half only:
 // plain newline-terminated text records, appended and flushed one at a
-// time — so the eval layer owns the record format and this stays reusable
-// for any future append-only need (progress logs, replayable event
-// streams).
+// time and read back one complete record at a time (for_each_line), so
+// opening a journal holds one record of it, not the file. The eval and
+// serve layers own their record formats; this stays reusable for any
+// append-only need (sweep journals, the serve admission journal, the
+// shard heartbeat's record count).
 #pragma once
 
 #include <cstdint>
 #include <fstream>
+#include <functional>
 #include <iosfwd>
 #include <mutex>
 #include <stdexcept>
 #include <string>
 #include <string_view>
-#include <vector>
 
 #include "util/hash.h"
 
@@ -121,11 +123,14 @@ class AppendLog {
   static bool check_record(std::string_view line, std::string_view tag,
                            std::string* payload);
 
-  /// Every *complete* line of `path`, in file order. A trailing fragment
-  /// without a final newline (the footprint of a process killed
-  /// mid-append) is dropped, and a missing file reads as empty — both are
-  /// normal resume situations, not errors.
-  static std::vector<std::string> read_lines(const std::string& path);
+  /// Calls `fn` on every *complete* line of `path` (newline stripped), in
+  /// file order, reading one line at a time so a journal of any size opens
+  /// in O(longest record) memory. A trailing fragment without a final
+  /// newline (the footprint of a process killed mid-append) is dropped,
+  /// and a missing file reads as empty — both are normal resume
+  /// situations, not errors.
+  static void for_each_line(const std::string& path,
+                            const std::function<void(const std::string&)>& fn);
 
  private:
   std::string path_;

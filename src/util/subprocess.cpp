@@ -3,13 +3,14 @@
 #include <cerrno>
 #include <cstdlib>
 #include <cstring>
-#include <fstream>
 #include <stdexcept>
 #include <utility>
 
 #include <signal.h>
 #include <sys/wait.h>
 #include <unistd.h>
+
+#include "util/journal.h"
 
 namespace jsched::util {
 
@@ -126,14 +127,10 @@ std::string self_exe_path() {
 
 std::size_t count_complete_lines(const std::string& path,
                                  std::string_view prefix) {
-  std::ifstream in(path, std::ios::in | std::ios::binary);
-  if (!in) return 0;
   std::size_t count = 0;
-  std::string line;
-  while (std::getline(in, line)) {
-    if (in.eof() && !line.empty()) break;  // torn trailing fragment
+  AppendLog::for_each_line(path, [&](const std::string& line) {
     if (line.compare(0, prefix.size(), prefix) == 0) ++count;
-  }
+  });
   return count;
 }
 

@@ -4,7 +4,8 @@
 // them for exit, and restarts crashed ones. Workers need no IPC channel:
 // their only observable state is the shard journal they append to, so the
 // coordinator's "heartbeat" is the number of complete records in that file
-// (count_complete_lines below). This keeps the protocol trivially robust —
+// (count_complete_lines below, which streams the file through
+// AppendLog::for_each_line). This keeps the protocol trivially robust —
 // a worker that can write its journal is making progress, and one that
 // cannot is indistinguishable from a dead one, which is exactly how the
 // restart logic should treat it.

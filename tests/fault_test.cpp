@@ -322,6 +322,61 @@ TEST(FaultSim, KillBeforeFirstCheckpointSavesNothing) {
   EXPECT_EQ(s[0].end, 25 + 10 + 100);
 }
 
+// Under checkpoint/restart with latest-start-first victims, an extra
+// failure can lower the waste: it restarts a job, and the restarted
+// attempt is the youngest victim when the next failure comes. This is why
+// goodput in the committed fault sweep is not monotone in failure
+// intensity (EXPERIMENTS.md). A and B are 1x10h on a 2-node machine,
+// checkpointed hourly with 300 s restart overhead.
+//  * rare: a node fails at 3000 and kills B (equal start, larger id) with
+//    nothing checkpointed; B restarts at 3600 and pays the overhead:
+//    3000 + 300 = 3300 node-seconds wasted by one kill.
+//  * frequent: the same failure plus one at 2400, which kills B first; B
+//    restarts at 2700, so the failure at 3000 kills its 300 s-old attempt
+//    (all overhead, no progress) instead of A:
+//    2400 + 300 + 300 = 3000 node-seconds wasted by two kills.
+TEST(FaultSim, ExtraFailureCanLowerWasteUnderCheckpointing) {
+  const workload::Workload w = test::make_workload({
+      test::make_job(0, 1, 10 * kHour),  // id 0 = A
+      test::make_job(0, 1, 10 * kHour),  // id 1 = B
+  });
+  const RecoveryOptions checkpointing{RecoveryPolicy::kCheckpointRestart,
+                                      kHour, 5 * kMinute};
+  const FailureTrace rare =
+      fault::make_failure_trace({{3000, -1}, {3600, +1}}, 2);
+  const FailureTrace frequent = fault::make_failure_trace(
+      {{2400, -1}, {2700, +1}, {3000, -1}, {3600, +1}}, 2);
+  const sim::Schedule sr =
+      run_with_faults(core::AlgorithmSpec{}, w, 2, rare, checkpointing);
+  const sim::Schedule sf =
+      run_with_faults(core::AlgorithmSpec{}, w, 2, frequent, checkpointing);
+
+  ASSERT_EQ(sr.attempts.size(), 1u);
+  EXPECT_EQ(sr.attempts[0].id, 1u);
+  EXPECT_EQ(sr.attempts[0].end, 3000);
+  EXPECT_EQ(sr[1].start, 3600);
+  EXPECT_EQ(sr[1].end, 3600 + 300 + 10 * kHour);
+
+  ASSERT_EQ(sf.attempts.size(), 2u);
+  EXPECT_EQ(sf.attempts[1].id, 1u);
+  EXPECT_EQ(sf.attempts[1].start, 2700) << "the restart is the latest start";
+  EXPECT_EQ(sf.attempts[1].saved, 0);
+  EXPECT_EQ(sf[0].end, 10 * kHour) << "A is never hit";
+  EXPECT_EQ(sf[1].end, 3600 + 300 + 10 * kHour);
+
+  const metrics::ResilienceReport r = metrics::resilience(sr, w);
+  const metrics::ResilienceReport f = metrics::resilience(sf, w);
+  EXPECT_DOUBLE_EQ(r.useful_node_seconds, 72000.0);
+  EXPECT_DOUBLE_EQ(f.useful_node_seconds, 72000.0);
+  EXPECT_DOUBLE_EQ(r.executed_node_seconds, 75300.0);  // 36000+3000+36300
+  EXPECT_DOUBLE_EQ(f.executed_node_seconds, 75000.0);  // +2400+300+36300
+  EXPECT_DOUBLE_EQ(r.wasted_node_seconds, 3300.0);
+  EXPECT_DOUBLE_EQ(f.wasted_node_seconds, 3000.0);
+  EXPECT_EQ(r.kills, 1u);
+  EXPECT_EQ(f.kills, 2u);
+  EXPECT_GT(f.goodput_fraction, r.goodput_fraction);
+}
+
 // A job completing at the exact instant of a failure has completed — the
 // completion batch runs before the fault batch.
 TEST(FaultSim, CompletionAtFailureInstantWins) {

@@ -45,14 +45,14 @@ TEST(Journal, AppendLogRoundTripsLines) {
     log.append("first");
     log.append("second record with spaces");
   }
-  const auto lines = util::AppendLog::read_lines(f.path());
+  const auto lines = test::read_lines(f.path());
   ASSERT_EQ(lines.size(), 2u);
   EXPECT_EQ(lines[0], "first");
   EXPECT_EQ(lines[1], "second record with spaces");
 }
 
 TEST(Journal, AppendLogMissingFileReadsEmpty) {
-  EXPECT_TRUE(util::AppendLog::read_lines("/nonexistent/nope.journal").empty());
+  EXPECT_TRUE(test::read_lines("/nonexistent/nope.journal").empty());
 }
 
 TEST(Journal, AppendLogRejectsEmbeddedNewline) {
@@ -70,7 +70,7 @@ TEST(Journal, FsyncDurabilityRoundTrips) {
     log.append("synced-1");
     log.append("synced-2");
   }
-  const auto lines = util::AppendLog::read_lines(f.path());
+  const auto lines = test::read_lines(f.path());
   ASSERT_EQ(lines.size(), 2u);
   EXPECT_EQ(lines[0], "synced-1");
   EXPECT_EQ(lines[1], "synced-2");
@@ -102,7 +102,7 @@ TEST(Journal, TornTailStillDropsWithFsyncOff) {
     std::ofstream out(f.path(), std::ios::app);
     out << "v1 half-written-cel";
   }
-  const auto lines = util::AppendLog::read_lines(f.path());
+  const auto lines = test::read_lines(f.path());
   ASSERT_EQ(lines.size(), 1u);
   EXPECT_EQ(lines[0], "durable-enough");
 }
@@ -120,7 +120,7 @@ TEST(Journal, AppendLogDropsTornTrailingLine) {
     std::ofstream out(f.path(), std::ios::app);
     out << "torn-fragment-without-newline";
   }
-  const auto lines = util::AppendLog::read_lines(f.path());
+  const auto lines = test::read_lines(f.path());
   ASSERT_EQ(lines.size(), 2u);
   EXPECT_EQ(lines[1], "complete-2");
 }
@@ -132,7 +132,7 @@ TEST(Journal, ChecksummedRecordsRoundTrip) {
     log.append_checked("v2", "some payload with spaces");
     log.append_checked("v2", "");  // empty payloads are legal
   }
-  const auto lines = util::AppendLog::read_lines(f.path());
+  const auto lines = test::read_lines(f.path());
   ASSERT_EQ(lines.size(), 2u);
   std::string payload;
   ASSERT_TRUE(util::AppendLog::check_record(lines[0], "v2", &payload));
@@ -151,7 +151,7 @@ TEST(Journal, CheckRecordThrowsOnTamperedPayload) {
     util::AppendLog log(f.path());
     log.append_checked("v2", "pristine payload");
   }
-  std::string line = util::AppendLog::read_lines(f.path())[0];
+  std::string line = test::read_lines(f.path())[0];
   std::string payload;
   line[line.size() - 1] ^= 1;  // flip one payload bit
   EXPECT_THROW(util::AppendLog::check_record(line, "v2", &payload),
@@ -187,7 +187,7 @@ TEST(Journal, AppendLogResumesAfterReopen) {
     util::AppendLog log(f.path());
     log.append("after");
   }
-  const auto lines = util::AppendLog::read_lines(f.path());
+  const auto lines = test::read_lines(f.path());
   ASSERT_EQ(lines.size(), 2u);
   EXPECT_EQ(lines[0], "before");
   EXPECT_EQ(lines[1], "after");
@@ -511,7 +511,7 @@ TEST(Journal, SweepJournalDetectsMidFileCorruption) {
     eval::SweepJournal journal(f.path());
     journal.record(7, sample_result());
   }
-  std::vector<std::string> lines = util::AppendLog::read_lines(f.path());
+  std::vector<std::string> lines = test::read_lines(f.path());
   std::size_t victim = lines.size();
   for (std::size_t i = 0; i < lines.size(); ++i) {
     if (lines[i].rfind("v2 ", 0) == 0) victim = i;
@@ -539,7 +539,7 @@ TEST(Journal, SweepJournalLoadsUncheckedV1Records) {
     journal.record(key, r);
   }
   std::vector<std::string> rewritten;
-  for (const std::string& line : util::AppendLog::read_lines(f.path())) {
+  for (const std::string& line : test::read_lines(f.path())) {
     std::string payload;
     if (util::AppendLog::check_record(line, "v2", &payload)) {
       rewritten.push_back("v1 " + payload);
@@ -581,7 +581,7 @@ TEST(Journal, LegacyJournalWithoutSegmentsIsAdopted) {
         eval::run_grid_outcomes(m, core::WeightKind::kUnit, w, opt).cells.size();
   }
   std::vector<std::string> kept;
-  for (const std::string& line : util::AppendLog::read_lines(f.path())) {
+  for (const std::string& line : test::read_lines(f.path())) {
     if (line.rfind("v1seg", 0) != 0) kept.push_back(line);
   }
   std::remove(f.path().c_str());

@@ -4,6 +4,7 @@
 
 #include "core/easy_backfill.h"
 #include "core/smart.h"
+#include "sim/schedule.h"
 #include "sim/simulator.h"
 #include "test_support.h"
 #include "workload/ctc_model.h"
@@ -140,6 +141,13 @@ TEST(PhasedScheduler, DayPhaseBehavesLikeSmartEasy) {
   for (JobId i = 0; i < w.size(); ++i) {
     EXPECT_EQ(sp[i].start, sg[i].start) << "job " << i;
   }
+
+  // The run ends in the day phase and the next one starts at night, so a
+  // second run on the same instance reproduces the first only if reset()
+  // keeps the active pair in step with the phase.
+  ASSERT_TRUE(phased->in_day_phase());
+  const auto again = sim::simulate(m, *phased, w);
+  EXPECT_EQ(sim::schedule_fingerprint(again), sim::schedule_fingerprint(sp));
 }
 
 TEST(PhasedScheduler, CombinedFactoryRunsPaperScaleWorkload) {
@@ -151,6 +159,11 @@ TEST(PhasedScheduler, CombinedFactoryRunsPaperScaleWorkload) {
   m.nodes = 256;
   const auto schedule = sim::simulate(m, *s, w);
   EXPECT_EQ(schedule.size(), w.size());
+  // Pinned schedule of the 1,996-job trace; a second run on the same
+  // instance must start from a clean reset and reproduce it.
+  EXPECT_EQ(sim::schedule_fingerprint(schedule), 0x7444bc2f2b1ed081ull);
+  const auto again = sim::simulate(m, *s, w);
+  EXPECT_EQ(sim::schedule_fingerprint(again), 0x7444bc2f2b1ed081ull);
 }
 
 TEST(PhasedScheduler, ConservativeDispatcherSurvivesAdoption) {

@@ -25,6 +25,7 @@
 #include "serve/daemon.h"
 #include "serve/feed.h"
 #include "sim/streaming.h"
+#include "test_support.h"
 #include "util/clock.h"
 #include "util/journal.h"
 #include "util/rng.h"
@@ -137,7 +138,7 @@ TEST(AdmissionJournal, DetectsCorruptRecords) {
     j.record_admit(rec(10, 2, 100), false, false);
   }
   // Flip one digit inside the admit payload; the checksum must catch it.
-  std::vector<std::string> lines = util::AppendLog::read_lines(f.path());
+  std::vector<std::string> lines = test::read_lines(f.path());
   ASSERT_EQ(lines.size(), 2u);
   const std::size_t pos = lines[1].rfind("10 2 100");
   ASSERT_NE(pos, std::string::npos);

@@ -1,5 +1,7 @@
 #include "test_support.h"
 
+#include "util/journal.h"
+
 namespace jsched::test {
 
 Job make_job(Time submit, int nodes, Duration runtime, Duration estimate) {
@@ -44,6 +46,13 @@ workload::Workload small_mixed_workload() {
       make_job(210, 16, 40, 50),    // 8: another full-machine job
       make_job(220, 1, 20, 30),     // 9
   });
+}
+
+std::vector<std::string> read_lines(const std::string& path) {
+  std::vector<std::string> lines;
+  util::AppendLog::for_each_line(
+      path, [&](const std::string& line) { lines.push_back(line); });
+  return lines;
 }
 
 }  // namespace jsched::test

@@ -2,6 +2,7 @@
 #pragma once
 
 #include <cstdint>
+#include <string>
 #include <vector>
 
 #include "core/factory.h"
@@ -32,5 +33,9 @@ workload::Workload small_mixed_workload();
 /// the golden-grid regression test and by future optimization PRs.
 std::uint64_t run_fingerprint(const core::AlgorithmSpec& spec,
                               const workload::Workload& w, int nodes = 16);
+
+/// Every complete line of `path`, in file order, collected through
+/// util::AppendLog::for_each_line (torn tail dropped, missing file empty).
+std::vector<std::string> read_lines(const std::string& path);
 
 }  // namespace jsched::test
