@@ -11,7 +11,7 @@
 #include "metrics/streaming.h"
 #include "sim/streaming.h"
 #include "util/env.h"
-#include "util/thread_pool.h"
+#include "util/parallel.h"
 #include "workload/ctc_model.h"
 #include "workload/transforms.h"
 
@@ -99,9 +99,8 @@ std::vector<eval::RunResult> run_grid_verbose(const sim::Machine& m,
                  name.c_str());
   };
   apply_resilience_env(opt);
-  const std::size_t effective = opt.threads == 0
-                                    ? util::ThreadPool::hardware_threads()
-                                    : opt.threads;
+  const std::size_t effective =
+      opt.threads == 0 ? util::hardware_threads() : opt.threads;
   const auto t0 = std::chrono::steady_clock::now();
   const eval::GridResult grid = eval::run_grid_outcomes(m, weight, w, opt);
   const auto dt = std::chrono::duration<double>(

@@ -17,8 +17,8 @@
 #include "fault/failure_model.h"
 #include "metrics/objectives.h"
 #include "sim/simulator.h"
+#include "util/parallel.h"
 #include "util/table.h"
-#include "util/thread_pool.h"
 
 using namespace jsched;
 

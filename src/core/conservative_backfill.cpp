@@ -53,7 +53,7 @@ void ConservativeBackfillDispatch::reset(const sim::Machine& machine,
   profile_ = sim::Profile(machine.nodes);
   down_nodes_ = 0;
   reserved_.clear();
-  wakeups_ = {};
+  wakeups_.clear();
   compression_debt_ = false;
   stats_ = {};
   cursor_ = {};  // anchored in the profile just replaced
@@ -66,8 +66,16 @@ void ConservativeBackfillDispatch::reserve(JobId id, Time from) {
   const Job& j = store_->get(id);
   const Time start = profile_.earliest_fit(from, j.estimate, j.nodes);
   profile_.allocate(start, j.estimate, j.nodes);
-  reserved_.insert_or_assign(id, start);
-  wakeups_.push({start, id});
+  set_reservation(id, start);
+}
+
+void ConservativeBackfillDispatch::set_reservation(JobId id, Time start) {
+  const auto [it, fresh] = reserved_.try_emplace(id, start);
+  if (!fresh) {
+    wakeups_.erase({it->second, id});
+    it->second = start;
+  }
+  wakeups_.emplace(start, id);
 }
 
 void ConservativeBackfillDispatch::on_enqueue(JobId id, Time now) {
@@ -123,12 +131,6 @@ void ConservativeBackfillDispatch::on_complete(
     }
   }
   profile_.compact(now);
-  // Replanning leaves stale heap entries behind; rebuild once they
-  // dominate so the heap stays proportional to the reserved set.
-  if (wakeups_.size() > 4 * reserved_.size() + 1024) {
-    wakeups_ = {};
-    for (const auto& [rid, start] : reserved_) wakeups_.push({start, rid});
-  }
 }
 
 void ConservativeBackfillDispatch::replan(const std::vector<JobId>& order,
@@ -295,8 +297,7 @@ void ConservativeBackfillDispatch::place(std::size_t k, Time start) {
   ++stats_.replaced;
   if (start != p.start) {
     ++stats_.moved;
-    reserved_.find(p.id)->second = start;
-    wakeups_.push({start, p.id});
+    set_reservation(p.id, start);
   }
 }
 
@@ -316,13 +317,9 @@ void ConservativeBackfillDispatch::replace_from(std::size_t from, Time now) {
     const Time start = profile_.earliest_fit(now, p.estimate, p.nodes);
     profile_.allocate(start, p.estimate, p.nodes);
     ++stats_.replaced;
-    // When the reservation lands exactly where it was, the map entry is
-    // already right and a valid heap entry for (start, id) still exists —
-    // skip the redundant store and push.
     if (start != p.start) {
       ++stats_.moved;
-      reserved_.find(p.id)->second = start;
-      wakeups_.push({start, p.id});
+      set_reservation(p.id, start);
     }
   }
 }
@@ -340,7 +337,6 @@ void ConservativeBackfillDispatch::on_reorder(const std::vector<JobId>& order,
   }
   const std::size_t count = reserved_.size();
   std::size_t planned = 0;
-  wakeups_ = {};
   for (JobId id : order) {
     if (planned >= count) break;
     if (!reserved_.contains(id)) continue;
@@ -379,7 +375,7 @@ void ConservativeBackfillDispatch::on_capacity_change(
   }
   down_nodes_ = down;
   reserved_.clear();
-  wakeups_ = {};
+  wakeups_.clear();
   std::size_t planned = 0;
   for (JobId id : order) {
     if (planned >= params_.reservation_depth) break;
@@ -405,7 +401,7 @@ void ConservativeBackfillDispatch::adopt(
   profile_ = sim::Profile(profile_.total_nodes());
   down_nodes_ = 0;
   reserved_.clear();
-  wakeups_ = {};
+  wakeups_.clear();
   {
     sim::Profile::BulkUpdate bulk(profile_);
     for (const RunningJob& r : running) {
@@ -452,43 +448,31 @@ void ConservativeBackfillDispatch::select(Time now, int free_nodes,
   starts.clear();
   [[maybe_unused]] int budget = free_nodes;
 
-  // Start every reservation that is due. Capacity is guaranteed by the
-  // profile, so they all fit together.
-  while (!wakeups_.empty() && wakeups_.top().t <= now) {
-    const Wakeup w = wakeups_.top();
-    wakeups_.pop();
-    auto it = reserved_.find(w.id);
-    if (it == reserved_.end() || it->second != w.t) continue;  // stale
-    const Job& j = store_->get(w.id);
+  // Start every reservation that is due, in (start, id) order. Capacity is
+  // guaranteed by the profile, so they all fit together.
+  while (!wakeups_.empty() && wakeups_.begin()->first <= now) {
+    const auto [t, id] = *wakeups_.begin();
+    wakeups_.erase(wakeups_.begin());
+    reserved_.erase(id);
+    const Job& j = store_->get(id);
     assert(j.nodes <= budget);
     budget -= j.nodes;
     // Normalize the allocation when the reservation was planned for an
-    // earlier instant that had no event of its own, then retire the
-    // reservation here so duplicate heap entries cannot start it twice.
-    if (w.t < now) {
-      profile_.release(w.t, j.estimate, j.nodes);
+    // earlier instant that had no event of its own.
+    if (t < now) {
+      profile_.release(t, j.estimate, j.nodes);
       profile_.allocate(now, j.estimate, j.nodes);
-      growth_.push_back({w.t, span_end(w.t, j.estimate), j.nodes});
+      growth_.push_back({t, span_end(t, j.estimate), j.nodes});
       compression_debt_ = true;  // the shifted tail perturbed the plan
     }
-    reserved_.erase(it);
-    starts.push_back(w.id);
+    starts.push_back(id);
   }
 
   if (!starts.empty()) profile_.compact(now);
 }
 
 Time ConservativeBackfillDispatch::next_wakeup(Time) const {
-  while (!wakeups_.empty()) {
-    const Wakeup w = wakeups_.top();
-    auto it = reserved_.find(w.id);
-    if (it == reserved_.end() || it->second != w.t) {
-      wakeups_.pop();  // stale
-      continue;
-    }
-    return w.t;
-  }
-  return kTimeInfinity;
+  return wakeups_.empty() ? kTimeInfinity : wakeups_.begin()->first;
 }
 
 Time ConservativeBackfillDispatch::reservation_of(JobId id) const {

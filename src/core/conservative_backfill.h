@@ -55,8 +55,9 @@
 #pragma once
 
 #include <cstddef>
-#include <queue>
+#include <set>
 #include <unordered_map>
+#include <utility>
 #include <vector>
 
 #include "core/dispatch.h"
@@ -142,6 +143,9 @@ class ConservativeBackfillDispatch final : public Dispatcher {
   };
 
   void reserve(JobId id, Time from);
+  /// Record `start` as the reservation of `id` (new or moved), keeping
+  /// wakeups_ in step with reserved_.
+  void set_reservation(JobId id, Time start);
   void replan(const std::vector<JobId>& order, Time now, std::size_t limit);
   /// Incremental compression: resolve every window position in queue
   /// order against the profile plus the overlay of unresolved positions,
@@ -172,6 +176,9 @@ class ConservativeBackfillDispatch final : public Dispatcher {
   /// on_capacity_change re-plans at the recovered capacity.
   int down_nodes_ = 0;
   std::unordered_map<JobId, Time> reserved_;  // queued job -> reserved start
+  // Every reservation as (start, id), updated with reserved_: the earliest
+  // is the next wakeup, and due ones start in (start, id) order.
+  std::set<std::pair<Time, JobId>> wakeups_;
   ReplanStats stats_;
   // Per-replan scratch storage, members to keep the hot path allocation-free.
   std::vector<PlannedJob> planned_;
@@ -199,17 +206,6 @@ class ConservativeBackfillDispatch final : public Dispatcher {
   // reorder). While false, a replan would re-place every reservation
   // exactly where it is, so on-time completions skip compression outright.
   bool compression_debt_ = false;
-
-  struct Wakeup {
-    Time t;
-    JobId id;
-    bool operator>(const Wakeup& o) const noexcept {
-      return t != o.t ? t > o.t : id > o.id;
-    }
-  };
-  // Lazy min-heap over reservation times (stale entries skipped on pop).
-  mutable std::priority_queue<Wakeup, std::vector<Wakeup>, std::greater<>>
-      wakeups_;
 };
 
 }  // namespace jsched::core

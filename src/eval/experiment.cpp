@@ -11,7 +11,7 @@
 #include "sim/simulator.h"
 #include "sim/streaming.h"
 #include "util/hash.h"
-#include "util/thread_pool.h"
+#include "util/parallel.h"
 
 namespace jsched::eval {
 
@@ -29,8 +29,7 @@ void ShardSpec::validate() const {
 namespace detail {
 
 std::size_t resolved_threads(const ExperimentOptions& options) {
-  return options.threads == 0 ? util::ThreadPool::hardware_threads()
-                              : options.threads;
+  return options.threads == 0 ? util::hardware_threads() : options.threads;
 }
 
 ExperimentOptions with_serialized_on_run(const ExperimentOptions& options,
@@ -298,11 +297,11 @@ GridResult run_grid_outcomes(const sim::Machine& machine,
   std::mutex on_run_mu;
   const ExperimentOptions per_task =
       detail::with_serialized_on_run(options, on_run_mu);
-  util::ThreadPool::ParallelOptions pool_options;
-  pool_options.stop_on_error = options.error_policy == ErrorPolicy::kFailFast;
+  util::ParallelOptions parallel;
+  parallel.stop_on_error = options.error_policy == ErrorPolicy::kFailFast;
   util::parallel_for_each(
       specs.size(), threads, [&](std::size_t i) { run_cell(i, per_task); },
-      pool_options);
+      parallel);
   return out;
 }
 

@@ -28,7 +28,6 @@
 namespace jsched::eval {
 
 class SweepJournal;
-class WorkloadCache;
 
 /// One shard of a deterministically partitioned sweep. The cells of a grid
 /// are ranked by their FNV cell key (see shard.h) and dealt round-robin:
@@ -223,12 +222,6 @@ struct ExperimentOptions {
   /// run_grid (the throwing form) rejects an active shard spec — partial
   /// grids need the outcome-aware API.
   ShardSpec shard{};
-  /// Memoized workload materializations keyed by caller-chosen identity
-  /// (not owned; may be null). run_replicated consults it per seed, so a
-  /// replication study sweeping many specs over the same seeds generates
-  /// each workload once instead of once per spec. Must outlive the run;
-  /// thread-safe.
-  WorkloadCache* workload_cache = nullptr;
   /// Override scheduler construction (testing/CI hook: inject a throwing
   /// or instrumented scheduler for selected specs). Null = core
   /// factory. Must be thread-safe when threads > 1.

@@ -8,8 +8,7 @@
 
 #include "eval/internal.h"
 #include "eval/journal.h"
-#include "eval/shard.h"
-#include "util/thread_pool.h"
+#include "util/parallel.h"
 
 namespace jsched::eval {
 
@@ -106,13 +105,6 @@ ReplicatedResult run_replicated(
                   "): " + e.what());
         }
       };
-      // With a cache, the seed identifies the materialization: a study
-      // sweeping many specs over the same seeds pays for each workload
-      // once, not once per (spec, seed) cell.
-      if (opts.workload_cache != nullptr) {
-        const auto w = opts.workload_cache->get(seeds[i], materialize);
-        return run_one(machine, spec, *w, opts);
-      }
       const workload::Workload w = materialize();
       return run_one(machine, spec, w, opts);
     });
@@ -127,13 +119,12 @@ ReplicatedResult run_replicated(
     std::mutex on_run_mu;
     const ExperimentOptions per_task =
         detail::with_serialized_on_run(options, on_run_mu);
-    util::ThreadPool::ParallelOptions pool_options;
-    pool_options.stop_on_error =
-        options.error_policy == ErrorPolicy::kFailFast;
+    util::ParallelOptions parallel;
+    parallel.stop_on_error = options.error_policy == ErrorPolicy::kFailFast;
     util::parallel_for_each(
         seeds.size(), threads,
         [&](std::size_t i) { outcomes[i] = run_seed(i, per_task); },
-        pool_options);
+        parallel);
   }
   return aggregate(spec, seeds, std::move(outcomes));
 }

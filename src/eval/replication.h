@@ -59,10 +59,7 @@ struct ReplicatedResult {
 /// kWorkload) is captured into `outcomes` and the statistics aggregate
 /// the surviving seeds. With an ExperimentOptions::journal, completed
 /// replicates are keyed by (machine, spec, seed, salt) and skipped on
-/// resume without calling `make_workload` again. With an
-/// ExperimentOptions::workload_cache, materialized workloads are memoized
-/// by seed, so sweeping several specs over one seed list with a shared
-/// cache generates each workload once instead of once per spec.
+/// resume without calling `make_workload` again.
 ReplicatedResult run_replicated(
     const sim::Machine& machine, const core::AlgorithmSpec& spec,
     const std::function<workload::Workload(std::uint64_t)>& make_workload,

@@ -1,7 +1,6 @@
 #include "eval/shard.h"
 
 #include <algorithm>
-#include <chrono>
 #include <cstdio>
 #include <fstream>
 #include <stdexcept>
@@ -143,31 +142,6 @@ MergeReport merge_shard_journals(const MergeOptions& options) {
     ++report.merged;
   }
   return report;
-}
-
-std::shared_ptr<const workload::Workload> WorkloadCache::get(
-    std::uint64_t key, const std::function<workload::Workload()>& make) {
-  std::lock_guard<std::mutex> lock(mu_);
-  const auto it = entries_.find(key);
-  if (it != entries_.end()) {
-    ++stats_.hits;
-    stats_.saved_seconds += it->second.generation_seconds;
-    return it->second.workload;
-  }
-  const auto t0 = std::chrono::steady_clock::now();
-  auto workload = std::make_shared<const workload::Workload>(make());
-  const double secs =
-      std::chrono::duration<double>(std::chrono::steady_clock::now() - t0)
-          .count();
-  ++stats_.misses;
-  stats_.generation_seconds += secs;
-  entries_.emplace(key, Entry{workload, secs});
-  return workload;
-}
-
-WorkloadCache::Stats WorkloadCache::stats() const {
-  std::lock_guard<std::mutex> lock(mu_);
-  return stats_;
 }
 
 }  // namespace jsched::eval

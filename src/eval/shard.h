@@ -24,10 +24,6 @@
 #pragma once
 
 #include <cstdint>
-#include <functional>
-#include <map>
-#include <memory>
-#include <mutex>
 #include <string>
 #include <vector>
 
@@ -110,37 +106,5 @@ struct MergeOptions {
 /// so a partially crashed sweep merges to a journal that resumes exactly
 /// the missing cells. Throws on unreadable/corrupt journals.
 MergeReport merge_shard_journals(const MergeOptions& options);
-
-/// Memoized workload materializations, shared across sweep entry points
-/// via ExperimentOptions::workload_cache. Keys are caller-chosen (a
-/// generator seed, a workload fingerprint — whatever identifies the
-/// materialization); the first get() per key runs `make` and measures it,
-/// later ones return the cached Workload and credit the measured cost to
-/// saved_seconds. Generation runs under the cache lock, serializing
-/// concurrent misses of the same key into one materialization.
-class WorkloadCache {
- public:
-  struct Stats {
-    std::size_t hits = 0;
-    std::size_t misses = 0;
-    double generation_seconds = 0.0;  // total spent materializing misses
-    double saved_seconds = 0.0;       // generation cost avoided by hits
-  };
-
-  std::shared_ptr<const workload::Workload> get(
-      std::uint64_t key, const std::function<workload::Workload()>& make);
-
-  Stats stats() const;
-
- private:
-  struct Entry {
-    std::shared_ptr<const workload::Workload> workload;
-    double generation_seconds = 0.0;
-  };
-
-  mutable std::mutex mu_;
-  std::map<std::uint64_t, Entry> entries_;
-  Stats stats_;
-};
 
 }  // namespace jsched::eval

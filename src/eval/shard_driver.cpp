@@ -27,8 +27,6 @@ ShardWorkerReport run_shard_worker(
   ExperimentOptions opts = config.options;
   opts.journal = &journal;
   opts.shard = config.shard;
-  WorkloadCache cache;
-  opts.workload_cache = &cache;
 
   // Chaos kill: arm only on a virgin journal, so the relaunched worker
   // (which finds the records its predecessor left) runs clean instead of
@@ -46,9 +44,9 @@ ShardWorkerReport run_shard_worker(
   }
 
   ShardWorkerReport report;
+  const workload::Workload workload = make_workload();
   for (core::WeightKind weight : config.weights) {
-    const auto workload = cache.get(config.workload_key, make_workload);
-    GridResult grid = run_grid_outcomes(config.machine, weight, *workload, opts);
+    GridResult grid = run_grid_outcomes(config.machine, weight, workload, opts);
     report.cells += grid.cells.size() - grid.skipped();
     report.skipped += grid.skipped();
     report.resumed += grid.resumed();
@@ -62,7 +60,6 @@ ShardWorkerReport run_shard_worker(
                  core::to_string(weight) + ": " + failure_summary(grid));
     }
   }
-  report.cache = cache.stats();
   return report;
 }
 

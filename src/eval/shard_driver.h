@@ -13,7 +13,6 @@
 #pragma once
 
 #include <chrono>
-#include <cstdint>
 #include <functional>
 #include <string>
 #include <utility>
@@ -40,14 +39,9 @@ struct ShardWorkerConfig {
                                         core::WeightKind::kEstimatedArea};
   std::string journal_path;
   ShardSpec shard{};
-  /// Base options for every grid; journal, shard and workload_cache are
-  /// overridden by the worker (error policy, threads, deadlines pass
-  /// through).
+  /// Base options for every grid; journal and shard are overridden by the
+  /// worker (error policy, threads, deadlines pass through).
   ExperimentOptions options{};
-  /// Cache identity of the materialized workload (e.g. its generator
-  /// seed): the grids share one materialization through a WorkloadCache,
-  /// whose hit/miss/saved statistics the report surfaces.
-  std::uint64_t workload_key = 0;
   /// Crash-injection hook for the restart/resume drill (0 = off): SIGKILL
   /// this process at the start of its (N+1)th fresh simulation, i.e. right
   /// after N cells were journaled. Armed only when the journal starts
@@ -64,15 +58,14 @@ struct ShardWorkerReport {
   std::size_t resumed = 0;  // restored from the shard journal
   std::size_t skipped = 0;  // cells owned by other shards
   std::size_t failed = 0;
-  WorkloadCache::Stats cache;
 
   bool ok() const noexcept { return failed == 0; }
 };
 
 /// Run one shard worker to completion in this process. `make_workload`
-/// materializes the sweep's workload (called through the cache — once,
-/// however many objectives run). Exceptions propagate: a worker process
-/// should let them kill it and leave the journal for its replacement.
+/// materializes the sweep's workload, once, however many objectives run.
+/// Exceptions propagate: a worker process should let them kill it and
+/// leave the journal for its replacement.
 ShardWorkerReport run_shard_worker(
     const std::function<workload::Workload()>& make_workload,
     const ShardWorkerConfig& config);

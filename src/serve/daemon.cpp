@@ -52,9 +52,9 @@ ServeReport serve(Feed& feed, const ServeOptions& options) {
   // ---- Recovery preload. A journal with history turns the loop's first
   // phase into a replay: the recovered admissions feed the event loop
   // (bypassing admit() — they were stamped by the dead run), the feed
-  // stays un-polled until the replay drains, and the dead run's
-  // drop/late/delay counters are restored so the final report reads as if
-  // the daemon had never died.
+  // stays un-polled until the replay reaches its last admission's instant,
+  // and the dead run's drop/late/delay counters are restored so the final
+  // report reads as if the daemon had never died.
   std::deque<SubmitRecord> replay_queue;
   std::size_t skip_feed = 0;
   Time start_virtual = 0;
@@ -119,6 +119,15 @@ ServeReport serve(Feed& feed, const ServeOptions& options) {
   JobId next_id = 0;
   std::deque<SubmitRecord> admission;  // accepted, not yet delivered
   std::deque<SubmitRecord> holdover;   // polled, blocked on a full queue
+  // Accepted and not yet delivered, replayed admissions included. The feed
+  // reopens while the replay queue still holds the current instant's
+  // journaled admissions, which the dead run held in its admission queue
+  // when it judged the rest of their batch, so the per-record capacity and
+  // backlog checks count them too. Whether to poll at all still asks only
+  // the live queue: the dead run polled that batch before admitting any.
+  const auto undelivered = [&] {
+    return admission.size() + replay_queue.size();
+  };
   std::vector<SubmitRecord> batch;
   bool feed_open = true;
   Time last_stamp = v0;  // admission stamps are non-decreasing
@@ -157,8 +166,7 @@ ServeReport serve(Feed& feed, const ServeOptions& options) {
       return;
     }
     const std::size_t backlog = effective_max_backlog();
-    if (backlog > 0 &&
-        scheduler->queue_length() + admission.size() >= backlog) {
+    if (backlog > 0 && scheduler->queue_length() + undelivered() >= backlog) {
       ++report.shed_backlog;
       if (journal != nullptr) {
         journal->record_drop(DropKind::kShedBacklog);
@@ -249,8 +257,6 @@ ServeReport serve(Feed& feed, const ServeOptions& options) {
       break;  // served everything
     }
 
-    const bool replaying = !replay_queue.empty();
-
     // Move blocked records into the queue as space frees up.
     while (!holdover.empty() && admission.size() < options.queue_capacity) {
       admit(holdover.front(), /*from_holdover=*/true);
@@ -259,6 +265,12 @@ ServeReport serve(Feed& feed, const ServeOptions& options) {
 
     // Next event from local state alone.
     Time t = kernel.next_event(next_arrival());
+    // Journal replay lasts until the next event reaches the last journaled
+    // admission's instant. The feed opens before that instant's round: a
+    // kill may have split its equal-submit batch, and the batch-mates the
+    // dead run had not journaled must join the replayed ones in one round.
+    const bool replaying =
+        !replay_queue.empty() && replay_queue.back().submit > t;
 
     // Poll the feed. Paced: deliver whatever wall time has made due.
     // Free-run: deliver only up to the next event (min(t, next_submit)) so
@@ -278,7 +290,7 @@ ServeReport serve(Feed& feed, const ServeOptions& options) {
           --skip_feed;  // consumed by the journaled run: already replayed
           continue;
         }
-        if (admission.size() >= options.queue_capacity) {
+        if (undelivered() >= options.queue_capacity) {
           if (options.overload == OverloadPolicy::kShed) {
             ++report.shed_capacity;
             if (journal != nullptr) {
@@ -363,7 +375,7 @@ ServeReport serve(Feed& feed, const ServeOptions& options) {
 
     // Arrivals at t: the journal replay first (it rebuilds the pre-crash
     // state and is always time-ordered before anything fresh — the feed
-    // stays closed until it drains), then the live queue.
+    // stays closed until its last instant), then the live queue.
     while (!replay_queue.empty() && replay_queue.front().submit <= t) {
       deliver(replay_queue.front(), t);
       replay_queue.pop_front();

@@ -120,7 +120,9 @@ struct ServeOptions {
   /// When it holds history, serve() replays it before opening the feed:
   /// recovered admissions re-enter at their original virtual times,
   /// decisions re-derive deterministically and are verified against the
-  /// journaled ones (serve/journal.h documents the protocol).
+  /// journaled ones (serve/journal.h documents the protocol). The feed
+  /// opens at the last journaled admission's instant, so a batch the kill
+  /// split still reaches the scheduler in one round.
   AdmissionJournal* journal = nullptr;
 
   /// With a recovering journal: true when the feed re-delivers its stream

@@ -12,6 +12,7 @@
 #include <cstdio>
 #include <cstdlib>
 #include <cstring>
+#include <limits>
 #include <stdexcept>
 #include <thread>
 #include <utility>
@@ -67,7 +68,8 @@ ParseResult parse_submit_line(const std::string& line, SubmitRecord& out,
   std::size_t k = 0;
   if (tokens[0][0] == '@') {
     std::int64_t submit = 0;
-    if (!to_i64(tokens[0].substr(1), submit) || submit < 0) {
+    if (!to_i64(tokens[0].substr(1), submit) || submit < 0 ||
+        submit > kMaxRecordSeconds) {
       return fail(error, "bad @submit field: " + tokens[0]);
     }
     r.submit = submit;
@@ -78,16 +80,22 @@ ParseResult parse_submit_line(const std::string& line, SubmitRecord& out,
                 "expected [@submit] nodes runtime estimate [user]: " + body);
   }
   std::int64_t nodes = 0, runtime = 0, estimate = 0, user = 0;
-  if (!to_i64(tokens[k], nodes) || nodes < 1) {
+  if (!to_i64(tokens[k], nodes) || nodes < 1 ||
+      nodes > std::numeric_limits<int>::max()) {
     return fail(error, "bad nodes field: " + tokens[k]);
   }
-  if (!to_i64(tokens[k + 1], runtime) || runtime < 1) {
+  if (!to_i64(tokens[k + 1], runtime) || runtime < 1 ||
+      runtime > kMaxRecordSeconds) {
     return fail(error, "bad runtime field: " + tokens[k + 1]);
   }
-  if (!to_i64(tokens[k + 2], estimate) || estimate < 1) {
+  if (!to_i64(tokens[k + 2], estimate) || estimate < 1 ||
+      estimate > kMaxRecordSeconds) {
     return fail(error, "bad estimate field: " + tokens[k + 2]);
   }
-  if (tokens.size() - k == 4 && !to_i64(tokens[k + 3], user)) {
+  if (tokens.size() - k == 4 &&
+      (!to_i64(tokens[k + 3], user) ||
+       user < std::numeric_limits<std::int32_t>::min() ||
+       user > std::numeric_limits<std::int32_t>::max())) {
     return fail(error, "bad user field: " + tokens[k + 3]);
   }
   r.nodes = static_cast<int>(nodes);

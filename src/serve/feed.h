@@ -44,6 +44,13 @@ struct SubmitRecord {
   std::int32_t user = 0;
 };
 
+/// Largest submit time, runtime or estimate a record may carry: 10^15 s
+/// (~30 million years), the bound read_swf applies to trace times, so no
+/// sum of a time and a duration comes near overflow. Nodes and user must
+/// fit their int fields. parse_submit_line and the admission journal
+/// reject records outside these bounds.
+inline constexpr std::int64_t kMaxRecordSeconds = 1'000'000'000'000'000;
+
 enum class ParseResult {
   kRecord,  // a SubmitRecord was produced
   kSkip,    // blank line or comment

@@ -3,6 +3,7 @@
 #include <algorithm>
 #include <cinttypes>
 #include <cstdio>
+#include <limits>
 #include <sstream>
 #include <utility>
 
@@ -60,19 +61,29 @@ void AdmissionJournal::load() {
       (void)next_i64();
       ++runs_;
     } else if (verb == "admit") {
-      JournaledJob j;
-      j.record.submit = next_i64();
-      j.record.nodes = static_cast<int>(next_i64());
-      j.record.runtime = next_i64();
-      j.record.estimate = next_i64();
-      j.record.user = static_cast<std::int32_t>(next_i64());
+      const std::int64_t submit = next_i64();
+      const std::int64_t nodes = next_i64();
+      const std::int64_t runtime = next_i64();
+      const std::int64_t estimate = next_i64();
+      const std::int64_t user = next_i64();
       const std::int64_t flags = next_i64();
-      j.late = (flags & 1) != 0;
-      j.delayed = (flags & 2) != 0;
-      if (j.record.submit < 0 || j.record.nodes < 1 || j.record.runtime < 1 ||
-          j.record.estimate < 1) {
+      // The bounds parse_submit_line applies, checked before any narrowing.
+      if (submit < 0 || submit > kMaxRecordSeconds || nodes < 1 ||
+          nodes > std::numeric_limits<int>::max() || runtime < 1 ||
+          runtime > kMaxRecordSeconds || estimate < 1 ||
+          estimate > kMaxRecordSeconds ||
+          user < std::numeric_limits<std::int32_t>::min() ||
+          user > std::numeric_limits<std::int32_t>::max()) {
         throw fail("admit record with invalid fields");
       }
+      JournaledJob j;
+      j.record.submit = submit;
+      j.record.nodes = static_cast<int>(nodes);
+      j.record.runtime = runtime;
+      j.record.estimate = estimate;
+      j.record.user = static_cast<std::int32_t>(user);
+      j.late = (flags & 1) != 0;
+      j.delayed = (flags & 2) != 0;
       late_at_open_ += j.late ? 1 : 0;
       delayed_at_open_ += j.delayed ? 1 : 0;
       last_event_time_ = std::max(last_event_time_, j.record.submit);

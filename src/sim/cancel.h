@@ -13,7 +13,8 @@
 // a grid while each run keeps its own deadline. `cancel()` is safe to call
 // from any thread; deadlines must be set before the token is shared with
 // the simulating thread (they are plain fields, synchronized by whatever
-// hand-off publishes the token — e.g. the thread pool's queue mutex).
+// hand-off publishes the token — e.g. the start of the thread that
+// util::parallel_for_each runs it on).
 #pragma once
 
 #include <atomic>

@@ -420,6 +420,65 @@ TEST(Journal, PartialJournalRerunsOnlyIncompleteCells) {
   EXPECT_EQ(full.loaded(), reference.cells.size());
 }
 
+TEST(Journal, ResumesFromEveryPrefix) {
+  // Each append is one flushed line, so a sweep killed after append k
+  // leaves exactly the first k lines of the finished journal. Resume both
+  // objectives' grids from every such prefix: the journaled cells come
+  // back unrun, the rest run, every cell matches the uninterrupted sweep
+  // bit for bit, and the completed journal is the uninterrupted one.
+  const workload::Workload w = test::small_mixed_workload();
+  sim::Machine m;
+  m.nodes = 16;
+  const core::WeightKind weights[] = {core::WeightKind::kUnit,
+                                      core::WeightKind::kEstimatedArea};
+  eval::ExperimentOptions plain;
+  plain.measure_cpu = false;
+  std::vector<eval::GridResult> reference;
+  for (const core::WeightKind weight : weights) {
+    reference.push_back(eval::run_grid_outcomes(m, weight, w, plain));
+  }
+
+  TempFile full("prefix-full");
+  {
+    eval::SweepJournal journal(full.path());
+    eval::ExperimentOptions opt = plain;
+    opt.journal = &journal;
+    for (const core::WeightKind weight : weights) {
+      (void)eval::run_grid_outcomes(m, weight, w, opt);
+    }
+  }
+  const std::vector<std::string> lines = test::read_lines(full.path());
+  ASSERT_EQ(lines.size(), 27u);  // one segment header, then 26 cells
+
+  for (std::size_t k = 0; k <= lines.size(); ++k) {
+    SCOPED_TRACE("resumed after append " + std::to_string(k));
+    TempFile prefix("prefix");
+    {
+      std::ofstream out(prefix.path());
+      for (std::size_t i = 0; i < k; ++i) out << lines[i] << "\n";
+    }
+    const std::size_t journaled = k == 0 ? 0 : k - 1;
+    std::size_t resumed = 0;
+    {
+      eval::SweepJournal journal(prefix.path());
+      EXPECT_EQ(journal.loaded(), journaled);
+      eval::ExperimentOptions opt = plain;
+      opt.journal = &journal;
+      for (std::size_t g = 0; g < reference.size(); ++g) {
+        const auto grid = eval::run_grid_outcomes(m, weights[g], w, opt);
+        resumed += grid.resumed();
+        ASSERT_EQ(grid.cells.size(), reference[g].cells.size());
+        for (std::size_t i = 0; i < grid.cells.size(); ++i) {
+          expect_bit_identical(grid.cells[i].result,
+                               reference[g].cells[i].result);
+        }
+      }
+    }
+    EXPECT_EQ(resumed, journaled);
+    EXPECT_EQ(test::read_lines(prefix.path()), lines);
+  }
+}
+
 TEST(Journal, FaultSweepPointsDoNotCollide) {
   // Two sweep points over the same workload and grid must journal into
   // disjoint keys (label-salted); resuming the sweep resumes both points.

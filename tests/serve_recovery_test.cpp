@@ -14,6 +14,7 @@
 #include <cstdio>
 #include <cstdlib>
 #include <fstream>
+#include <sstream>
 #include <string>
 #include <vector>
 
@@ -149,6 +150,32 @@ TEST(AdmissionJournal, DetectsCorruptRecords) {
     for (const std::string& l : lines) out << l << "\n";
   }
   EXPECT_THROW(AdmissionJournal j(f.path()), util::CorruptRecordError);
+}
+
+TEST(AdmissionJournal, RejectsAdmitsOutsideTheJobModel) {
+  // Checksummed, so only the field bounds can catch them: nodes and user
+  // must fit int32 and times stop at 10^15 s, as on the feed.
+  for (const char* admit :
+       {"admit 10 4294967304 100 100 7 0", "admit 10 2147483648 100 100 7 0",
+        "admit 10 2 100 100 4294967297 0",
+        "admit 10 1 9223372036854775802 9223372036854775802 7 0",
+        "admit 1000000000000001 1 100 100 7 0"}) {
+    SCOPED_TRACE(admit);
+    TempJournal f("adm-bounds");
+    {
+      util::AppendLog log(f.path());
+      log.append_checked("s1", "run 0");
+      log.append_checked("s1", admit);
+    }
+    try {
+      AdmissionJournal j(f.path());
+      ADD_FAILURE() << "expected JournalReplayError";
+    } catch (const serve::JournalReplayError& e) {
+      EXPECT_NE(std::string(e.what()).find("admit record with invalid fields"),
+                std::string::npos)
+          << e.what();
+    }
+  }
 }
 
 TEST(AdmissionJournal, TornTailIsDroppedNotFatal) {
@@ -315,6 +342,89 @@ TEST(ServeRecovery, FaultyRunRecoversWithRequeuesIntact) {
   EXPECT_EQ(resumed.killed, reference.killed);
   EXPECT_EQ(resumed.requeued, reference.requeued);
   EXPECT_EQ(resumed.min_capacity, reference.min_capacity);
+}
+
+TEST(ServeRecovery, RecoversAtEveryAppendPoint) {
+  // Each append is one flushed line, so the first k records of a finished
+  // run's journal are exactly what a kill after append k leaves. Restart
+  // from every such prefix. Submits rounded down to whole 1000 s make
+  // equal-submit batches common, the backlog or queue bound sheds and the
+  // fault trace kills, so the journal interleaves admits, drops and
+  // requeued starts, and some k split a batch: the restart must deliver
+  // the journaled and the fresh half of that batch in one round, judging
+  // the fresh half against bounds that count the journaled half, as the
+  // uninterrupted run did.
+  std::vector<Job> jobs(recovery_workload().jobs().begin(),
+                        recovery_workload().jobs().begin() + 60);
+  for (Job& j : jobs) j.submit -= j.submit % 1000;
+  const workload::Workload w(jobs);
+  fault::TraceInjector injector({{8'000, -32}, {43'000, +32}}, 64);
+  fault::FaultOptions faults;
+  faults.trace = &injector.trace();
+
+  struct Case {
+    const char* spec;
+    std::size_t max_backlog;
+    std::size_t queue_capacity;  // shed above it
+    bool kills;
+  };
+  for (const Case& c : {Case{"FCFS+EASY", 8, 4096, true},
+                        Case{"SMART-FFIA", 8, 4096, true},
+                        Case{"FCFS+EASY", 0, 2, false}}) {
+    SCOPED_TRACE(std::string(c.spec) + " max_backlog " +
+                 std::to_string(c.max_backlog) + " queue_capacity " +
+                 std::to_string(c.queue_capacity));
+    const auto serve_with = [&](AdmissionJournal* journal) {
+      ServeOptions options = recovery_options(journal);
+      options.spec = core::parse_spec(c.spec);
+      options.faults = faults;
+      options.max_backlog = c.max_backlog;
+      options.queue_capacity = c.queue_capacity;
+      options.overload = serve::OverloadPolicy::kShed;
+      workload::WorkloadSource source(w);
+      serve::JobSourceFeed feed(source);
+      return serve::serve(feed, options);
+    };
+    const ServeReport reference = serve_with(nullptr);
+    ASSERT_GT(reference.shed_backlog + reference.shed_capacity, 0u);
+    ASSERT_EQ(reference.killed > 0, c.kills);
+
+    TempJournal full("every-append-full");
+    {
+      AdmissionJournal journal(full.path());
+      (void)serve_with(&journal);
+    }
+    const std::vector<std::string> records = test::read_lines(full.path());
+    // Records read "s1 <checksum> <verb> ...": count admits whose submit
+    // equals the previous admit's, i.e. batches some prefix splits.
+    std::size_t batch_mates = 0;
+    std::string last_submit;
+    for (const std::string& record : records) {
+      std::istringstream in(record);
+      std::string tag, checksum, verb, submit;
+      in >> tag >> checksum >> verb >> submit;
+      if (verb != "admit") continue;
+      if (submit == last_submit) ++batch_mates;
+      last_submit = submit;
+    }
+    ASSERT_GT(batch_mates, 0u);
+
+    for (std::size_t k = 0; k <= records.size(); ++k) {
+      SCOPED_TRACE("restarted after append " + std::to_string(k) + " of " +
+                   std::to_string(records.size()));
+      TempJournal prefix("every-append");
+      {
+        std::ofstream out(prefix.path());
+        for (std::size_t i = 0; i < k; ++i) out << records[i] << "\n";
+      }
+      AdmissionJournal journal(prefix.path());
+      const ServeReport resumed = serve_with(&journal);
+      expect_reports_identical(reference, resumed);
+      EXPECT_EQ(resumed.killed, reference.killed);
+      EXPECT_EQ(resumed.requeued, reference.requeued);
+      if (HasFailure()) return;  // one diverging prefix says it all
+    }
+  }
 }
 
 TEST(ServeRecovery, PacedRecoveryUnderManualClockIsDeterministic) {

@@ -115,6 +115,35 @@ TEST(Serve, ParseRejectsMalformedLines) {
   EXPECT_EQ(serve::parse_submit_line("1 10 0", r), ParseResult::kError);
   EXPECT_EQ(serve::parse_submit_line("@-5 1 10 10", r), ParseResult::kError);
   EXPECT_EQ(serve::parse_submit_line("1 2 3 4 5 6", r), ParseResult::kError);
+
+  // Fields that do not fit the job model: nodes and user are int32, and
+  // times stop at 10^15 s, so nothing narrows or overflows downstream.
+  const auto rejects = [&](const std::string& line, const std::string& why) {
+    SCOPED_TRACE(line);
+    error.clear();
+    EXPECT_EQ(serve::parse_submit_line(line, r, &error), ParseResult::kError);
+    EXPECT_NE(error.find(why), std::string::npos) << error;
+  };
+  rejects("4294967304 10 10", "bad nodes field");
+  rejects("2147483648 10 10", "bad nodes field");
+  rejects("1 10 10 4294967297", "bad user field");
+  rejects("1 10 10 -2147483649", "bad user field");
+  rejects("@10 1 9223372036854775802 9223372036854775802",
+          "bad runtime field");
+  rejects("@10 1 10 1000000000000001", "bad estimate field");
+  rejects("@1000000000000001 1 10 10", "bad @submit field");
+
+  // The bounds themselves are accepted.
+  ASSERT_EQ(serve::parse_submit_line(
+                "@1000000000000000 2147483647 1000000000000000 "
+                "1000000000000000 -2147483648",
+                r),
+            ParseResult::kRecord);
+  EXPECT_EQ(r.submit, 1'000'000'000'000'000);
+  EXPECT_EQ(r.nodes, 2147483647);
+  EXPECT_EQ(r.runtime, 1'000'000'000'000'000);
+  EXPECT_EQ(r.estimate, 1'000'000'000'000'000);
+  EXPECT_EQ(r.user, -2147483647 - 1);
 }
 
 TEST(Serve, ScriptFeedRejectsUnsortedOrLiveRecords) {

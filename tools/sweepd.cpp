@@ -173,7 +173,6 @@ int run_worker(const Cli& cli) {
   config.journal_path = cli.journal;
   config.shard = {cli.shard_index, cli.shards};
   config.options = options_from_env(s);
-  config.workload_key = s.seed;
   config.chaos_kill_after =
       static_cast<std::size_t>(util::env_int("JSCHED_SHARD_CHAOS", 0));
   config.log = [](const std::string& line) {
@@ -183,10 +182,9 @@ int run_worker(const Cli& cli) {
       eval::run_shard_worker([&s] { return make_sweep_workload(s); }, config);
   std::fprintf(stderr,
                "[worker] shard %zu/%zu: %zu cells (%zu ran, %zu resumed, "
-               "%zu failed); workload cache: %zu miss, %zu hit, %.1fs saved\n",
+               "%zu failed)\n",
                cli.shard_index, cli.shards, report.cells, report.ran,
-               report.resumed, report.failed, report.cache.misses,
-               report.cache.hits, report.cache.saved_seconds);
+               report.resumed, report.failed);
   return report.ok() ? 0 : 1;
 }
 
