@@ -15,8 +15,7 @@
 // quality that Example 4 is about.
 //
 // Not composable with ConservativeBackfillDispatch (its reservations
-// assume every job it selects actually starts); the factory-level
-// configurations pair it with EASY or first fit.
+// assume every job it selects actually starts).
 #pragma once
 
 #include <memory>

@@ -28,20 +28,22 @@ void ShardSpec::validate() const {
 
 namespace detail {
 
-std::size_t resolved_threads(const ExperimentOptions& options) {
-  return options.threads == 0 ? util::hardware_threads() : options.threads;
-}
-
-ExperimentOptions with_serialized_on_run(const ExperimentOptions& options,
-                                         std::mutex& mu) {
-  ExperimentOptions per_task = options;
+void for_each_cell(
+    std::size_t n, const ExperimentOptions& options,
+    const std::function<void(std::size_t, const ExperimentOptions&)>& cell) {
+  std::mutex on_run_mu;
+  ExperimentOptions per_cell = options;
   if (options.on_run) {
-    per_task.on_run = [&options, &mu](const std::string& name) {
-      std::lock_guard<std::mutex> lock(mu);
+    per_cell.on_run = [&options, &on_run_mu](const std::string& name) {
+      std::lock_guard<std::mutex> lock(on_run_mu);
       options.on_run(name);
     };
   }
-  return per_task;
+  const std::size_t threads =
+      options.threads == 0 ? util::hardware_threads() : options.threads;
+  util::parallel_for_each(
+      n, threads, [&](std::size_t i) { cell(i, per_cell); },
+      {.stop_on_error = options.error_policy == ErrorPolicy::kFailFast});
 }
 
 RunError classify_current_exception(const std::string& scheduler) {
@@ -262,8 +264,6 @@ GridResult run_grid_outcomes(const sim::Machine& machine,
   if (options.shard.active()) {
     plan = std::make_unique<ShardPlan>(keys, options.shard.count);
   }
-  const std::size_t threads = detail::resolved_threads(options);
-
   GridResult out;
   if (options.journal != nullptr) {
     // Bind the journal to this sweep before any lookup: cells recorded
@@ -285,23 +285,10 @@ GridResult run_grid_outcomes(const sim::Machine& machine,
         [&] { return run_one(machine, spec, workload, opts); });
   };
 
-  if (threads <= 1) {
-    for (std::size_t i = 0; i < specs.size(); ++i) run_cell(i, options);
-    return out;
-  }
-  // Each task builds its own scheduler and simulates independently; slot i
-  // of the output is written only by task i, so results land in paper_grid
-  // order no matter which configuration finishes first. Under kFailFast a
-  // failing cell stops the pool from *starting* further cells (in-flight
-  // ones drain) before the exception is rethrown here.
-  std::mutex on_run_mu;
-  const ExperimentOptions per_task =
-      detail::with_serialized_on_run(options, on_run_mu);
-  util::ParallelOptions parallel;
-  parallel.stop_on_error = options.error_policy == ErrorPolicy::kFailFast;
-  util::parallel_for_each(
-      specs.size(), threads, [&](std::size_t i) { run_cell(i, per_task); },
-      parallel);
+  // Each cell builds its own scheduler and simulates independently; slot i
+  // of the output is written only by cell i, so results land in paper_grid
+  // order no matter which configuration finishes first.
+  detail::for_each_cell(specs.size(), options, run_cell);
   return out;
 }
 

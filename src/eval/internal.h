@@ -4,7 +4,6 @@
 #include <cstddef>
 #include <cstdint>
 #include <functional>
-#include <mutex>
 #include <stdexcept>
 #include <string>
 
@@ -12,14 +11,14 @@
 
 namespace jsched::eval::detail {
 
-/// options.threads with 0 resolved to the hardware thread count.
-std::size_t resolved_threads(const ExperimentOptions& options);
-
-/// Copy of `options` whose on_run (if any) is wrapped in `mu` so worker
-/// threads never interleave progress output. `options` and `mu` must
-/// outlive the copy.
-ExperimentOptions with_serialized_on_run(const ExperimentOptions& options,
-                                         std::mutex& mu);
+/// The sweep loop: cell(i, opts) for every i < n on options.threads threads
+/// (0 = hardware; <= 1 runs inline in index order) through
+/// util::parallel_for_each. `opts` is `options` with on_run serialized, so
+/// worker threads never interleave progress output. Under kFailFast the
+/// first failure stops further cells from starting and propagates.
+void for_each_cell(
+    std::size_t n, const ExperimentOptions& options,
+    const std::function<void(std::size_t, const ExperimentOptions&)>& cell);
 
 /// Re-thrown wrapper that pins an exception to a specific RunErrorKind —
 /// used where the phase cannot be told from the exception type alone

@@ -8,7 +8,6 @@
 
 #include "eval/internal.h"
 #include "eval/journal.h"
-#include "util/parallel.h"
 
 namespace jsched::eval {
 
@@ -85,7 +84,6 @@ ReplicatedResult run_replicated(
   if (seeds.empty()) {
     throw std::invalid_argument("run_replicated: no seeds");
   }
-  const std::size_t threads = detail::resolved_threads(options);
   // Under kFailFast a make_workload failure must propagate untouched; when
   // the harness is catching, tag it so it classifies as kWorkload instead
   // of whatever generic type the generator threw.
@@ -111,21 +109,11 @@ ReplicatedResult run_replicated(
   };
 
   std::vector<RunOutcome> outcomes(seeds.size());
-  if (threads <= 1) {
-    for (std::size_t i = 0; i < seeds.size(); ++i) {
-      outcomes[i] = run_seed(i, options);
-    }
-  } else {
-    std::mutex on_run_mu;
-    const ExperimentOptions per_task =
-        detail::with_serialized_on_run(options, on_run_mu);
-    util::ParallelOptions parallel;
-    parallel.stop_on_error = options.error_policy == ErrorPolicy::kFailFast;
-    util::parallel_for_each(
-        seeds.size(), threads,
-        [&](std::size_t i) { outcomes[i] = run_seed(i, per_task); },
-        parallel);
-  }
+  detail::for_each_cell(
+      seeds.size(), options,
+      [&](std::size_t i, const ExperimentOptions& opts) {
+        outcomes[i] = run_seed(i, opts);
+      });
   return aggregate(spec, seeds, std::move(outcomes));
 }
 

@@ -4,6 +4,7 @@
 #include <cmath>
 #include <csignal>
 #include <deque>
+#include <span>
 #include <stdexcept>
 #include <vector>
 
@@ -54,17 +55,18 @@ ServeReport serve(Feed& feed, const ServeOptions& options) {
   // (bypassing admit() — they were stamped by the dead run), the feed
   // stays un-polled until the replay reaches its last admission's instant,
   // and the dead run's drop/late/delay counters are restored so the final
-  // report reads as if the daemon had never died.
-  std::deque<SubmitRecord> replay_queue;
+  // report reads as if the daemon had never died. The journal never adds
+  // to admitted() after open, so the replay reads it in place.
+  std::span<const JournaledJob> replay;
+  std::size_t replayed = 0;  // replay[replayed..] is not yet delivered
+  const auto replay_left = [&] { return replay.size() - replayed; };
   std::size_t skip_feed = 0;
   Time start_virtual = 0;
   if (journal != nullptr && journal->has_history()) {
     report.recovered = true;
-    report.recovered_jobs = journal->admitted().size();
+    replay = journal->admitted();
+    report.recovered_jobs = replay.size();
     report.recovered_completed = journal->completed_at_open();
-    for (const JournaledJob& j : journal->admitted()) {
-      replay_queue.push_back(j.record);
-    }
     report.late_arrivals = journal->late_at_open();
     report.delayed_admissions = journal->delayed_at_open();
     report.rejected_invalid = journal->dropped_invalid();
@@ -120,14 +122,12 @@ ServeReport serve(Feed& feed, const ServeOptions& options) {
   std::deque<SubmitRecord> admission;  // accepted, not yet delivered
   std::deque<SubmitRecord> holdover;   // polled, blocked on a full queue
   // Accepted and not yet delivered, replayed admissions included. The feed
-  // reopens while the replay queue still holds the current instant's
+  // reopens while the replay still holds the current instant's
   // journaled admissions, which the dead run held in its admission queue
   // when it judged the rest of their batch, so the per-record capacity and
   // backlog checks count them too. Whether to poll at all still asks only
   // the live queue: the dead run polled that batch before admitting any.
-  const auto undelivered = [&] {
-    return admission.size() + replay_queue.size();
-  };
+  const auto undelivered = [&] { return admission.size() + replay_left(); };
   std::vector<SubmitRecord> batch;
   bool feed_open = true;
   Time last_stamp = v0;  // admission stamps are non-decreasing
@@ -151,7 +151,18 @@ ServeReport serve(Feed& feed, const ServeOptions& options) {
   // a dropped record is still a *consumed* one). `from_holdover` marks
   // records admitted late under kBlock backpressure.
   const auto admit = [&](SubmitRecord r, bool from_holdover) {
-    if (r.nodes < 1 || r.runtime < 1 || r.estimate < 1 ||
+    // Time can only move forward: a live record is stamped "now", and a
+    // timed record that shows up after its moment is clamped to the
+    // monotone floor (counted — late explicit submits are a client bug
+    // worth surfacing, not a daemon crash).
+    const Time floor_t =
+        std::max<Time>(last_stamp, std::max<Time>(kernel.now(), 0));
+    const bool live = r.submit < 0;
+    const Time stamp =
+        std::max(live ? (paced ? vnow() : floor_t) : r.submit, floor_t);
+    const bool late = !live && stamp != r.submit;
+    // The job it becomes must fit the job model and the machine.
+    if (invalid_job_field(stamp, r.nodes, r.runtime, r.estimate, r.user) ||
         r.nodes > options.machine.nodes) {
       ++report.rejected_invalid;
       if (journal != nullptr) {
@@ -174,24 +185,7 @@ ServeReport serve(Feed& feed, const ServeOptions& options) {
       }
       return;
     }
-    // Time can only move forward: a live record is stamped "now", and a
-    // timed record that shows up after its moment is clamped to the
-    // monotone floor (counted — late explicit submits are a client bug
-    // worth surfacing, not a daemon crash).
-    const Time floor_t =
-        std::max<Time>(last_stamp, std::max<Time>(kernel.now(), 0));
-    Time stamp;
-    bool late = false;
-    if (r.submit < 0) {
-      const Time v = paced ? vnow() : floor_t;
-      stamp = std::max(v, floor_t);
-    } else {
-      stamp = std::max(r.submit, floor_t);
-      if (stamp != r.submit) {
-        ++report.late_arrivals;
-        late = true;
-      }
-    }
+    if (late) ++report.late_arrivals;
     if (from_holdover) ++report.delayed_admissions;
     r.submit = stamp;
     last_stamp = stamp;
@@ -205,7 +199,7 @@ ServeReport serve(Feed& feed, const ServeOptions& options) {
   };
 
   // Deliver one admitted record to the scheduler at time `t` — shared by
-  // the replay queue and the live admission queue, which is what makes a
+  // the journal replay and the live admission queue, which is what makes a
   // recovered job indistinguishable from a freshly admitted one.
   const auto deliver = [&](const SubmitRecord& r, Time t) {
     Job j;
@@ -222,7 +216,7 @@ ServeReport serve(Feed& feed, const ServeOptions& options) {
   // The earliest buffered arrival: journal replay, then the admission queue.
   const auto next_arrival = [&] {
     Time a = kTimeInfinity;
-    if (!replay_queue.empty()) a = replay_queue.front().submit;
+    if (replay_left() > 0) a = replay[replayed].record.submit;
     if (!admission.empty()) a = std::min(a, admission.front().submit);
     return a;
   };
@@ -245,14 +239,13 @@ ServeReport serve(Feed& feed, const ServeOptions& options) {
         holdover.clear();
         if (options.log) {
           options.log("drain: feed closed, finishing " +
-                      std::to_string(kernel.undone() + admission.size() +
-                                     replay_queue.size()) +
+                      std::to_string(kernel.undone() + undelivered()) +
                       " admitted job(s)");
         }
       }
     }
 
-    if (!feed_open && replay_queue.empty() && holdover.empty() &&
+    if (!feed_open && replay_left() == 0 && holdover.empty() &&
         admission.empty() && kernel.undone() == 0) {
       break;  // served everything
     }
@@ -270,7 +263,7 @@ ServeReport serve(Feed& feed, const ServeOptions& options) {
     // kill may have split its equal-submit batch, and the batch-mates the
     // dead run had not journaled must join the replayed ones in one round.
     const bool replaying =
-        !replay_queue.empty() && replay_queue.back().submit > t;
+        replay_left() > 0 && replay.back().record.submit > t;
 
     // Poll the feed. Paced: deliver whatever wall time has made due.
     // Free-run: deliver only up to the next event (min(t, next_submit)) so
@@ -376,10 +369,9 @@ ServeReport serve(Feed& feed, const ServeOptions& options) {
     // Arrivals at t: the journal replay first (it rebuilds the pre-crash
     // state and is always time-ordered before anything fresh — the feed
     // stays closed until its last instant), then the live queue.
-    while (!replay_queue.empty() && replay_queue.front().submit <= t) {
-      deliver(replay_queue.front(), t);
-      replay_queue.pop_front();
-      if (replay_queue.empty()) {
+    while (replay_left() > 0 && replay[replayed].record.submit <= t) {
+      deliver(replay[replayed++].record, t);
+      if (replay_left() == 0) {
         const auto elapsed =
             std::chrono::duration_cast<std::chrono::nanoseconds>(clock.now() -
                                                                  epoch);

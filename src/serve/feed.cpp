@@ -12,7 +12,6 @@
 #include <cstdio>
 #include <cstdlib>
 #include <cstring>
-#include <limits>
 #include <stdexcept>
 #include <thread>
 #include <utility>
@@ -64,44 +63,37 @@ ParseResult parse_submit_line(const std::string& line, SubmitRecord& out,
   std::vector<std::string> tokens = tokenize(body);
   if (tokens.size() == 1 && tokens[0] == "end") return ParseResult::kEnd;
 
-  SubmitRecord r;
-  std::size_t k = 0;
-  if (tokens[0][0] == '@') {
-    std::int64_t submit = 0;
-    if (!to_i64(tokens[0].substr(1), submit) || submit < 0 ||
-        submit > kMaxRecordSeconds) {
-      return fail(error, "bad @submit field: " + tokens[0]);
-    }
-    r.submit = submit;
-    k = 1;
-  }
+  // Token i holds field i + 1 - k in JobField order (submit, nodes,
+  // runtime, estimate, user), read as the int64 it spells and bounded by
+  // the job check before anything narrows it. A live record checks as
+  // submit 0 and a record without a user as user 0: both always fit.
+  const std::size_t k = tokens[0][0] == '@' ? 1 : 0;
   if (tokens.size() - k < 3 || tokens.size() - k > 4) {
     return fail(error,
                 "expected [@submit] nodes runtime estimate [user]: " + body);
   }
-  std::int64_t nodes = 0, runtime = 0, estimate = 0, user = 0;
-  if (!to_i64(tokens[k], nodes) || nodes < 1 ||
-      nodes > std::numeric_limits<int>::max()) {
-    return fail(error, "bad nodes field: " + tokens[k]);
+  constexpr const char* kLabels[] = {"@submit", "nodes", "runtime",
+                                     "estimate", "user"};
+  const auto bad = [&](std::size_t field) {
+    return fail(error, std::string("bad ") + kLabels[field] +
+                           " field: " + tokens[field + k - 1]);
+  };
+  std::int64_t value[5] = {0, 0, 0, 0, 0};
+  for (std::size_t i = 0; i < tokens.size(); ++i) {
+    const std::size_t field = i + 1 - k;
+    const std::string& text = field == 0 ? tokens[i].substr(1) : tokens[i];
+    if (!to_i64(text, value[field])) return bad(field);
   }
-  if (!to_i64(tokens[k + 1], runtime) || runtime < 1 ||
-      runtime > kMaxRecordSeconds) {
-    return fail(error, "bad runtime field: " + tokens[k + 1]);
+  if (const auto field =
+          invalid_job_field(value[0], value[1], value[2], value[3], value[4])) {
+    return bad(static_cast<std::size_t>(*field));
   }
-  if (!to_i64(tokens[k + 2], estimate) || estimate < 1 ||
-      estimate > kMaxRecordSeconds) {
-    return fail(error, "bad estimate field: " + tokens[k + 2]);
-  }
-  if (tokens.size() - k == 4 &&
-      (!to_i64(tokens[k + 3], user) ||
-       user < std::numeric_limits<std::int32_t>::min() ||
-       user > std::numeric_limits<std::int32_t>::max())) {
-    return fail(error, "bad user field: " + tokens[k + 3]);
-  }
-  r.nodes = static_cast<int>(nodes);
-  r.runtime = runtime;
-  r.estimate = estimate;
-  r.user = static_cast<std::int32_t>(user);
+  SubmitRecord r;
+  r.submit = k == 1 ? value[0] : -1;
+  r.nodes = static_cast<int>(value[1]);
+  r.runtime = value[2];
+  r.estimate = value[3];
+  r.user = static_cast<std::int32_t>(value[4]);
   out = r;
   return ParseResult::kRecord;
 }
@@ -159,6 +151,85 @@ Time JobSourceFeed::next_submit() const {
   return has_pending_ ? pending_.submit : kTimeInfinity;
 }
 
+// ---------------------------------------------------------------- LineReader
+
+namespace {
+
+enum class ReadEnd { kWouldBlock, kEof, kError };
+
+/// Append everything `fd` has to `buffer`, retrying EINTR, until a read
+/// would block, hits EOF or fails (errno then names the failure).
+ReadEnd read_available(int fd, std::string& buffer) {
+  char buf[16384];
+  while (true) {
+    const ssize_t n = ::read(fd, buf, sizeof(buf));
+    if (n > 0) {
+      buffer.append(buf, static_cast<std::size_t>(n));
+      continue;
+    }
+    if (n == 0) return ReadEnd::kEof;
+    if (errno == EINTR) continue;
+    if (errno == EAGAIN || errno == EWOULDBLOCK) return ReadEnd::kWouldBlock;
+    return ReadEnd::kError;
+  }
+}
+
+}  // namespace
+
+namespace detail {
+
+void LineReader::take_lines(std::string& buffer, bool at_end) {
+  // A final line without a trailing newline is still a line once the input
+  // is over: terminate it instead of dropping it silently.
+  if (at_end && !buffer.empty() && buffer.back() != '\n') {
+    buffer.push_back('\n');
+  }
+  std::size_t start = 0;
+  while (true) {
+    const std::size_t nl = buffer.find('\n', start);
+    if (nl == std::string::npos) break;
+    const std::string line = buffer.substr(start, nl - start);
+    start = nl + 1;
+    if (closed_) continue;  // protocol over; drop trailing lines
+    SubmitRecord r;
+    std::string err;
+    switch (parse_submit_line(line, r, &err)) {
+      case ParseResult::kRecord:
+        parsed_.push_back(r);
+        break;
+      case ParseResult::kEnd:
+        close();
+        break;
+      case ParseResult::kError:
+        ++parse_errors_;
+        std::fprintf(stderr, "feed: %s\n", err.c_str());
+        break;
+      case ParseResult::kSkip:
+        break;
+    }
+  }
+  buffer.erase(0, start);
+}
+
+bool LineReader::deliver(Time vnow, std::vector<SubmitRecord>& out) {
+  while (!parsed_.empty()) {
+    const SubmitRecord& front = parsed_.front();
+    if (front.submit >= 0 && front.submit > vnow) break;
+    out.push_back(front);
+    parsed_.pop_front();
+  }
+  return !(closed_ && parsed_.empty());
+}
+
+Time LineReader::next_submit() const {
+  if (!parsed_.empty() && parsed_.front().submit >= 0) {
+    return parsed_.front().submit;
+  }
+  return kTimeInfinity;
+}
+
+}  // namespace detail
+
 // ---------------------------------------------------------------- FdLineFeed
 
 FdLineFeed::FdLineFeed(int fd, bool tail, bool close_fd)
@@ -171,83 +242,21 @@ FdLineFeed::~FdLineFeed() {
   if (close_fd_ && fd_ >= 0) ::close(fd_);
 }
 
-void FdLineFeed::drain_fd() {
-  if (eof_ || ended_) return;
-  char buf[16384];
-  while (true) {
-    const ssize_t n = ::read(fd_, buf, sizeof(buf));
-    if (n > 0) {
-      partial_.append(buf, static_cast<std::size_t>(n));
-      continue;
-    }
-    if (n == 0) {
-      // In tail mode EOF just means "caught up" — keep watching.
-      if (!tail_) terminate_feed();
-      return;
-    }
-    if (errno == EINTR) continue;
-    if (errno == EAGAIN || errno == EWOULDBLOCK) return;  // no data right now
-    // Hard error (EBADF, EIO, ...): this fd will never produce data again;
-    // end the feed (even in tail mode) so the daemon doesn't poll forever.
-    std::fprintf(stderr, "feed: read: %s\n", std::strerror(errno));
-    terminate_feed();
-    return;
-  }
-}
-
-void FdLineFeed::terminate_feed() {
-  eof_ = true;
-  // A final line without a trailing newline is still a line: terminate it
-  // so parse_buffered delivers it instead of dropping it silently.
-  if (!partial_.empty() && partial_.back() != '\n') partial_.push_back('\n');
-}
-
-void FdLineFeed::parse_buffered() {
-  std::size_t start = 0;
-  while (true) {
-    const std::size_t nl = partial_.find('\n', start);
-    if (nl == std::string::npos) break;
-    const std::string line = partial_.substr(start, nl - start);
-    start = nl + 1;
-    if (ended_) continue;  // protocol over; drop trailing lines
-    SubmitRecord r;
-    std::string err;
-    switch (parse_submit_line(line, r, &err)) {
-      case ParseResult::kRecord:
-        parsed_.push_back(r);
-        break;
-      case ParseResult::kEnd:
-        ended_ = true;
-        break;
-      case ParseResult::kError:
-        ++parse_errors_;
-        std::fprintf(stderr, "feed: %s\n", err.c_str());
-        break;
-      case ParseResult::kSkip:
-        break;
-    }
-  }
-  partial_.erase(0, start);
-}
-
 bool FdLineFeed::poll(Time vnow, std::vector<SubmitRecord>& out) {
-  drain_fd();
-  parse_buffered();
-  while (!parsed_.empty()) {
-    const SubmitRecord& front = parsed_.front();
-    if (front.submit >= 0 && front.submit > vnow) break;
-    out.push_back(front);
-    parsed_.pop_front();
+  if (!lines_.closed()) {
+    const ReadEnd end = read_available(fd_, partial_);
+    // A hard error (EBADF, EIO, ...) means this fd will never produce data
+    // again: end the feed even in tail mode so the daemon doesn't poll
+    // forever. In tail mode EOF just means "caught up" — keep watching.
+    if (end == ReadEnd::kError) {
+      std::fprintf(stderr, "feed: read: %s\n", std::strerror(errno));
+    }
+    const bool over =
+        end == ReadEnd::kError || (end == ReadEnd::kEof && !tail_);
+    lines_.take_lines(partial_, over);
+    if (over) lines_.close();
   }
-  if (parsed_.empty() && (ended_ || eof_)) return false;
-  return true;
-}
-
-Time FdLineFeed::next_submit() const {
-  if (!parsed_.empty() && parsed_.front().submit >= 0) {
-    return parsed_.front().submit;
-  }
-  return kTimeInfinity;
+  return lines_.deliver(vnow, out);
 }
 
 // ------------------------------------------------------------------- TcpFeed
@@ -332,84 +341,24 @@ void TcpFeed::accept_clients() {
   }
 }
 
-void TcpFeed::drain_clients() {
-  for (std::size_t i = 0; i < clients_.size();) {
-    Client& c = clients_[i];
-    char buf[16384];
-    bool closed = false;
-    while (true) {
-      const ssize_t n = ::read(c.fd, buf, sizeof(buf));
-      if (n > 0) {
-        c.partial.append(buf, static_cast<std::size_t>(n));
-        continue;
-      }
-      if (n == 0) {
-        closed = true;
-        break;
-      }
-      if (errno == EINTR) continue;
-      if (errno == EAGAIN || errno == EWOULDBLOCK) break;
-      closed = true;  // hard error: treat as a hangup
-      break;
-    }
-    // A closing client's final line counts even without a trailing newline.
-    if (closed && !c.partial.empty() && c.partial.back() != '\n') {
-      c.partial.push_back('\n');
-    }
-    // Parse complete lines from this client's buffer.
-    std::size_t start = 0;
-    while (true) {
-      const std::size_t nl = c.partial.find('\n', start);
-      if (nl == std::string::npos) break;
-      const std::string line = c.partial.substr(start, nl - start);
-      start = nl + 1;
-      if (ended_) continue;
-      SubmitRecord r;
-      std::string err;
-      switch (parse_submit_line(line, r, &err)) {
-        case ParseResult::kRecord:
-          parsed_.push_back(r);
-          break;
-        case ParseResult::kEnd:
-          ended_ = true;
-          break;
-        case ParseResult::kError:
-          ++parse_errors_;
-          std::fprintf(stderr, "feed: %s\n", err.c_str());
-          break;
-        case ParseResult::kSkip:
-          break;
-      }
-    }
-    c.partial.erase(0, start);
-    if (closed) {
-      ::close(c.fd);
-      clients_.erase(clients_.begin() + static_cast<std::ptrdiff_t>(i));
-    } else {
-      ++i;
-    }
-  }
-}
-
 bool TcpFeed::poll(Time vnow, std::vector<SubmitRecord>& out) {
-  if (!ended_) {
+  if (!lines_.closed()) {
     accept_clients();
-    drain_clients();
+    for (std::size_t i = 0; i < clients_.size();) {
+      Client& c = clients_[i];
+      // EOF or a hard error is a hangup; its final line still counts.
+      const bool hung_up =
+          read_available(c.fd, c.partial) != ReadEnd::kWouldBlock;
+      lines_.take_lines(c.partial, hung_up);
+      if (hung_up) {
+        ::close(c.fd);
+        clients_.erase(clients_.begin() + static_cast<std::ptrdiff_t>(i));
+      } else {
+        ++i;
+      }
+    }
   }
-  while (!parsed_.empty()) {
-    const SubmitRecord& front = parsed_.front();
-    if (front.submit >= 0 && front.submit > vnow) break;
-    out.push_back(front);
-    parsed_.pop_front();
-  }
-  return !(ended_ && parsed_.empty());
-}
-
-Time TcpFeed::next_submit() const {
-  if (!parsed_.empty() && parsed_.front().submit >= 0) {
-    return parsed_.front().submit;
-  }
-  return kTimeInfinity;
+  return lines_.deliver(vnow, out);
 }
 
 // ----------------------------------------------------------- TcpSubmitClient

@@ -20,6 +20,7 @@
 // reach the scheduler together, exactly as sim::simulate delivers them.
 // Live transports cannot know the future and return kTimeInfinity: no
 // gating, submissions are stamped as they arrive.
+// Record fields are bounded by the job model (invalid_job_field, job.h).
 #pragma once
 
 #include <chrono>
@@ -44,13 +45,6 @@ struct SubmitRecord {
   std::int32_t user = 0;
 };
 
-/// Largest submit time, runtime or estimate a record may carry: 10^15 s
-/// (~30 million years), the bound read_swf applies to trace times, so no
-/// sum of a time and a duration comes near overflow. Nodes and user must
-/// fit their int fields. parse_submit_line and the admission journal
-/// reject records outside these bounds.
-inline constexpr std::int64_t kMaxRecordSeconds = 1'000'000'000'000'000;
-
 enum class ParseResult {
   kRecord,  // a SubmitRecord was produced
   kSkip,    // blank line or comment
@@ -59,7 +53,7 @@ enum class ParseResult {
 };
 
 /// Parse one protocol line (no trailing newline). On kError, `*error`
-/// (when non-null) receives a description.
+/// (when non-null) receives a description ("bad <field> field: ...").
 ParseResult parse_submit_line(const std::string& line, SubmitRecord& out,
                               std::string* error = nullptr);
 
@@ -117,44 +111,71 @@ class JobSourceFeed final : public Feed {
   bool has_pending_ = false;
 };
 
+namespace detail {
+
+/// The line protocol over a byte stream, shared by FdLineFeed and TcpFeed:
+/// parses and queues complete lines, counts and logs malformed ones to
+/// stderr, and drops every line after `end`. The transport hands it bytes
+/// and closes it when its input ends.
+class LineReader {
+ public:
+  /// Parse and erase every complete line of `buffer`; with `at_end` (its
+  /// input is over) a final line without a newline too.
+  void take_lines(std::string& buffer, bool at_end);
+
+  /// No input follows: deliver reports the end once the queue drains.
+  void close() noexcept { closed_ = true; }
+  bool closed() const noexcept { return closed_; }
+
+  /// Feed::poll: append the queued records due at `vnow` (live ones always
+  /// are); false once closed and drained.
+  bool deliver(Time vnow, std::vector<SubmitRecord>& out);
+
+  /// A byte stream cannot reveal the future: the earliest queued timed
+  /// record, else infinity.
+  Time next_submit() const;
+
+  /// Malformed lines seen so far (each also logged to stderr).
+  std::size_t parse_errors() const noexcept { return parse_errors_; }
+
+ private:
+  std::deque<SubmitRecord> parsed_;
+  std::size_t parse_errors_ = 0;
+  bool closed_ = false;
+};
+
+}  // namespace detail
+
 /// Line-protocol feed over a file descriptor (stdin, a pipe, or a tailed
 /// file). Reads are non-blocking; partial lines are buffered across polls.
 /// In tail mode EOF does not end the feed (more data may be appended —
-/// `end` is the only terminator); otherwise EOF ends it. Does not own the
-/// descriptor unless `close_fd`.
+/// `end` is the only terminator); otherwise EOF ends it. A hard read error
+/// ends it in either mode. Does not own the descriptor unless `close_fd`.
 class FdLineFeed final : public Feed {
  public:
   FdLineFeed(int fd, bool tail, bool close_fd);
   ~FdLineFeed() override;
 
   bool poll(Time vnow, std::vector<SubmitRecord>& out) override;
-  /// A pipe cannot reveal the future: records already parsed are "available
-  /// now", so this is the earliest buffered timed record, else infinity.
-  Time next_submit() const override;
+  Time next_submit() const override { return lines_.next_submit(); }
 
   /// Malformed lines seen so far (each also logged to stderr).
-  std::size_t parse_errors() const noexcept { return parse_errors_; }
+  std::size_t parse_errors() const noexcept { return lines_.parse_errors(); }
 
  private:
-  void drain_fd();
-  void terminate_feed();
-  void parse_buffered();
-
   int fd_;
   bool tail_;
   bool close_fd_;
-  bool eof_ = false;
-  bool ended_ = false;
   std::string partial_;
-  std::deque<SubmitRecord> parsed_;
-  std::size_t parse_errors_ = 0;
+  detail::LineReader lines_;
 };
 
 /// Localhost TCP feed: listens on 127.0.0.1:`port` (0 = ephemeral; see
 /// port()) and speaks the line protocol with any number of concurrent
 /// clients. `end` from any client ends the whole feed once every buffered
 /// record is delivered — the shared-cluster model, where one operator can
-/// close submissions. Non-blocking throughout; constructor throws
+/// close submissions. A client's hangup keeps its final line even without
+/// a newline. Non-blocking throughout; constructor throws
 /// std::runtime_error when the socket cannot be bound.
 ///
 /// Resilience: transient accept() failures — fd exhaustion (EMFILE,
@@ -170,11 +191,11 @@ class TcpFeed final : public Feed {
   ~TcpFeed() override;
 
   bool poll(Time vnow, std::vector<SubmitRecord>& out) override;
-  Time next_submit() const override;
+  Time next_submit() const override { return lines_.next_submit(); }
 
   /// The bound port (useful with port 0).
   std::uint16_t port() const noexcept { return port_; }
-  std::size_t parse_errors() const noexcept { return parse_errors_; }
+  std::size_t parse_errors() const noexcept { return lines_.parse_errors(); }
   /// Transient accept() failures survived so far.
   std::size_t transient_accept_errors() const noexcept {
     return transient_accept_errors_;
@@ -187,14 +208,11 @@ class TcpFeed final : public Feed {
   };
 
   void accept_clients();
-  void drain_clients();
 
   int listen_fd_;
   std::uint16_t port_;
   std::vector<Client> clients_;
-  bool ended_ = false;
-  std::deque<SubmitRecord> parsed_;
-  std::size_t parse_errors_ = 0;
+  detail::LineReader lines_;
   std::size_t transient_accept_errors_ = 0;
   std::chrono::milliseconds accept_backoff_{0};
   std::chrono::steady_clock::time_point accept_retry_at_{};

@@ -3,7 +3,6 @@
 #include <algorithm>
 #include <cinttypes>
 #include <cstdio>
-#include <limits>
 #include <sstream>
 #include <utility>
 
@@ -67,13 +66,7 @@ void AdmissionJournal::load() {
       const std::int64_t estimate = next_i64();
       const std::int64_t user = next_i64();
       const std::int64_t flags = next_i64();
-      // The bounds parse_submit_line applies, checked before any narrowing.
-      if (submit < 0 || submit > kMaxRecordSeconds || nodes < 1 ||
-          nodes > std::numeric_limits<int>::max() || runtime < 1 ||
-          runtime > kMaxRecordSeconds || estimate < 1 ||
-          estimate > kMaxRecordSeconds ||
-          user < std::numeric_limits<std::int32_t>::min() ||
-          user > std::numeric_limits<std::int32_t>::max()) {
+      if (invalid_job_field(submit, nodes, runtime, estimate, user)) {
         throw fail("admit record with invalid fields");
       }
       JournaledJob j;
@@ -88,6 +81,7 @@ void AdmissionJournal::load() {
       delayed_at_open_ += j.delayed ? 1 : 0;
       last_event_time_ = std::max(last_event_time_, j.record.submit);
       admitted_.push_back(j);
+      ++admits_;
       ++consumed_at_open_;
     } else if (verb == "drop") {
       const std::int64_t kind = next_i64();
@@ -98,7 +92,7 @@ void AdmissionJournal::load() {
       const std::int64_t id = next_i64();
       const std::int64_t attempt = next_i64();
       const Time t = next_i64();
-      if (id < 0 || static_cast<std::size_t>(id) >= admitted_.size()) {
+      if (id < 0 || static_cast<std::size_t>(id) >= admits_) {
         throw fail("decision record for a job never admitted");
       }
       if (attempt < 0 || attempt > 0xffffffffll) {
@@ -133,11 +127,7 @@ void AdmissionJournal::record_admit(const SubmitRecord& r, bool late,
                 static_cast<std::int64_t>(r.submit), r.nodes,
                 static_cast<std::int64_t>(r.runtime),
                 static_cast<std::int64_t>(r.estimate), r.user, flags);
-  JournaledJob j;
-  j.record = r;
-  j.late = late;
-  j.delayed = delayed;
-  admitted_.push_back(j);
+  ++admits_;
   append_record(buf);
 }
 
@@ -146,10 +136,11 @@ void AdmissionJournal::record_drop(DropKind kind) {
   append_record("drop " + std::to_string(static_cast<int>(kind)));
 }
 
-bool AdmissionJournal::record_decision(const char* verb, DecisionMap& map,
+bool AdmissionJournal::record_decision(const char* verb,
+                                       const DecisionMap& map,
                                        JobId id, std::uint32_t epoch,
                                        Time t) {
-  if (static_cast<std::size_t>(id) >= admitted_.size()) {
+  if (static_cast<std::size_t>(id) >= admits_) {
     throw JournalReplayError("admission journal " + log_.path() + ": " +
                              verb + " for job " + std::to_string(id) +
                              " which was never admitted");
@@ -164,7 +155,6 @@ bool AdmissionJournal::record_decision(const char* verb, DecisionMap& map,
         std::to_string(it->second) +
         " (journal written by a different feed, spec or machine?)");
   }
-  map.emplace(decision_key(id, epoch), t);
   char buf[80];
   std::snprintf(buf, sizeof(buf), "%s %u %u %" PRId64, verb, id, epoch,
                 static_cast<std::int64_t>(t));

@@ -34,6 +34,10 @@
 // usual, so a run killed during replay leaves a journal that still
 // satisfies the id-density invariant (suppressed admits are never
 // double-written) and can be resumed again — restarts compose.
+//
+// Memory: the journal keeps only the history it loaded. A fresh admission
+// is only counted (the count backs the "never admitted" check) and a fresh
+// decision is appended and forgotten, so memory does not grow with service.
 #pragma once
 
 #include <cstddef>
@@ -95,7 +99,8 @@ class AdmissionJournal {
   bool has_history() const noexcept { return consumed_at_open_ > 0; }
   /// `run` headers loaded at open == prior daemon starts on this journal.
   std::size_t runs() const noexcept { return runs_; }
-  /// Every admitted job, in admission (= JobId) order.
+  /// Every admission loaded at open, in admission (= JobId) order. Fresh
+  /// admissions are not added, so the vector never changes after open.
   const std::vector<JournaledJob>& admitted() const noexcept {
     return admitted_;
   }
@@ -130,10 +135,11 @@ class AdmissionJournal {
   void record_drop(DropKind kind);
 
   /// Journal a start / completion decision of attempt `epoch` of job
-  /// `id`. Returns true when the journal already held the identical
+  /// `id`. Returns true when the loaded history holds the identical
   /// record (a replayed decision — suppressed, nothing written); false
   /// when it was fresh and appended. Throws JournalReplayError when the
-  /// journal holds a *different* time for the same (job, epoch).
+  /// history holds a *different* time for the same (job, epoch), or when
+  /// `id` was never admitted.
   bool record_start(JobId id, std::uint32_t epoch, Time t);
   bool record_done(JobId id, std::uint32_t epoch, Time t);
 
@@ -146,13 +152,14 @@ class AdmissionJournal {
 
   void load();
   void append_record(const std::string& payload);
-  bool record_decision(const char* verb, DecisionMap& map, JobId id,
+  bool record_decision(const char* verb, const DecisionMap& map, JobId id,
                        std::uint32_t epoch, Time t);
 
   util::AppendLog log_;
-  std::vector<JournaledJob> admitted_;
-  DecisionMap starts_;
-  DecisionMap dones_;  // one entry per finished job (its final epoch)
+  std::vector<JournaledJob> admitted_;  // loaded at open
+  std::size_t admits_ = 0;              // loaded + fresh: the next JobId
+  DecisionMap starts_;                  // loaded at open
+  DecisionMap dones_;  // loaded; one entry per finished job (final epoch)
   std::size_t drops_[3] = {0, 0, 0};
   std::size_t runs_ = 0;
   std::size_t consumed_at_open_ = 0;

@@ -23,8 +23,8 @@ void OpenLoopConfig::validate() const {
     throw std::invalid_argument("loadgen: bad job-shape parameters");
   }
   for (const CronTemplate& c : crons) {
-    if (c.period < 1 || c.offset < 0 || c.nodes < 1 || c.runtime < 1 ||
-        c.estimate < 1) {
+    if (c.period < 1 || c.offset < 0 ||
+        invalid_job_field(0, c.nodes, c.runtime, c.estimate, c.user)) {
       throw std::invalid_argument("loadgen: bad cron template");
     }
   }

@@ -35,10 +35,11 @@ StreamStats simulate_stream(const Machine& machine, Scheduler& scheduler,
                                   std::to_string(pending.id) +
                                   " with a decreasing submit time");
     }
-    if (pending.nodes < 1 || pending.runtime < 1 || pending.estimate < 1) {
+    if (const auto field = invalid_job_field(pending)) {
       throw std::invalid_argument("simulate: source emitted job " +
                                   std::to_string(pending.id) +
-                                  " with invalid fields");
+                                  " with an invalid " + field_name(*field) +
+                                  " field");
     }
     if (pending.nodes > machine.nodes) {
       throw std::invalid_argument(

@@ -1,5 +1,6 @@
 #include "workload/binary.h"
 
+#include <algorithm>
 #include <cstring>
 #include <fstream>
 #include <stdexcept>
@@ -79,8 +80,9 @@ BinaryWriter::~BinaryWriter() {
 
 void BinaryWriter::add(const Job& j) {
   if (finished_) throw std::logic_error("BinaryWriter: add after finish");
-  if (j.nodes < 1 || j.runtime < 1 || j.estimate < 1) {
-    throw std::invalid_argument("BinaryWriter: invalid job fields");
+  if (const auto field = invalid_job_field(j)) {
+    throw std::invalid_argument(std::string("BinaryWriter: invalid job ") +
+                                field_name(*field) + " field");
   }
   if (j.submit < prev_submit_) {
     throw std::invalid_argument("BinaryWriter: jobs out of submit order");
@@ -220,18 +222,38 @@ bool BinaryJobSource::next(Job& out) {
     }
   };
 
-  Job j;
-  j.submit = prev_submit_ + static_cast<Time>(varint());
-  j.nodes = static_cast<int>(varint());
-  j.runtime = static_cast<Duration>(varint());
-  j.estimate = j.runtime + static_cast<Duration>(unzigzag(varint()));
-  j.user = static_cast<std::int32_t>(unzigzag(varint()));
-  j.priority_class = static_cast<std::int32_t>(unzigzag(varint()));
+  // Each field's widest reading, with the unsigned ones and the estimate
+  // slack clamped just past every job bound: the sums cannot overflow, and
+  // the check rejects whatever was clamped.
+  constexpr std::int64_t kCap = kMaxJobSeconds + 1;
+  const auto bounded = [&] {
+    return static_cast<std::int64_t>(std::min<std::uint64_t>(varint(), kCap));
+  };
+  const std::int64_t submit = prev_submit_ + bounded();
+  const std::int64_t nodes = bounded();
+  const std::int64_t runtime = bounded();
+  const std::int64_t estimate =
+      runtime + std::clamp<std::int64_t>(unzigzag(varint()), -kCap, kCap);
+  const std::int64_t user = unzigzag(varint());
+  const std::int64_t priority_class = unzigzag(varint());
   if (pos_ >= payload_.size()) corrupt("record overruns block payload");
-  j.status = static_cast<JobStatus>(static_cast<std::int8_t>(payload_[pos_++]));
-  if (j.nodes < 1 || j.runtime < 1 || j.estimate < 1) {
-    corrupt("decoded job has invalid fields");
+  const unsigned char status = payload_[pos_++];
+  if (const auto field = invalid_job_field(submit, nodes, runtime, estimate,
+                                           user, priority_class)) {
+    corrupt(std::string("decoded job has an invalid ") + field_name(*field) +
+            " field");
   }
+  if (status > static_cast<unsigned char>(JobStatus::kUnknown)) {
+    corrupt("decoded job has an invalid status field");
+  }
+  Job j;
+  j.submit = submit;
+  j.nodes = static_cast<int>(nodes);
+  j.runtime = runtime;
+  j.estimate = estimate;
+  j.user = static_cast<std::int32_t>(user);
+  j.priority_class = static_cast<std::int32_t>(priority_class);
+  j.status = static_cast<JobStatus>(status);
   prev_submit_ = j.submit;
   --block_left_;
   if (block_left_ == 0 && pos_ != payload_.size()) {

@@ -26,7 +26,9 @@
 // workload::fingerprint of the whole stream — computable by the streaming
 // writer only because that hash mixes the job count last. Every block
 // carries an FNV-1a checksum of its payload bytes, so truncation and
-// corruption are both detected with a named error, not garbage jobs.
+// corruption are both detected with a named error, not garbage jobs. So
+// is a record that checksums but holds a field the job model cannot
+// (invalid_job_field, job.h) or a status byte outside JobStatus.
 #pragma once
 
 #include <cstdint>
@@ -41,7 +43,8 @@
 namespace jsched::workload {
 
 /// Streaming JWB1 writer. Feed jobs in submit order (add throws
-/// std::invalid_argument on out-of-order or invalid jobs), then finish().
+/// std::invalid_argument on out-of-order jobs and on jobs the job model
+/// cannot hold), then finish().
 /// O(one block) memory regardless of stream length.
 class BinaryWriter {
  public:
@@ -77,9 +80,9 @@ class BinaryWriter {
 
 /// Streaming JWB1 reader: one job per next() in O(one block) memory, with
 /// per-block checksum verification and a footer count/fingerprint check on
-/// the final pull. Throws std::runtime_error naming the defect on a bad
-/// magic/version, a truncated stream, a corrupted block, or a footer
-/// mismatch.
+/// the final pull. Throws std::runtime_error ("JWB: ...") naming the
+/// defect on a bad magic/version, a truncated stream, a corrupted block, a
+/// record field the job model cannot hold, or a footer mismatch.
 class BinaryJobSource final : public JobSource {
  public:
   /// Opens `path`; throws std::runtime_error if unreadable or not JWB1.

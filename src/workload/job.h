@@ -1,9 +1,12 @@
 // The rigid parallel job model of the paper (Example 5, Rule 2):
 // the user provides the exact number of nodes and an upper limit for the
 // execution time; jobs exceeding the limit may be cancelled.
+// Its field bounds live here once (invalid_job_field), so every decoder and
+// intake accepts exactly the same jobs.
 #pragma once
 
 #include <cstdint>
+#include <optional>
 
 #include "util/time.h"
 
@@ -111,5 +114,49 @@ struct Submission {
     return j;
   }
 };
+
+/// Largest submit time, runtime or estimate a job may carry: 10^15 s
+/// (~30 million years), far beyond any archive trace, so no sum of a time
+/// and a duration comes near int64 overflow.
+inline constexpr std::int64_t kMaxJobSeconds = 1'000'000'000'000'000;
+
+/// The fields invalid_job_field checks, in its order.
+enum class JobField : std::uint8_t {
+  kSubmit, kNodes, kRuntime, kEstimate, kUser, kPriorityClass
+};
+
+/// How error messages name a field ("priority class").
+constexpr const char* field_name(JobField f) noexcept {
+  constexpr const char* kNames[] = {"submit",   "nodes", "runtime",
+                                    "estimate", "user",  "priority class"};
+  return kNames[static_cast<int>(f)];
+}
+
+/// The first field a record cannot hold, or nullopt when the job model
+/// holds all of them: submit in [0, kMaxJobSeconds], nodes in [1, INT_MAX],
+/// runtime and estimate in [1, kMaxJobSeconds], user and priority class in
+/// int32 (a value fits an int type iff converting it there round-trips).
+/// Decoders pass each field's widest integer reading, before any
+/// narrowing; records without a priority class check as class 0.
+constexpr std::optional<JobField> invalid_job_field(
+    std::int64_t submit, std::int64_t nodes, std::int64_t runtime,
+    std::int64_t estimate, std::int64_t user,
+    std::int64_t priority_class = 0) noexcept {
+  if (submit < 0 || submit > kMaxJobSeconds) return JobField::kSubmit;
+  if (nodes < 1 || static_cast<int>(nodes) != nodes) return JobField::kNodes;
+  if (runtime < 1 || runtime > kMaxJobSeconds) return JobField::kRuntime;
+  if (estimate < 1 || estimate > kMaxJobSeconds) return JobField::kEstimate;
+  if (static_cast<std::int32_t>(user) != user) return JobField::kUser;
+  if (static_cast<std::int32_t>(priority_class) != priority_class) {
+    return JobField::kPriorityClass;
+  }
+  return std::nullopt;
+}
+
+/// The same check on a Job (its id and status are not bounded here).
+constexpr std::optional<JobField> invalid_job_field(const Job& j) noexcept {
+  return invalid_job_field(j.submit, j.nodes, j.runtime, j.estimate, j.user,
+                           j.priority_class);
+}
 
 }  // namespace jsched

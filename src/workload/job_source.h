@@ -8,7 +8,7 @@
 //
 //  * ids are dense 0..n-1 in emission order,
 //  * submits are origin-shifted (first job at 0) and non-decreasing,
-//  * nodes >= 1, runtime >= 1, estimate >= 1.
+//  * every job's fields fit the job model (invalid_job_field, job.h).
 //
 // `materialize()` drains a source into an ordinary Workload; the batch
 // generators are now thin wrappers around their sources, which is what makes

@@ -1,5 +1,6 @@
 #include "workload/swf.h"
 
+#include <algorithm>
 #include <array>
 #include <cmath>
 #include <fstream>
@@ -21,10 +22,9 @@ constexpr std::size_t kStatus = 10;
 constexpr std::size_t kUser = 11;
 constexpr std::size_t kFieldCount = 18;
 
-JobStatus status_of(double field) {
+JobStatus status_of(std::int64_t code) {
   // Archive codes: 1 completed, 0 failed, 5 cancelled; 2/3/4 mark partial
   // executions and -1 means "not recorded" — both map to kUnknown.
-  const int code = static_cast<int>(field);
   switch (code) {
     case 1:
       return JobStatus::kCompleted;
@@ -49,22 +49,6 @@ int status_code(JobStatus status) {
       break;
   }
   return -1;
-}
-
-// Sanity bounds on parsed field values before they are cast to the
-// integer model types (a cast from a non-finite or out-of-range double is
-// undefined behavior, so a garbage trace must be rejected *before* it).
-// Times/durations are seconds — 1e15 s is ~30 million years, far beyond
-// any archive; processor counts and ids fit int32.
-constexpr double kMaxTimeField = 1e15;
-constexpr double kMaxIntField = 2e9;
-
-bool time_field_ok(double v) {
-  return std::isfinite(v) && v >= -kMaxTimeField && v <= kMaxTimeField;
-}
-
-bool int_field_ok(double v) {
-  return std::isfinite(v) && v >= -kMaxIntField && v <= kMaxIntField;
 }
 
 /// Record one rejected line into the lenient-mode report.
@@ -142,21 +126,7 @@ bool SwfLineParser::parse(const std::string& line, Job& out) {
     note_issue(report_, /*structural=*/true, st.lines, reason, line);
     return false;
   }
-  // Guard every field we cast to an integer type: a non-finite or
-  // absurdly large value would be undefined behavior at the cast.
-  const bool finite_ok =
-      time_field_ok(f[kSubmit]) && time_field_ok(f[kRunTime]) &&
-      time_field_ok(f[kReqTime]) && int_field_ok(f[kAllocProcs]) &&
-      int_field_ok(f[kReqProcs]) && int_field_ok(f[kStatus]) &&
-      int_field_ok(f[kUser]);
-  if (!finite_ok) {
-    const bool non_finite =
-        !std::isfinite(f[kSubmit]) || !std::isfinite(f[kRunTime]) ||
-        !std::isfinite(f[kReqTime]) || !std::isfinite(f[kAllocProcs]) ||
-        !std::isfinite(f[kReqProcs]) || !std::isfinite(f[kStatus]) ||
-        !std::isfinite(f[kUser]);
-    const char* reason =
-        non_finite ? "non-finite-field" : "out-of-range-field";
+  const auto reject = [&](const char* reason) {
     if (!options_.lenient) {
       throw std::runtime_error("SWF: " + std::string(reason) + " at line " +
                                std::to_string(st.lines) + ": " + line);
@@ -164,32 +134,51 @@ bool SwfLineParser::parse(const std::string& line, Job& out) {
     ++st.skipped_malformed;
     note_issue(report_, /*structural=*/false, st.lines, reason, line);
     return false;
+  };
+  // Read every field a job takes as an int64 (truncated toward zero)
+  // before anything narrows it. A double that is not finite or lies outside
+  // int64 would make that cast undefined behavior, so it is rejected first.
+  constexpr std::size_t kUsed[] = {kSubmit, kRunTime, kAllocProcs, kReqProcs,
+                                   kReqTime, kStatus, kUser};
+  std::array<std::int64_t, kFieldCount> num{};
+  for (const std::size_t k : kUsed) {
+    if (!std::isfinite(f[k])) return reject("non-finite-field");
+    if (f[k] < -0x1p63 || f[k] >= 0x1p63) return reject("out-of-range-field");
+    num[k] = static_cast<std::int64_t>(f[k]);
   }
-
-  Job j;
-  j.submit = static_cast<Time>(f[kSubmit]);
-  double procs = f[kReqProcs] > 0 ? f[kReqProcs] : f[kAllocProcs];
-  double runtime = f[kRunTime];
-  if (procs <= 0 || runtime <= 0 || j.submit < 0) {
+  // SWF writes -1 for a missing field: a record without a submit time,
+  // processor count or runtime is skipped, not malformed.
+  const std::int64_t procs =
+      num[kReqProcs] > 0 ? num[kReqProcs] : num[kAllocProcs];
+  const std::int64_t runtime = num[kRunTime];
+  if (procs <= 0 || runtime <= 0 || num[kSubmit] < 0) {
     ++st.skipped_invalid;
     return false;
   }
-  j.status = status_of(f[kStatus]);
+  const std::int64_t estimate = num[kReqTime] > 0 ? num[kReqTime] : runtime;
+  const std::int64_t user = num[kUser] > 0 ? num[kUser] : 0;
+  if (invalid_job_field(num[kSubmit], procs, runtime,
+                        std::max(estimate, runtime), user)) {
+    return reject("out-of-range-field");
+  }
+
+  Job j;
+  j.status = status_of(num[kStatus]);
   if (options_.drop_unsuccessful && j.status != JobStatus::kCompleted) {
     ++st.skipped_unsuccessful;
     return false;
   }
+  j.submit = num[kSubmit];
   j.nodes = static_cast<int>(procs);
-  j.runtime = static_cast<Duration>(runtime);
-  j.estimate =
-      f[kReqTime] > 0 ? static_cast<Duration>(f[kReqTime]) : j.runtime;
+  j.runtime = runtime;
+  j.estimate = estimate;
   if (j.estimate < j.runtime) {
     // Archive traces contain jobs that overran their limit and were (or
     // should have been) killed; model them as running to the limit.
     j.estimate = j.runtime;
     ++st.clamped_estimate;
   }
-  j.user = f[kUser] > 0 ? static_cast<std::int32_t>(f[kUser]) : 0;
+  j.user = static_cast<std::int32_t>(user);
   out = j;
   ++st.accepted;
   return true;

@@ -71,7 +71,8 @@ struct SwfOptions {
   bool drop_unsuccessful = false;
 
   /// Lenient ingestion: malformed records (too few fields, non-numeric
-  /// junk, non-finite or absurdly out-of-range values) are skipped and
+  /// junk, non-finite values, or values the job model cannot hold — see
+  /// invalid_job_field in job.h) are skipped and
   /// collected into `report` instead of aborting the whole parse — one bad
   /// line in a multi-million-line archive trace should cost one record,
   /// not the run. Off by default: strict mode throws on the first

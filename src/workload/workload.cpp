@@ -36,20 +36,14 @@ void Workload::validate() const {
   Time prev = 0;
   for (std::size_t i = 0; i < jobs_.size(); ++i) {
     const Job& j = jobs_[i];
-    std::ostringstream err;
-    if (j.id != i) {
-      err << "job at index " << i << " has id " << j.id;
-    } else if (j.submit < prev) {
-      err << "job " << i << " submitted before its predecessor";
-    } else if (j.nodes < 1) {
-      err << "job " << i << " requests " << j.nodes << " nodes";
-    } else if (j.runtime < 1) {
-      err << "job " << i << " has runtime " << j.runtime;
-    } else if (j.estimate < 1) {
-      err << "job " << i << " has estimate " << j.estimate;
+    const auto fail = [i](const std::string& what) {
+      throw std::invalid_argument("Workload: job " + std::to_string(i) + what);
+    };
+    if (j.id != i) fail(" has id " + std::to_string(j.id));
+    if (j.submit < prev) fail(" submitted before its predecessor");
+    if (const auto field = invalid_job_field(j)) {
+      fail(std::string(" has an invalid ") + field_name(*field) + " field");
     }
-    const std::string msg = err.str();
-    if (!msg.empty()) throw std::invalid_argument("Workload: " + msg);
     prev = j.submit;
   }
 }

@@ -18,7 +18,7 @@ namespace jsched::workload {
 /// Invariants (enforced by `validate` / maintained by `finalize`):
 ///  * jobs are sorted by submit time (ties by id),
 ///  * ids are dense 0..n-1 and equal to the job's index,
-///  * nodes >= 1, runtime >= 1, estimate >= 1.
+///  * every job's fields fit the job model (invalid_job_field, job.h).
 /// A runtime above the estimate is allowed: the simulator cancels such a
 /// job at its upper limit (Example 5, Rule 2).
 class Workload {

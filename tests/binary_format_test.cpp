@@ -4,6 +4,7 @@
 #include <cstdint>
 #include <cstdio>
 #include <fstream>
+#include <limits>
 #include <sstream>
 #include <string>
 #include <vector>
@@ -11,6 +12,7 @@
 #include <gtest/gtest.h>
 
 #include "test_support.h"
+#include "util/hash.h"
 #include "util/rng.h"
 #include "workload/binary.h"
 #include "workload/ctc_model.h"
@@ -219,6 +221,155 @@ TEST_F(BinaryFormatTest, BlockChecksumAndFooterArePinned) {
   // Header (8 bytes), then the block's u32 payload size and u32 job count.
   EXPECT_EQ(u64_at(16), 10735859924553216072ull);
   EXPECT_EQ(u64_at(bytes.size() - 8), 16512192874762797243ull);
+}
+
+/// The raw fields of one JWB1 record, encoded exactly as given: what a
+/// writer that checked nothing could have produced.
+struct RawRecord {
+  std::uint64_t dsubmit = 5;
+  std::uint64_t nodes = 2;
+  std::uint64_t runtime = 100;
+  std::int64_t slack = 20;  // estimate - runtime
+  std::int64_t user = 7;
+  std::int64_t priority_class = 1;
+  unsigned char status = 0;
+};
+
+void put_varint(std::string& out, std::uint64_t v) {
+  for (; v >= 0x80; v >>= 7) {
+    out.push_back(static_cast<char>((v & 0x7f) | 0x80));
+  }
+  out.push_back(static_cast<char>(v));
+}
+
+void put_svarint(std::string& out, std::int64_t v) {
+  put_varint(out, (static_cast<std::uint64_t>(v) << 1) ^
+                      static_cast<std::uint64_t>(v >> 63));
+}
+
+void put_le(std::string& out, std::uint64_t v, int bytes) {
+  for (int i = 0; i < bytes; ++i) {
+    out.push_back(static_cast<char>(v >> (8 * i)));
+  }
+}
+
+/// A JWB1 stream of one correctly checksummed block holding `records`, and
+/// a footer for the jobs `expected` (checked only if a reader gets there).
+std::string jwb1(const std::vector<RawRecord>& records,
+                 const std::vector<Job>& expected) {
+  std::string payload;
+  for (const RawRecord& r : records) {
+    put_varint(payload, r.dsubmit);
+    put_varint(payload, r.nodes);
+    put_varint(payload, r.runtime);
+    put_svarint(payload, r.slack);
+    put_svarint(payload, r.user);
+    put_svarint(payload, r.priority_class);
+    payload.push_back(static_cast<char>(r.status));
+  }
+  std::string bytes = "JWB1";
+  put_le(bytes, 1, 2);
+  put_le(bytes, 0, 2);
+  put_le(bytes, payload.size(), 4);
+  put_le(bytes, records.size(), 4);
+  put_le(bytes, util::fnv1a(payload), 8);
+  bytes += payload;
+  put_le(bytes, 0, 4);
+  bytes += "JWBE";
+  workload::FingerprintAccumulator fnv;
+  for (const Job& j : expected) fnv.add(j);
+  put_le(bytes, fnv.count(), 8);
+  put_le(bytes, fnv.value(), 8);
+  return bytes;
+}
+
+TEST_F(BinaryFormatTest, RejectsChecksummedRecordsOutsideTheJobModel) {
+  // A block whose checksum holds can still carry fields the job model
+  // cannot hold (invalid_job_field, job.h). Each row follows a valid record
+  // at submit 10, so Δsubmit accumulates onto a non-zero submit; the
+  // reader must fail with a JWB: error naming the field, before anything
+  // narrows or overflows. A null field marks a row at a bound that decodes.
+  constexpr std::int64_t kMax = kMaxJobSeconds;
+  constexpr std::int64_t kI64Max = std::numeric_limits<std::int64_t>::max();
+  constexpr std::int64_t kI32Min = std::numeric_limits<std::int32_t>::min();
+  constexpr std::int64_t kI32Max = std::numeric_limits<std::int32_t>::max();
+  struct Row {
+    RawRecord record;
+    const char* field;
+  };
+  const Row rows[] = {
+      {{.dsubmit = kMax - 9}, "submit"},  // submit 10^15 + 1
+      {{.dsubmit = kI64Max}, "submit"},   // submit past int64
+      {{.dsubmit = std::numeric_limits<std::uint64_t>::max()}, "submit"},
+      {{.nodes = 0}, "nodes"},
+      {{.nodes = (1ull << 32) + 5}, "nodes"},
+      {{.nodes = 1ull << 31}, "nodes"},
+      {{.runtime = 0}, "runtime"},
+      {{.runtime = kMax + 1, .slack = 0}, "runtime"},
+      {{.runtime = 100, .slack = -100}, "estimate"},     // estimate 0
+      {{.runtime = kMax, .slack = 1}, "estimate"},       // 10^15 + 1
+      {{.runtime = 100, .slack = kI64Max}, "estimate"},  // past int64
+      {{.user = kI32Max + 1}, "user"},
+      {{.user = kI32Min - 1}, "user"},
+      {{.priority_class = kI32Max + 1}, "priority class"},
+      {{.priority_class = kI32Min - 1}, "priority class"},
+      {{.status = 4}, "status"},
+      {{.dsubmit = kMax - 10}, nullptr},  // submit 10^15
+      {{.nodes = std::numeric_limits<int>::max()}, nullptr},
+      {{.runtime = kMax, .slack = 0}, nullptr},
+      {{.runtime = 1, .slack = 0}, nullptr},
+      {{.runtime = 1, .slack = kMax - 1}, nullptr},  // estimate 10^15
+      {{.runtime = kMax, .slack = 1 - kMax}, nullptr},  // estimate 1
+      {{.user = kI32Min, .priority_class = kI32Max}, nullptr},
+      {{.user = kI32Max, .priority_class = kI32Min}, nullptr},
+      {{.status = 3}, nullptr},
+  };
+  const RawRecord first{.dsubmit = 10, .nodes = 1, .runtime = 50, .slack = 0,
+                        .user = 0, .priority_class = 0, .status = 0};
+  const Job first_job = test::make_job(10, 1, 50);
+  for (const Row& row : rows) {
+    const RawRecord& r = row.record;
+    SCOPED_TRACE(::testing::Message()
+                 << "dsubmit " << r.dsubmit << " nodes " << r.nodes
+                 << " runtime " << r.runtime << " slack " << r.slack
+                 << " user " << r.user << " class " << r.priority_class
+                 << " status " << int{r.status});
+    std::vector<Job> expected = {first_job};
+    if (row.field == nullptr) {
+      Job j;
+      j.submit = first_job.submit + static_cast<Time>(r.dsubmit);
+      j.nodes = static_cast<int>(r.nodes);
+      j.runtime = static_cast<Duration>(r.runtime);
+      j.estimate = j.runtime + r.slack;
+      j.user = static_cast<std::int32_t>(r.user);
+      j.priority_class = static_cast<std::int32_t>(r.priority_class);
+      j.status = static_cast<JobStatus>(r.status);
+      expected.push_back(j);
+    }
+    write_bytes(jwb1({first, r}, expected));
+
+    workload::BinaryJobSource source(path_);
+    Job j;
+    ASSERT_TRUE(source.next(j));
+    if (row.field == nullptr) {
+      ASSERT_TRUE(source.next(j));
+      j.id = kInvalidJob;
+      j.submit += first_job.submit;  // the source shifts the origin to 0
+      EXPECT_EQ(j, expected[1]);
+      EXPECT_FALSE(source.next(j));  // the footer verifies
+      continue;
+    }
+    try {
+      source.next(j);
+      ADD_FAILURE() << "decoded a record the job model cannot hold";
+    } catch (const std::runtime_error& e) {
+      const std::string what = e.what();
+      EXPECT_EQ(what.rfind("JWB: ", 0), 0u) << what;
+      EXPECT_NE(what.find(std::string("invalid ") + row.field + " field"),
+                std::string::npos)
+          << what;
+    }
+  }
 }
 
 TEST_F(BinaryFormatTest, StreamedReadMatchesSourceContract) {

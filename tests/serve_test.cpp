@@ -644,6 +644,18 @@ TEST(Serve, LoadgenValidatesItsConfig) {
   config.rate = -1.0;
   config.job_count = 10;
   EXPECT_THROW(serve::OpenLoopSource source(config), std::invalid_argument);
+
+  // A cron template is a job shape: it must fit the job model (job.h).
+  config.rate = 0.0;
+  config.horizon = 100;
+  serve::CronTemplate cron;
+  cron.period = 10;
+  cron.runtime = kMaxJobSeconds + 1;
+  cron.estimate = cron.runtime;
+  config.crons = {cron};
+  EXPECT_THROW(serve::OpenLoopSource source(config), std::invalid_argument);
+  config.crons[0].runtime = config.crons[0].estimate = kMaxJobSeconds;
+  EXPECT_NO_THROW(serve::OpenLoopSource source(config));
 }
 
 TEST(Serve, DaemonServesLoadgenEndToEnd) {
@@ -824,6 +836,79 @@ TEST(Serve, TcpFeedSurvivesFdExhaustion) {
   ASSERT_EQ(out.size(), 1u);
   EXPECT_EQ(out[0].nodes, 1);
   close(client);
+}
+
+TEST(Serve, FdLineFeedInTailModeWaitsPastEofForEnd) {
+  // `tail -f` semantics: EOF means "caught up", not "done". An unterminated
+  // line waits for its newline, records appended after EOF are delivered,
+  // and only `end` closes the feed (the line after it is dropped).
+  const std::string path = std::string(::testing::TempDir()) +
+                           "serve-tail-" + std::to_string(getpid()) + ".feed";
+  const int wfd = open(path.c_str(), O_WRONLY | O_CREAT | O_TRUNC, 0600);
+  ASSERT_GE(wfd, 0);
+  const auto append = [wfd](const std::string& s) {
+    ASSERT_EQ(write(wfd, s.data(), s.size()), static_cast<ssize_t>(s.size()));
+  };
+  append("@0 1 5 5\n@3 2 7");
+  const int rfd = open(path.c_str(), O_RDONLY);
+  ASSERT_GE(rfd, 0);
+  serve::FdLineFeed feed(rfd, /*tail=*/true, /*close_fd=*/true);
+
+  std::vector<SubmitRecord> out;
+  EXPECT_TRUE(feed.poll(kTimeInfinity, out));
+  EXPECT_TRUE(feed.poll(kTimeInfinity, out));  // at EOF, still open
+  ASSERT_EQ(out.size(), 1u);
+  EXPECT_EQ(out[0].submit, 0);
+
+  append(" 7\nend\n@9 1 1 1\n");
+  EXPECT_FALSE(feed.poll(kTimeInfinity, out));
+  ASSERT_EQ(out.size(), 2u);
+  EXPECT_EQ(out[1].submit, 3);
+  EXPECT_EQ(out[1].nodes, 2);
+  EXPECT_EQ(out[1].estimate, 7);
+  EXPECT_EQ(feed.parse_errors(), 0u);
+  close(wfd);
+  unlink(path.c_str());
+}
+
+TEST(Serve, TcpFeedEndFromOneClientClosesTheWholeFeed) {
+  // The shared-cluster model: one client's `end` closes submissions for
+  // every client. Lines after it are dropped, and the feed still delivers
+  // the record it had queued before it reports the end.
+  serve::TcpFeed feed(0);
+  ASSERT_GT(feed.port(), 0);
+  const int a = connect_to(feed.port());
+  const int b = connect_to(feed.port());
+  const auto send = [](int fd, const std::string& s) {
+    ASSERT_EQ(write(fd, s.data(), s.size()), static_cast<ssize_t>(s.size()));
+  };
+  std::vector<SubmitRecord> out;
+  send(a, "@5 1 1 1\n");
+  for (int i = 0; i < 400 && feed.next_submit() != 5; ++i) {
+    usleep(5'000);
+    EXPECT_TRUE(feed.poll(0, out));
+  }
+  ASSERT_EQ(feed.next_submit(), 5);  // queued: not due at virtual 0
+
+  // The malformed line marks when b's bytes have been read.
+  send(b, "oops\nend\n@7 1 1 1\n");
+  for (int i = 0; i < 400 && feed.parse_errors() == 0; ++i) {
+    usleep(5'000);
+    EXPECT_TRUE(feed.poll(0, out));
+  }
+  ASSERT_EQ(feed.parse_errors(), 1u);
+  send(a, "@6 1 1 1\n");
+  EXPECT_TRUE(feed.poll(0, out));  // @5 still queued
+  EXPECT_TRUE(out.empty());
+
+  EXPECT_FALSE(feed.poll(kTimeInfinity, out));
+  ASSERT_EQ(out.size(), 1u);
+  EXPECT_EQ(out[0].submit, 5);
+  EXPECT_FALSE(feed.poll(kTimeInfinity, out));
+  EXPECT_EQ(out.size(), 1u);
+  EXPECT_EQ(feed.parse_errors(), 1u);
+  close(a);
+  close(b);
 }
 
 TEST(Serve, FormatSubmitLineIsParseInverse) {

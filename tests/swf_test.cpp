@@ -88,9 +88,29 @@ TEST(SwfReader, StrictThrowsOnNonFiniteField) {
 }
 
 TEST(SwfReader, StrictThrowsOnOutOfRangeField) {
+  // Past int64, and past the job model's bounds (job.h): 10^15 s for
+  // times, INT_MAX nodes, an int32 user.
+  for (const char* record :
+       {"1 1e20 5 600 4 -1 -1 4 1200 -1 1 12 -1 -1 -1 -1 -1 -1\n",
+        "1 1000000000000001 5 600 4 -1 -1 4 1200 -1 1 12 -1 -1 -1 -1 -1 -1\n",
+        "1 100 5 1000000000000001 4 -1 -1 4 -1 -1 1 12 -1 -1 -1 -1 -1 -1\n",
+        "1 100 5 600 4 -1 -1 4 1000000000000001 -1 1 12 -1 -1 -1 -1 -1 -1\n",
+        "1 100 5 600 4 -1 -1 2147483648 1200 -1 1 12 -1 -1 -1 -1 -1 -1\n",
+        "1 100 5 600 4 -1 -1 4 1200 -1 1 2147483648 -1 -1 -1 -1 -1 -1\n"}) {
+    SCOPED_TRACE(record);
+    std::istringstream in(record);
+    EXPECT_THROW(read_swf(in), std::runtime_error);
+  }
+  // Each bound itself is a job.
   std::istringstream in(
-      "1 1e20 5 600 4 -1 -1 4 1200 -1 1 12 -1 -1 -1 -1 -1 -1\n");
-  EXPECT_THROW(read_swf(in), std::runtime_error);
+      "1 1000000000000000 5 1000000000000000 4 -1 -1 2147483647 "
+      "1000000000000000 -1 1 2147483647 -1 -1 -1 -1 -1 -1\n");
+  const Workload w = read_swf(in);
+  ASSERT_EQ(w.size(), 1u);
+  EXPECT_EQ(w[0].nodes, 2147483647);
+  EXPECT_EQ(w[0].runtime, 1'000'000'000'000'000);
+  EXPECT_EQ(w[0].estimate, 1'000'000'000'000'000);
+  EXPECT_EQ(w[0].user, 2147483647);
 }
 
 TEST(SwfLenient, SkipsMalformedLinesAndCollectsReport) {

@@ -3,8 +3,16 @@
 #include <gtest/gtest.h>
 
 #include <stdexcept>
+#include <utility>
+#include <vector>
 
+#include "core/factory.h"
+#include "metrics/streaming.h"
+#include "serve/daemon.h"
+#include "serve/feed.h"
+#include "sim/streaming.h"
 #include "test_support.h"
+#include "workload/job_source.h"
 #include "workload/transforms.h"
 
 namespace jsched::workload {
@@ -175,6 +183,69 @@ TEST(Transforms, ScaleEstimates) {
   const Workload scaled = scale_estimates(w, 3.0);
   EXPECT_EQ(scaled[0].estimate, 60);
   EXPECT_THROW(scale_estimates(w, 0.5), std::invalid_argument);
+}
+
+/// Emits its jobs exactly as given: no stamping, no checks.
+class ListSource final : public JobSource {
+ public:
+  explicit ListSource(std::vector<Job> jobs) : jobs_(std::move(jobs)) {}
+  bool next(Job& out) override {
+    if (pos_ == jobs_.size()) return false;
+    out = jobs_[pos_++];
+    return true;
+  }
+  const std::string& name() const noexcept override { return name_; }
+
+ private:
+  std::vector<Job> jobs_;
+  std::size_t pos_ = 0;
+  std::string name_ = "list";
+};
+
+TEST(WorkloadIntake, EveryIntakeHoldsTheRuntimeBound) {
+  // The job model's bound (kMaxJobSeconds, job.h) at three intakes: a
+  // batch workload, a streamed source and a served feed all accept a job
+  // that runs exactly 10^15 s and reject one that runs a second longer.
+  for (const Duration runtime : {kMaxJobSeconds, kMaxJobSeconds + 1}) {
+    SCOPED_TRACE(runtime);
+    const bool fits = runtime == kMaxJobSeconds;
+    Job job = make_job(0, 1, runtime);
+    job.id = 0;
+
+    Workload w;
+    w.add(job);
+    if (fits) {
+      EXPECT_NO_THROW(w.finalize());
+    } else {
+      EXPECT_THROW(w.finalize(), std::invalid_argument);
+    }
+
+    const sim::Machine machine{4};
+    ListSource source({job});
+    auto scheduler = core::make_scheduler(core::AlgorithmSpec{});
+    metrics::StreamingAggregator aggregator(machine.nodes);
+    if (fits) {
+      EXPECT_EQ(sim::simulate_stream(machine, *scheduler, source, aggregator,
+                                     {})
+                    .jobs,
+                1u);
+    } else {
+      EXPECT_THROW(sim::simulate_stream(machine, *scheduler, source,
+                                        aggregator, {}),
+                   std::invalid_argument);
+    }
+
+    serve::SubmitRecord record;
+    record.submit = 0;
+    record.runtime = runtime;
+    record.estimate = runtime;
+    serve::ScriptFeed feed({record});
+    serve::ServeOptions options;
+    options.machine = machine;
+    const serve::ServeReport report = serve::serve(feed, options);
+    EXPECT_EQ(report.rejected_invalid, fits ? 0u : 1u);
+    EXPECT_EQ(report.completed, fits ? 1u : 0u);
+  }
 }
 
 }  // namespace
