@@ -123,7 +123,8 @@ long peak_rss_mib();
 /// one entry per sweep point (failure intensity), each carrying the full
 /// grid's resilience metrics — ART, goodput fraction, availability, kills,
 /// wasted node-seconds and the schedule fingerprint. curve[i] must be the
-/// run_fault_sweep result for labels[i].
+/// GridResult::results() of the run_fault_sweep_outcomes point labeled
+/// labels[i].
 void write_fault_bench_json(
     const std::string& path, const BenchConfig& cfg,
     const std::vector<std::string>& labels,

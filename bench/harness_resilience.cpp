@@ -4,12 +4,15 @@
 // configuration (SMART-NFIW+EASY) replaced by a scheduler that throws mid
 // simulation. Under JSCHED_ERROR_POLICY=isolate (or retry) the sweep must
 // complete every other cell and report exactly one structured scheduler
-// failure — exit 0. Under fail_fast (the default) the injected exception
-// aborts the sweep as a plain std::logic_error — exit 1. CI runs both and
-// asserts the exit codes.
+// failure — exit 0; under retry that failure must also have consumed all
+// 1 + eval::kMaxRetries attempts. Under fail_fast (the default) the
+// injected exception aborts the sweep as a plain std::logic_error — exit 1.
+// CI runs all three and asserts the exit codes.
 #include <cstdio>
 #include <memory>
 #include <stdexcept>
+#include <string>
+#include <vector>
 
 #include "bench_common.h"
 #include "core/factory.h"
@@ -82,8 +85,17 @@ int main() {
   for (const eval::RunOutcome& c : grid.cells) {
     if (c.ok && c.result.schedule_fnv == 0) pass = false;
   }
-  bench::print_shape_checks(
-      {{"exactly one structured scheduler failure, all other cells complete",
-        pass}});
+  std::vector<bench::ShapeCheck> checks = {
+      {"exactly one structured scheduler failure, all other cells complete",
+       pass}};
+  if (opt.error_policy == eval::ErrorPolicy::kRetryN) {
+    // The injected failure is deterministic, so every retry fails too.
+    checks.push_back(
+        {"the failed cell used all " + std::to_string(1 + eval::kMaxRetries) +
+             " attempts",
+         failures.size() == 1 && failures[0].attempts == 1 + eval::kMaxRetries});
+    pass = pass && checks.back().pass;
+  }
+  bench::print_shape_checks(checks);
   return pass ? 0 : 2;
 }

@@ -51,11 +51,6 @@ RunError classify_current_exception(const std::string& scheduler) {
   err.scheduler = scheduler;
   try {
     throw;
-  } catch (const sim::CancelledError& e) {
-    err.kind = e.reason() == sim::CancelledError::Reason::kDeadline
-                   ? RunErrorKind::kTimeout
-                   : RunErrorKind::kCancelled;
-    err.message = e.what();
   } catch (const PhaseError& e) {
     err.kind = e.kind();
     err.message = e.what();
@@ -98,8 +93,7 @@ RunOutcome run_cell_protected(const ExperimentOptions& options,
     return RunOutcome::success(std::move(r), 1);
   }
   const std::size_t total_attempts =
-      options.error_policy == ErrorPolicy::kRetryN ? 1 + options.max_retries
-                                                   : 1;
+      options.error_policy == ErrorPolicy::kRetryN ? 1 + kMaxRetries : 1;
   RunError err;
   for (std::size_t tries = 1; tries <= total_attempts; ++tries) {
     try {
@@ -114,24 +108,6 @@ RunOutcome run_cell_protected(const ExperimentOptions& options,
   return RunOutcome::failure(std::move(err));
 }
 
-namespace {
-
-/// Key for a grid cell; 0 when no journal is active (never looked up).
-std::uint64_t grid_cell_key(const ExperimentOptions& options,
-                            std::uint64_t workload_fnv, int machine_nodes,
-                            const core::AlgorithmSpec& spec) {
-  if (options.journal == nullptr) return 0;
-  return cell_key(workload_fnv, machine_nodes, spec, options.journal_salt);
-}
-
-/// Workload fingerprint, computed only when a journal needs it.
-std::uint64_t journal_workload_fnv(const ExperimentOptions& options,
-                                   const workload::Workload& workload) {
-  return options.journal == nullptr ? 0 : workload::fingerprint(workload);
-}
-
-}  // namespace
-
 }  // namespace detail
 
 namespace {
@@ -144,26 +120,15 @@ struct Simulated {
 };
 
 /// The part run_one and run_streamed share: announce the run, build the
-/// scheduler, arm the per-run cancel token and assemble the RunResult.
-/// `simulate` runs the scheduler, polling the token when it is non-null.
-RunResult run_with(
-    const core::AlgorithmSpec& spec, const ExperimentOptions& options,
-    const std::function<Simulated(sim::Scheduler&, const sim::CancelToken*)>&
-        simulate) {
+/// scheduler, let `simulate` run it and assemble the RunResult.
+RunResult run_with(const core::AlgorithmSpec& spec,
+                   const ExperimentOptions& options,
+                   const std::function<Simulated(sim::Scheduler&)>& simulate) {
   if (options.on_run) options.on_run(spec.display_name());
 
   auto scheduler = options.scheduler_factory ? options.scheduler_factory(spec)
                                              : core::make_scheduler(spec);
-  // Per-run deadline token, chained to the sweep-wide token (if any) so an
-  // external cancel and a local deadline both stop this run.
-  sim::CancelToken token(options.cancel);
-  token.set_clock(options.clock);
-  if (options.run_deadline.count() != 0) {
-    token.set_deadline_after(options.run_deadline);
-  }
-  const bool cancellable =
-      options.cancel != nullptr || options.run_deadline.count() != 0;
-  const Simulated run = simulate(*scheduler, cancellable ? &token : nullptr);
+  const Simulated run = simulate(*scheduler);
   const metrics::StreamedMetrics& m = run.metrics;
 
   RunResult r;
@@ -195,12 +160,10 @@ RunResult run_streamed(const sim::Machine& machine,
                        const core::AlgorithmSpec& spec,
                        workload::JobSource& source,
                        const ExperimentOptions& options) {
-  return run_with(spec, options, [&](sim::Scheduler& scheduler,
-                                     const sim::CancelToken* cancel) {
+  return run_with(spec, options, [&](sim::Scheduler& scheduler) {
     sim::StreamOptions stream_options;
     stream_options.measure_scheduler_cpu = options.measure_cpu;
     stream_options.faults = options.faults;
-    stream_options.cancel = cancel;
     metrics::StreamingAggregator aggregator(machine.nodes);
     const sim::StreamStats stats = sim::simulate_stream(
         machine, scheduler, source, aggregator, stream_options);
@@ -212,31 +175,16 @@ RunResult run_streamed(const sim::Machine& machine,
 RunResult run_one(const sim::Machine& machine, const core::AlgorithmSpec& spec,
                   const workload::Workload& workload,
                   const ExperimentOptions& options) {
-  return run_with(spec, options, [&](sim::Scheduler& scheduler,
-                                     const sim::CancelToken* cancel) {
+  return run_with(spec, options, [&](sim::Scheduler& scheduler) {
     sim::SimOptions sim_options;
-    sim_options.validate = options.validate;
     sim_options.measure_scheduler_cpu = options.measure_cpu;
     sim_options.faults = options.faults;
-    sim_options.cancel = cancel;
     const sim::Schedule schedule =
         sim::simulate(machine, scheduler, workload, sim_options);
     return Simulated{metrics::aggregate(schedule, workload).finish(),
                      schedule.scheduler_cpu_seconds,
                      schedule.max_queue_length};
   });
-}
-
-RunOutcome run_one_outcome(const sim::Machine& machine,
-                           const core::AlgorithmSpec& spec,
-                           const workload::Workload& workload,
-                           const ExperimentOptions& options) {
-  const std::uint64_t key = detail::grid_cell_key(
-      options, detail::journal_workload_fnv(options, workload), machine.nodes,
-      spec);
-  return detail::run_cell_protected(
-      options, key, spec,
-      [&] { return run_one(machine, spec, workload, options); });
 }
 
 GridResult run_grid_outcomes(const sim::Machine& machine,
@@ -331,29 +279,6 @@ std::vector<GridResult> run_fault_sweep_outcomes(
     per_point.journal_salt =
         options.journal_salt ^ util::fnv1a(point.label);
     out.push_back(run_grid_outcomes(machine, weight, workload, per_point));
-  }
-  return out;
-}
-
-std::vector<std::vector<RunResult>> run_fault_sweep(
-    const sim::Machine& machine, core::WeightKind weight,
-    const workload::Workload& workload,
-    const std::vector<FaultSweepPoint>& points,
-    const ExperimentOptions& options) {
-  std::vector<std::vector<RunResult>> out;
-  out.reserve(points.size());
-  const std::vector<GridResult> grids =
-      run_fault_sweep_outcomes(machine, weight, workload, points, options);
-  for (std::size_t p = 0; p < grids.size(); ++p) {
-    if (!grids[p].all_ok()) {
-      std::string msg = "run_fault_sweep: point '" + points[p].label + "': " +
-                        std::to_string(grids[p].failed()) + " cells failed:";
-      for (const RunError& e : grids[p].failures()) {
-        msg += "\n  " + e.describe();
-      }
-      throw std::runtime_error(msg);
-    }
-    out.push_back(grids[p].results());
   }
   return out;
 }

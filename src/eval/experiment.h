@@ -1,16 +1,14 @@
 // The evaluation harness: run the paper's algorithm grid over a workload
 // and collect every metric the tables and figures report.
 //
-// Fault tolerance: every sweep entry point exists in two forms. The
-// classic form (run_grid, run_fault_sweep) returns plain results and
-// throws on failure; the *_outcomes form returns RunOutcome cells that
+// Fault tolerance: the *_outcomes entry points return RunOutcome cells that
 // carry either a RunResult or a structured RunError, with the behavior on
-// failure selected by ExperimentOptions::error_policy. Under the default
-// kFailFast policy the harness catches nothing, so existing callers see
-// byte-identical behavior.
+// failure selected by ExperimentOptions::error_policy; run_grid is the
+// throwing form that returns plain results. Under the default kFailFast
+// policy the harness catches nothing, so a failure propagates as the
+// original exception.
 #pragma once
 
-#include <chrono>
 #include <cstdint>
 #include <functional>
 #include <memory>
@@ -20,7 +18,6 @@
 #include "core/factory.h"
 #include "eval/outcome.h"
 #include "fault/fault.h"
-#include "sim/cancel.h"
 #include "sim/machine.h"
 #include "workload/job_source.h"
 #include "workload/workload.h"
@@ -163,9 +160,10 @@ struct GridResult {
   }
 };
 
+/// Every run validates its schedule (sim::validate_schedule) before its
+/// metrics are folded; run_streamed has no schedule to validate.
 struct ExperimentOptions {
   bool measure_cpu = true;
-  bool validate = true;
   /// Worker threads for run_grid / run_replicated sweeps. 1 = fully serial
   /// (today's behavior, bit-for-bit); 0 = one per hardware thread. Results
   /// are aggregated in task-index order regardless of completion order, so
@@ -190,22 +188,6 @@ struct ExperimentOptions {
   /// the default — catches nothing: exceptions keep their original type
   /// and abort the sweep exactly as before this option existed.
   ErrorPolicy error_policy = ErrorPolicy::kFailFast;
-  /// Extra attempts per failed cell under ErrorPolicy::kRetryN (total
-  /// attempts = 1 + max_retries). Retries re-run the identical inputs.
-  std::size_t max_retries = 2;
-  /// Per-run wall-clock budget; 0 = unlimited (a negative budget is
-  /// already expired — deterministic timeouts in tests). Checked
-  /// cooperatively at event-loop iteration boundaries, so an expired run
-  /// stops within one iteration and surfaces as a kTimeout RunError (or,
-  /// under kFailFast, as sim::CancelledError).
-  std::chrono::milliseconds run_deadline{0};
-  /// Optional sweep-wide cancellation (not owned; may be null): cancelling
-  /// it aborts every in-flight run at its next event-loop iteration.
-  const sim::CancelToken* cancel = nullptr;
-  /// Time source for run_deadline arming and expiry checks (not owned; may
-  /// be null = the real steady clock). Tests inject a util::ManualClock and
-  /// advance it instead of sleeping, so deadline tests are deterministic.
-  const util::Clock* clock = nullptr;
   /// Checkpoint/resume journal (not owned; may be null). Completed cells
   /// are recorded; cells whose key is already journaled are skipped and
   /// their stored RunResult returned with attempts == 0. Works under every
@@ -231,7 +213,7 @@ struct ExperimentOptions {
 
 /// Simulate one algorithm over one workload. Always throws on failure
 /// regardless of error_policy (a single run has no other cells to
-/// salvage); deadline/cancellation/journal options are honored.
+/// salvage), and neither reads nor writes options.journal.
 RunResult run_one(const sim::Machine& machine, const core::AlgorithmSpec& spec,
                   const workload::Workload& workload,
                   const ExperimentOptions& options = {});
@@ -240,20 +222,12 @@ RunResult run_one(const sim::Machine& machine, const core::AlgorithmSpec& spec,
 /// the workload or the schedule — the O(1)-RSS entry point for runs too
 /// large to hold in memory (10M-job scaling studies). Metric semantics
 /// are identical to run_one (same aggregation order, bit-identical
-/// results); `options.validate` is ignored and `jobs` is the streamed
+/// results), but no schedule is validated and `jobs` is the streamed
 /// count. The source is consumed.
 RunResult run_streamed(const sim::Machine& machine,
                        const core::AlgorithmSpec& spec,
                        workload::JobSource& source,
                        const ExperimentOptions& options = {});
-
-/// run_one with the failure captured per error_policy: under kFailFast the
-/// exception propagates; under kIsolate / kRetryN it is returned as a
-/// structured RunOutcome failure.
-RunOutcome run_one_outcome(const sim::Machine& machine,
-                           const core::AlgorithmSpec& spec,
-                           const workload::Workload& workload,
-                           const ExperimentOptions& options = {});
 
 /// Simulate the paper's full grid (13 configurations) for one objective.
 /// Runs configurations on `options.threads` workers; the returned vector
@@ -287,19 +261,12 @@ struct FaultSweepPoint {
   fault::FaultOptions faults;
 };
 
-/// Run the full grid once per sweep point (each via run_grid, so
+/// Run the full grid once per sweep point (each via run_grid_outcomes, so
 /// `options.threads` parallelizes within a point); result [i] belongs to
 /// points[i]. Any faults already present in `options` are replaced by each
-/// point's. Degradation curves (goodput, ART inflation, ...) read
-/// straight off the per-point RunResult vectors.
-std::vector<std::vector<RunResult>> run_fault_sweep(
-    const sim::Machine& machine, core::WeightKind weight,
-    const workload::Workload& workload,
-    const std::vector<FaultSweepPoint>& points,
-    const ExperimentOptions& options = {});
-
-/// run_fault_sweep with per-cell outcomes; each point's journal cells are
-/// salted with the point's label so one journal can hold the whole sweep.
+/// point's. Each point's journal cells are salted with the point's label
+/// so one journal can hold the whole sweep. Degradation curves (goodput,
+/// ART inflation, ...) read straight off the per-point results.
 std::vector<GridResult> run_fault_sweep_outcomes(
     const sim::Machine& machine, core::WeightKind weight,
     const workload::Workload& workload,

@@ -41,7 +41,7 @@ RunError classify_current_exception(const std::string& scheduler);
 
 /// Run one sweep cell under the options' error policy and journal:
 /// journal lookup first (hit -> attempts == 0), then `attempt` once (or
-/// 1 + max_retries times under kRetryN), recording a success into the
+/// 1 + kMaxRetries times under kRetryN), recording a success into the
 /// journal. Under kFailFast nothing is caught: `attempt`'s exception
 /// propagates with its original type.
 RunOutcome run_cell_protected(const ExperimentOptions& options,

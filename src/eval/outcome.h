@@ -18,7 +18,6 @@ namespace jsched::eval {
 
 /// Which phase of a run failed. Classification is by exception type at the
 /// per-cell boundary:
-///   * sim::CancelledError        -> kTimeout / kCancelled (by its Reason)
 ///   * a workload-generation failure (exception escaping the user's
 ///     make_workload callback)    -> kWorkload
 ///   * sim::ValidationError       -> kValidation
@@ -30,8 +29,6 @@ enum class RunErrorKind {
   kScheduler,   // the scheduler violated the simulator contract
   kSimulation,  // the simulation itself failed (resources, internal bug)
   kValidation,  // the produced schedule failed validate_schedule
-  kTimeout,     // the per-run deadline expired
-  kCancelled,   // the run was cancelled from outside
 };
 
 constexpr std::string_view to_string(RunErrorKind kind) noexcept {
@@ -44,10 +41,6 @@ constexpr std::string_view to_string(RunErrorKind kind) noexcept {
       return "simulation";
     case RunErrorKind::kValidation:
       return "validation";
-    case RunErrorKind::kTimeout:
-      return "timeout";
-    case RunErrorKind::kCancelled:
-      return "cancelled";
   }
   return "unknown";
 }
@@ -83,10 +76,14 @@ enum class ErrorPolicy {
   /// sweep completes every healthy cell and reports the failures.
   kIsolate,
   /// Like kIsolate, but first re-run the failed cell (same seed, same
-  /// inputs) up to ExperimentOptions::max_retries extra times — for flaky
-  /// environmental failures; a deterministic bug fails every attempt.
+  /// inputs) up to kMaxRetries extra times — for flaky environmental
+  /// failures; a deterministic bug fails every attempt.
   kRetryN,
 };
+
+/// Extra attempts per failed cell under ErrorPolicy::kRetryN: a cell runs
+/// at most 1 + kMaxRetries times.
+inline constexpr std::size_t kMaxRetries = 2;
 
 constexpr std::string_view to_string(ErrorPolicy policy) noexcept {
   switch (policy) {

@@ -12,6 +12,13 @@
 #include "sim/event_core.h"
 
 namespace jsched::serve {
+namespace {
+
+/// How often the loop polls a live feed while idle or waiting for a far
+/// event.
+constexpr std::chrono::milliseconds kPollGranularity{20};
+
+}  // namespace
 
 ServeReport serve(Feed& feed, const ServeOptions& options) {
   options.machine.validate();
@@ -47,8 +54,7 @@ ServeReport serve(Feed& feed, const ServeOptions& options) {
   metrics::StreamingAggregator aggregator(options.machine.nodes);
   sim::JobWindow window;
   sim::EventCore kernel(options.machine, *scheduler, window, aggregator,
-                        options.faults, /*measure_cpu=*/false,
-                        /*cancel=*/nullptr);
+                        options.faults, /*measure_cpu=*/false);
 
   // ---- Recovery preload. A journal with history turns the loop's first
   // phase into a replay: the recovered admissions feed the event loop
@@ -162,17 +168,21 @@ ServeReport serve(Feed& feed, const ServeOptions& options) {
         std::max(live ? (paced ? vnow() : floor_t) : r.submit, floor_t);
     const bool late = !live && stamp != r.submit;
     // The job it becomes must fit the job model and the machine.
-    if (invalid_job_field(stamp, r.nodes, r.runtime, r.estimate, r.user) ||
-        r.nodes > options.machine.nodes) {
+    const auto field =
+        invalid_job_field(stamp, r.nodes, r.runtime, r.estimate, r.user);
+    if (field || r.nodes > options.machine.nodes) {
       ++report.rejected_invalid;
       if (journal != nullptr) {
         journal->record_drop(DropKind::kInvalid);
         chaos_tick();
       }
       if (options.log) {
-        options.log("rejected: " + std::to_string(r.nodes) + " nodes / " +
-                    std::to_string(r.estimate) + "s estimate (machine has " +
-                    std::to_string(options.machine.nodes) + " nodes)");
+        options.log(field ? std::string("rejected: invalid ") +
+                                field_name(*field) + " field"
+                          : "rejected: " + std::to_string(r.nodes) +
+                                " nodes (machine has " +
+                                std::to_string(options.machine.nodes) +
+                                " nodes)");
       }
       return;
     }
@@ -329,17 +339,16 @@ ServeReport serve(Feed& feed, const ServeOptions& options) {
         continue;  // loop head terminates
       }
       // Live feed, nothing buffered: wait for input.
-      clock.sleep_for(options.poll_granularity);
+      clock.sleep_for(kPollGranularity);
       continue;
     }
 
     if (paced && vnow() < t) {
       // Wait for the event to fall due — but keep polling a live feed at
-      // poll_granularity so an earlier arrival can preempt it.
+      // kPollGranularity so an earlier arrival can preempt it.
       const auto due = due_wall(t);
       if (feed_open) {
-        clock.sleep_until(
-            std::min(due, clock.now() + options.poll_granularity));
+        clock.sleep_until(std::min(due, clock.now() + kPollGranularity));
       } else {
         clock.sleep_until(due);
       }

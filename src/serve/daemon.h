@@ -93,9 +93,6 @@ struct ServeOptions {
   /// fully deterministic serve runs.
   util::Clock* clock = nullptr;
 
-  /// How often to poll a live feed while idle / waiting for a far event.
-  std::chrono::milliseconds poll_granularity{20};
-
   /// Cadence of one-line progress reports through `log` (0 = silent).
   std::chrono::milliseconds report_interval{0};
   std::function<void(const std::string&)> log;

@@ -50,8 +50,7 @@ double EventCore::scheduler_cpu_seconds() const noexcept {
 
 EventCore::EventCore(const Machine& machine, Scheduler& scheduler,
                      JobTable& table, RecordSink& sink,
-                     const fault::FaultOptions& faults, bool measure_cpu,
-                     const CancelToken* cancel)
+                     const fault::FaultOptions& faults, bool measure_cpu)
     : machine_(machine),
       scheduler_(scheduler),
       table_(table),
@@ -59,7 +58,6 @@ EventCore::EventCore(const Machine& machine, Scheduler& scheduler,
       trace_(faults.active() ? faults.trace : nullptr),
       recovery_(faults.recovery),
       measure_cpu_(measure_cpu),
-      cancel_(cancel),
       capacity_(machine.nodes),
       free_(machine.nodes) {
   if (trace_ != nullptr && trace_->machine_nodes != machine.nodes) {
@@ -77,9 +75,6 @@ EventCore::EventCore(const Machine& machine, Scheduler& scheduler,
 }
 
 Time EventCore::next_event(Time next_arrival) {
-  // Cancellation point: one event instant is the abort granularity.
-  if (cancel_ != nullptr) cancel_->check();
-
   // Purge completions of killed attempts so the next-event time is real
   // (only a kill leaves one behind). An id below the frontier is a dead
   // epoch of a job that has since finished.

@@ -39,7 +39,6 @@
 #include <vector>
 
 #include "fault/fault.h"
-#include "sim/cancel.h"
 #include "sim/machine.h"
 #include "sim/schedule.h"
 #include "sim/scheduler.h"
@@ -122,11 +121,10 @@ class EventCore {
   /// and resets `scheduler`. `measure_cpu` brackets every scheduler callback
   /// except next_wakeup and queue_length with the steady clock, and reads
   /// the thread CPU and steady clocks once here for scheduler_cpu_seconds();
-  /// off, no clock is read. `cancel` (may be null) is polled once per
-  /// next_event.
+  /// off, no clock is read.
   EventCore(const Machine& machine, Scheduler& scheduler, JobTable& table,
             RecordSink& sink, const fault::FaultOptions& faults,
-            bool measure_cpu, const CancelToken* cancel);
+            bool measure_cpu);
 
   EventCore(const EventCore&) = delete;
   EventCore& operator=(const EventCore&) = delete;
@@ -205,7 +203,6 @@ class EventCore {
   const fault::FailureTrace* trace_;  // null when faults are inactive
   fault::RecoveryOptions recovery_;
   bool measure_cpu_;
-  const CancelToken* cancel_;
 
   std::priority_queue<Completion, std::vector<Completion>, std::greater<>>
       completions_;

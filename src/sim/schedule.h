@@ -73,12 +73,6 @@ class Schedule {
   /// Peak number of simultaneously waiting jobs (backlog indicator, §6.1).
   std::size_t max_queue_length = 0;
 
-  /// Queue length after each event instant (only filled when
-  /// SimOptions::record_backlog is set): the §6.1 "larger job backlog
-  /// during the simulation" as a plottable time series, one sample per
-  /// instant (the event kernel's instants strictly increase).
-  std::vector<std::pair<Time, std::size_t>> backlog;
-
   /// Killed execution attempts, in kill order (fault injection only;
   /// empty otherwise). metrics::resilience folds these into wasted-work
   /// and resubmission accounting.

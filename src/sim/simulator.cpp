@@ -43,14 +43,9 @@ Schedule simulate(const Machine& machine, Scheduler& scheduler,
         "trim_to_machine() first");
   }
   Schedule schedule(machine, workload.size(), scheduler.name());
-  if (options.record_backlog) {
-    // One sample per event instant; arrivals + completions bound their
-    // count (wakeup-only instants coalesce into these in practice).
-    schedule.backlog.reserve(2 * workload.size() + 1);
-  }
   ScheduleTable table(workload, schedule);
   EventCore kernel(machine, scheduler, table, table, options.faults,
-                   options.measure_scheduler_cpu, options.cancel);
+                   options.measure_scheduler_cpu);
 
   const std::size_t n = workload.size();
   std::size_t next = 0;
@@ -63,9 +58,6 @@ Schedule simulate(const Machine& machine, Scheduler& scheduler,
       kernel.arrive(workload[next], t);
     }
     kernel.finish(t);
-    if (options.record_backlog) {
-      schedule.backlog.emplace_back(t, scheduler.queue_length());
-    }
   }
 
   schedule.scheduler_cpu_seconds = kernel.scheduler_cpu_seconds();

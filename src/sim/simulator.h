@@ -6,7 +6,6 @@
 #include <cstdint>
 
 #include "fault/fault.h"
-#include "sim/cancel.h"
 #include "sim/machine.h"
 #include "sim/schedule.h"
 #include "sim/scheduler.h"
@@ -24,9 +23,6 @@ struct SimOptions {
   /// see EventCore::scheduler_cpu_seconds). Off, no clock is read.
   bool measure_scheduler_cpu = false;
 
-  /// Record the queue-length time series into Schedule::backlog.
-  bool record_backlog = false;
-
   /// Fault injection. Inactive (the default), the event kernel skips its
   /// fault batch and running-set upkeep, and schedules are bit-identical
   /// to those of a build without fault support. Active, the kernel replays
@@ -36,13 +32,6 @@ struct SimOptions {
   /// at the kill instant. The trace must be built for exactly
   /// machine.nodes nodes.
   fault::FaultOptions faults{};
-
-  /// Cooperative cancellation (not owned; may be null). When set, the
-  /// token is polled once per event-loop iteration and an expired or
-  /// cancelled run aborts by throwing sim::CancelledError — within the
-  /// deadline plus one event-loop iteration, with no watchdog thread.
-  /// Null (the default) costs one untaken branch per iteration.
-  const CancelToken* cancel = nullptr;
 };
 
 /// Run `scheduler` over `workload` on `machine`; returns the executed

@@ -12,7 +12,7 @@ StreamStats simulate_stream(const Machine& machine, Scheduler& scheduler,
   machine.validate();
   JobWindow window;
   EventCore kernel(machine, scheduler, window, sink, options.faults,
-                   options.measure_scheduler_cpu, options.cancel);
+                   options.measure_scheduler_cpu);
   StreamStats stats;
 
   // One-job lookahead into the source, validated as it is pulled: the

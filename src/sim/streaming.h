@@ -21,7 +21,6 @@
 #include <cstdint>
 
 #include "fault/fault.h"
-#include "sim/cancel.h"
 #include "sim/event_core.h"
 #include "sim/machine.h"
 #include "sim/schedule.h"
@@ -42,8 +41,8 @@ struct StreamStats {
   std::size_t peak_live_jobs = 0;
 };
 
-/// Options for simulate_stream — SimOptions minus the pieces that require
-/// a materialized Schedule (validate, record_backlog).
+/// Options for simulate_stream — SimOptions minus validate, which needs a
+/// materialized Schedule.
 struct StreamOptions {
   /// Measure CPU time spent in scheduler callbacks (Tables 7/8); identical
   /// semantics and cost to SimOptions::measure_scheduler_cpu.
@@ -51,10 +50,6 @@ struct StreamOptions {
 
   /// Fault injection; identical semantics to SimOptions::faults.
   fault::FaultOptions faults{};
-
-  /// Cooperative cancellation (not owned; may be null), polled once per
-  /// event-loop iteration like the materializing simulator.
-  const CancelToken* cancel = nullptr;
 };
 
 /// Run `scheduler` over the stream from `source` on `machine`, folding

@@ -1,14 +1,14 @@
 // Injectable monotonic time source.
 //
 // Everything in this repo that *waits* or *measures wall time* — the serve
-// daemon's pacing loop, run deadlines, the sweep coordinator's poll sleeps —
-// goes through this interface instead of calling std::chrono directly. The
-// production implementation (real_clock()) is std::chrono::steady_clock plus
-// a real sleep; tests substitute a ManualClock whose time only moves when the
-// test (or a sleep_until call) advances it, which makes every timing-
-// dependent test deterministic: a "deadline expired" test advances the clock
-// past the deadline instead of actually waiting and hoping the scheduler of
-// the CI machine cooperates.
+// daemon's pacing loop, the sweep coordinator's poll sleeps — goes through
+// this interface instead of calling std::chrono directly. The production
+// implementation (real_clock()) is std::chrono::steady_clock plus a real
+// sleep; tests substitute a ManualClock whose time only moves when the test
+// (or a sleep_until call) advances it, which makes every timing-dependent
+// test deterministic: a paced serve test advances the clock past an event's
+// due time instead of actually waiting and hoping the scheduler of the CI
+// machine cooperates.
 #pragma once
 
 #include <atomic>
@@ -19,7 +19,7 @@ namespace jsched::util {
 class Clock {
  public:
   // steady_clock's representation so real and fake time_points interconvert
-  // with the rest of the codebase (CancelToken deadlines in particular).
+  // with the rest of the codebase.
   using time_point = std::chrono::steady_clock::time_point;
   using duration = std::chrono::nanoseconds;
 

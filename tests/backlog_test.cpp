@@ -1,25 +1,23 @@
+// The §6.1 backlog indicator: every driver of the event kernel reports the
+// same peak scheduler queue length for the same workload.
 #include <gtest/gtest.h>
 
 #include "core/factory.h"
+#include "metrics/streaming.h"
+#include "serve/daemon.h"
+#include "serve/feed.h"
 #include "sim/simulator.h"
+#include "sim/streaming.h"
 #include "test_support.h"
+#include "workload/job_source.h"
 
 namespace jsched::sim {
 namespace {
 
 using test::make_job;
 
-TEST(Backlog, OffByDefault) {
-  Machine m;
-  m.nodes = 16;  // small_mixed_workload has 16-node jobs
-  auto sched = core::make_scheduler(core::AlgorithmSpec{});
-  const auto s = simulate(m, *sched, test::small_mixed_workload());
-  EXPECT_TRUE(s.backlog.empty());
-}
-
-TEST(Backlog, RecordsQueueGrowthAndDrain) {
-  // Four full-machine jobs at once: queue 3 after the burst, draining by
-  // one at each completion.
+TEST(Backlog, FourFullMachineJobsPeakAtThreeWaiting) {
+  // Four full-machine jobs at once: one runs, three wait.
   const auto w = test::make_workload({
       make_job(0, 8, 100),
       make_job(0, 8, 100),
@@ -28,24 +26,25 @@ TEST(Backlog, RecordsQueueGrowthAndDrain) {
   });
   Machine m;
   m.nodes = 8;
-  auto sched = core::make_scheduler(core::AlgorithmSpec{});
-  SimOptions opt;
-  opt.record_backlog = true;
-  const auto s = simulate(m, *sched, w, opt);
+  const core::AlgorithmSpec spec;
 
-  ASSERT_FALSE(s.backlog.empty());
-  // Samples are coalesced per instant and strictly increasing in time.
-  for (std::size_t i = 1; i < s.backlog.size(); ++i) {
-    EXPECT_LT(s.backlog[i - 1].first, s.backlog[i].first);
-  }
-  EXPECT_EQ(s.backlog.front().first, 0);
-  EXPECT_EQ(s.backlog.front().second, 3u);  // one running, three waiting
-  // Peak matches the max_queue_length counter.
-  std::size_t peak = 0;
-  for (const auto& [t, q] : s.backlog) peak = std::max(peak, q);
-  EXPECT_EQ(peak, s.max_queue_length);
-  // Fully drained at the last event.
-  EXPECT_EQ(s.backlog.back().second, 0u);
+  auto sched = core::make_scheduler(spec);
+  EXPECT_EQ(simulate(m, *sched, w).max_queue_length, 3u) << "simulate";
+
+  workload::WorkloadSource source(w);
+  metrics::StreamingAggregator aggregator(m.nodes);
+  EXPECT_EQ(simulate_stream(m, *sched, source, aggregator).max_queue_length,
+            3u)
+      << "simulate_stream";
+
+  workload::WorkloadSource served(w);
+  serve::JobSourceFeed feed(served);
+  serve::ServeOptions options;
+  options.machine = m;
+  options.spec = spec;
+  const serve::ServeReport report = serve::serve(feed, options);
+  EXPECT_EQ(report.completed, 4u);
+  EXPECT_EQ(report.peak_scheduler_queue, 3u) << "serve";
 }
 
 }  // namespace

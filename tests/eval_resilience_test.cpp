@@ -15,7 +15,6 @@
 #include "eval/internal.h"
 #include "eval/replication.h"
 #include "eval/reporting.h"
-#include "sim/cancel.h"
 #include "sim/schedule.h"
 #include "sim/scheduler.h"
 #include "test_support.h"
@@ -126,6 +125,19 @@ TEST(Resilience, IsolateMatchesSerialResultsThreaded) {
   }
 }
 
+/// Index of the FCFS+list cell in core::paper_grid order.
+std::size_t fcfs_list_cell() {
+  const auto specs = core::paper_grid(core::WeightKind::kUnit);
+  for (std::size_t i = 0; i < specs.size(); ++i) {
+    if (specs[i].order == core::OrderKind::kFcfs &&
+        specs[i].dispatch == core::DispatchKind::kList) {
+      return i;
+    }
+  }
+  ADD_FAILURE() << "no FCFS+list cell in the paper grid";
+  return 0;
+}
+
 TEST(Resilience, RetryConsumesAllAttemptsOnDeterministicFailure) {
   const workload::Workload w = test::small_mixed_workload();
   sim::Machine m;
@@ -133,18 +145,23 @@ TEST(Resilience, RetryConsumesAllAttemptsOnDeterministicFailure) {
   auto opt = throwing_options(core::OrderKind::kFcfs,
                               core::DispatchKind::kList);
   opt.error_policy = eval::ErrorPolicy::kRetryN;
-  opt.max_retries = 2;
-  const eval::RunOutcome out = eval::run_one_outcome(
-      m, core::AlgorithmSpec{}, w, opt);  // FCFS+kList is the throwing cell
+  const eval::GridResult grid =
+      eval::run_grid_outcomes(m, core::WeightKind::kUnit, w, opt);
+  ASSERT_EQ(grid.failed(), 1u);
+  const eval::RunOutcome& out = grid.cells[fcfs_list_cell()];
   ASSERT_FALSE(out.ok);
-  EXPECT_EQ(out.attempts, 3u);  // 1 + max_retries
+  EXPECT_EQ(out.attempts, 3u);  // 1 + eval::kMaxRetries
   EXPECT_EQ(out.error.attempts, 3u);
   EXPECT_NE(out.error.describe().find("after 3 attempts"), std::string::npos);
+  // Healthy cells take one attempt; only the failed cell retries.
+  for (const eval::RunOutcome& c : grid.cells) {
+    EXPECT_EQ(c.attempts, c.ok ? 1u : 3u);
+  }
 }
 
 TEST(Resilience, RetrySucceedsAfterTransientFailures) {
-  // A scheduler factory that fails twice then behaves: retry must succeed
-  // on the third attempt and record the count.
+  // A scheduler factory that fails twice for FCFS+list, then behaves: retry
+  // must succeed on the third attempt and record the count.
   const workload::Workload w = test::small_mixed_workload();
   sim::Machine m;
   m.nodes = 16;
@@ -152,25 +169,30 @@ TEST(Resilience, RetrySucceedsAfterTransientFailures) {
   eval::ExperimentOptions opt;
   opt.measure_cpu = false;
   opt.error_policy = eval::ErrorPolicy::kRetryN;
-  opt.max_retries = 2;
   opt.scheduler_factory = [failures_left](const core::AlgorithmSpec& spec)
       -> std::unique_ptr<sim::Scheduler> {
-    if (failures_left->fetch_sub(1) > 0) {
+    if (spec.order == core::OrderKind::kFcfs &&
+        spec.dispatch == core::DispatchKind::kList &&
+        failures_left->fetch_sub(1) > 0) {
       return std::make_unique<ThrowingScheduler>("transient");
     }
     return core::make_scheduler(spec);
   };
-  const eval::RunOutcome out =
-      eval::run_one_outcome(m, core::AlgorithmSpec{}, w, opt);
-  ASSERT_TRUE(out.ok);
-  EXPECT_EQ(out.attempts, 3u);
+  const eval::GridResult grid =
+      eval::run_grid_outcomes(m, core::WeightKind::kUnit, w, opt);
+  ASSERT_TRUE(grid.all_ok());
+  const std::size_t fcfs = fcfs_list_cell();
   // The successful attempt produced a real schedule, identical to an
   // unfaulted run.
   eval::ExperimentOptions plain;
   plain.measure_cpu = false;
-  const eval::RunResult reference =
-      eval::run_one(m, core::AlgorithmSpec{}, w, plain);
-  EXPECT_EQ(out.result.schedule_fnv, reference.schedule_fnv);
+  const auto reference = eval::run_grid(m, core::WeightKind::kUnit, w, plain);
+  ASSERT_EQ(grid.cells.size(), reference.size());
+  for (std::size_t i = 0; i < grid.cells.size(); ++i) {
+    EXPECT_EQ(grid.cells[i].attempts, i == fcfs ? 3u : 1u) << "cell " << i;
+    EXPECT_EQ(grid.cells[i].result.schedule_fnv, reference[i].schedule_fnv)
+        << "cell " << i;
+  }
 }
 
 TEST(Resilience, ExceptionTaxonomyClassification) {
@@ -193,14 +215,6 @@ TEST(Resilience, ExceptionTaxonomyClassification) {
             Kind::kScheduler);
   EXPECT_EQ(classify(std::make_exception_ptr(std::runtime_error("io"))).kind,
             Kind::kSimulation);
-  EXPECT_EQ(classify(std::make_exception_ptr(sim::CancelledError(
-                         sim::CancelledError::Reason::kDeadline, "late")))
-                .kind,
-            Kind::kTimeout);
-  EXPECT_EQ(classify(std::make_exception_ptr(sim::CancelledError(
-                         sim::CancelledError::Reason::kCancelled, "stop")))
-                .kind,
-            Kind::kCancelled);
   EXPECT_EQ(classify(std::make_exception_ptr(eval::detail::PhaseError(
                          Kind::kWorkload, "generator died")))
                 .kind,
@@ -230,21 +244,26 @@ TEST(Resilience, StarvedJobsClassifyAsSchedulerBug) {
   eval::ExperimentOptions opt;
   opt.measure_cpu = false;
   opt.error_policy = eval::ErrorPolicy::kIsolate;
-  opt.scheduler_factory = [](const core::AlgorithmSpec&)
+  opt.scheduler_factory = [](const core::AlgorithmSpec& spec)
       -> std::unique_ptr<sim::Scheduler> {
-    return std::make_unique<DroppingScheduler>();
+    if (spec.order == core::OrderKind::kFcfs &&
+        spec.dispatch == core::DispatchKind::kList) {
+      return std::make_unique<DroppingScheduler>();
+    }
+    return core::make_scheduler(spec);
   };
-  const eval::RunOutcome out =
-      eval::run_one_outcome(m, core::AlgorithmSpec{}, w, opt);
-  ASSERT_FALSE(out.ok);
-  EXPECT_EQ(out.error.kind, eval::RunErrorKind::kScheduler);
-  EXPECT_NE(out.error.message.find("starved"), std::string::npos);
+  const eval::GridResult grid =
+      eval::run_grid_outcomes(m, core::WeightKind::kUnit, w, opt);
+  ASSERT_EQ(grid.failed(), 1u);
+  const eval::RunError err = grid.failures()[0];
+  EXPECT_EQ(err.scheduler, "FCFS");
+  EXPECT_EQ(err.kind, eval::RunErrorKind::kScheduler);
+  EXPECT_NE(err.message.find("starved"), std::string::npos);
 }
 
 TEST(Resilience, FaultSweepIsolatesMidSweepFailure) {
   // A scheduler throwing in every point of a fault sweep: each point's
-  // grid completes its other 12 cells and reports the failure; the legacy
-  // API throws naming the point.
+  // grid completes its other 12 cells and reports the failure.
   const workload::Workload w = test::small_mixed_workload();
   sim::Machine m;
   m.nodes = 16;
@@ -262,12 +281,6 @@ TEST(Resilience, FaultSweepIsolatesMidSweepFailure) {
     EXPECT_EQ(grid.failed(), 1u);
     EXPECT_EQ(grid.failures()[0].kind, eval::RunErrorKind::kScheduler);
     EXPECT_EQ(grid.cells.size() - grid.failed(), 12u);
-  }
-  try {
-    eval::run_fault_sweep(m, core::WeightKind::kUnit, w, points, opt);
-    FAIL() << "expected summary exception";
-  } catch (const std::runtime_error& e) {
-    EXPECT_NE(std::string(e.what()).find("p0"), std::string::npos);
   }
 }
 
@@ -336,7 +349,6 @@ TEST(Resilience, ErrorPolicyStringsRoundTrip) {
             eval::ErrorPolicy::kRetryN);
   EXPECT_THROW(eval::error_policy_from_string("whatever"),
                std::invalid_argument);
-  EXPECT_EQ(eval::to_string(eval::RunErrorKind::kTimeout), "timeout");
   EXPECT_EQ(eval::to_string(eval::ErrorPolicy::kIsolate), "isolate");
 }
 

@@ -559,19 +559,23 @@ TEST(FaultParallelEval, FaultSweepProducesDegradationCurve) {
 
   eval::ExperimentOptions options;
   options.measure_cpu = false;
-  const auto curve = eval::run_fault_sweep(m, core::WeightKind::kUnit, w,
-                                           points, options);
-  ASSERT_EQ(curve.size(), 2u);
+  const auto sweep = eval::run_fault_sweep_outcomes(
+      m, core::WeightKind::kUnit, w, points, options);
+  ASSERT_EQ(sweep.size(), 2u);
+  ASSERT_TRUE(sweep[0].all_ok());
+  ASSERT_TRUE(sweep[1].all_ok());
+  const auto fault_free = sweep[0].results();
   // Point 0 is fault-free: identical to a plain grid run.
   const auto plain = eval::run_grid(m, core::WeightKind::kUnit, w, options);
+  ASSERT_EQ(fault_free.size(), plain.size());
   for (std::size_t i = 0; i < plain.size(); ++i) {
-    EXPECT_EQ(curve[0][i].schedule_fnv, plain[i].schedule_fnv);
-    EXPECT_DOUBLE_EQ(curve[0][i].goodput_fraction, 1.0);
-    EXPECT_DOUBLE_EQ(curve[0][i].availability, 1.0);
+    EXPECT_EQ(fault_free[i].schedule_fnv, plain[i].schedule_fnv);
+    EXPECT_DOUBLE_EQ(fault_free[i].goodput_fraction, 1.0);
+    EXPECT_DOUBLE_EQ(fault_free[i].availability, 1.0);
   }
   // Failures can only add work: goodput fraction degrades (or stays 1 if
   // the trace happened to miss every running job).
-  for (const eval::RunResult& r : curve[1]) {
+  for (const eval::RunResult& r : sweep[1].results()) {
     EXPECT_LE(r.goodput_fraction, 1.0);
   }
 }

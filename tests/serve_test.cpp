@@ -308,6 +308,25 @@ TEST(Serve, RejectsJobsWiderThanTheMachine) {
   EXPECT_EQ(report.completed, 2u);
 }
 
+TEST(Serve, RejectionLogNamesTheFieldOrTheMachineWidth) {
+  std::vector<SubmitRecord> records = burst(2);
+  records[0].runtime = kMaxJobSeconds + 1;  // past the job model
+  records[1].nodes = 17;                    // machine has 16
+  ScriptFeed feed(records);
+  ServeOptions options;
+  options.machine.nodes = 16;
+  options.spec = fcfs_with(core::DispatchKind::kEasy);
+  std::vector<std::string> lines;
+  options.log = [&lines](const std::string& line) { lines.push_back(line); };
+  const ServeReport report = serve::serve(feed, options);
+
+  EXPECT_EQ(report.rejected_invalid, 2u);
+  ASSERT_EQ(lines.size(), 2u);
+  EXPECT_NE(lines[0].find("runtime"), std::string::npos) << lines[0];
+  EXPECT_NE(lines[1].find("machine has 16 nodes"), std::string::npos)
+      << lines[1];
+}
+
 // ---------------------------------------------------- pacing (ManualClock)
 
 TEST(Serve, PacedRunUnderManualClockIsDeterministic) {
@@ -455,8 +474,9 @@ TEST(Serve, IdleLiveFeedSleepsInsteadOfSpinning) {
   EXPECT_EQ(report.submitted, 1u);
   EXPECT_EQ(report.completed, 1u);
   // The live job was stamped at virtual 0 and ran 5 s; the idle rounds
-  // before it arrived slept poll_granularity each on the fake clock, so
-  // wall time advanced past the 5 s due point instead of spinning at 0.
+  // before it arrived slept the daemon's poll interval each on the fake
+  // clock, so wall time advanced past the 5 s due point instead of
+  // spinning at 0.
   EXPECT_GE(report.wall_seconds, 5.0);
   EXPECT_LT(report.wall_seconds, 6.0);
 }
@@ -804,11 +824,19 @@ int connect_to(std::uint16_t port) {
 
 TEST(Serve, TcpFeedSurvivesFdExhaustion) {
   // Regression: an EMFILE from accept() used to silently stop the accept
-  // loop for good. Lower the fd ceiling to exactly what is in use, let a
-  // client knock, and the feed must count a transient error, keep the
-  // listener alive, and accept the client once the ceiling lifts.
+  // loop for good. Drop the fd ceiling to 0, let a client knock, and the
+  // feed must count a transient error, keep the listener alive, and accept
+  // the client once the ceiling lifts.
   serve::TcpFeed feed(0);
   ASSERT_GT(feed.port(), 0);
+  // Poll once with nothing to accept (accept4 returns EAGAIN and no state
+  // changes) before the ceiling drops: a first call through the poll path
+  // may itself need a descriptor (UBSan's vptr check needs one the first
+  // time it meets a type pair), and the limited poll below must fail in
+  // accept4 alone.
+  std::vector<SubmitRecord> out;
+  ASSERT_TRUE(feed.poll(kTimeInfinity, out));
+  ASSERT_EQ(feed.transient_accept_errors(), 0u);
   const int client = connect_to(feed.port());  // queued in the backlog
 
   rlimit orig{};
@@ -817,7 +845,6 @@ TEST(Serve, TcpFeedSurvivesFdExhaustion) {
   tight.rlim_cur = 0;  // accept() of the queued client now hits EMFILE
   ASSERT_EQ(setrlimit(RLIMIT_NOFILE, &tight), 0);
 
-  std::vector<SubmitRecord> out;
   EXPECT_TRUE(feed.poll(kTimeInfinity, out));
   EXPECT_GT(feed.transient_accept_errors(), 0u);
   EXPECT_TRUE(out.empty());
