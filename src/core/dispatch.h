@@ -6,15 +6,18 @@
 //  * FirstFitDispatch — the classical Garey&Graham list scheduling (§5.3):
 //    "always starts the next job for which enough resources are
 //    available"; backfilling is a no-op on top of this by construction.
+//    It searches its wait queue through a QueueIndex, like EASY.
 //  * EasyBackfillDispatch / ConservativeBackfillDispatch — §5.2, in their
 //    own headers.
 #pragma once
 
 #include <cstddef>
+#include <cstdint>
 #include <string>
 #include <vector>
 
 #include "core/job_store.h"
+#include "core/queue_index.h"
 #include "sim/machine.h"
 #include "util/time.h"
 
@@ -38,7 +41,8 @@ class Dispatcher {
   virtual void reset(const sim::Machine& machine, const JobStore& store) = 0;
 
   /// Queue/lifecycle notifications (defaults: stateless dispatchers ignore
-  /// them).
+  /// them). on_start is delivered for jobs the last select() returned, in
+  /// the order it returned them; a decorator may have vetoed some.
   virtual void on_enqueue(JobId, Time) {}
   virtual void on_start(JobId, Time) {}
   virtual void on_complete(JobId, Time, Time /*estimated_end*/,
@@ -63,7 +67,8 @@ class Dispatcher {
 
   /// Take over a machine mid-flight (phase-switched schedulers): rebuild
   /// any internal state from the currently running jobs and the queue
-  /// order. Stateless dispatchers need nothing beyond the default.
+  /// order. Dispatchers that track only the queue need nothing beyond the
+  /// default, which rebuilds it through on_reorder.
   virtual void adopt(Time now, const std::vector<JobId>& order,
                      const std::vector<RunningJob>& running) {
     (void)running;
@@ -97,18 +102,39 @@ class HeadOnlyDispatch final : public Dispatcher {
   const JobStore* store_ = nullptr;
 };
 
-/// Garey & Graham: start every job that fits, scanning the whole queue
-/// (ties broken by queue position).
+/// Selection accounting of the dispatchers that search their wait queue
+/// (first fit and EASY), reset() to zero. Exposed for tests and the
+/// library's op counts.
+struct SelectStats {
+  std::uint64_t selects = 0;         ///< select() calls
+  std::uint64_t shadows = 0;         ///< EASY shadow-time computations
+  std::uint64_t slots_examined = 0;  ///< queue slots and index nodes read
+};
+
+/// Garey & Graham: start every job that fits, in queue order (ties broken
+/// by queue position). The queue index leads the search from one fitting
+/// job to the next.
 class FirstFitDispatch final : public Dispatcher {
  public:
   std::string name() const override { return "FF"; }
-  void reset(const sim::Machine&, const JobStore& store) override { store_ = &store; }
+  void reset(const sim::Machine&, const JobStore& store) override;
+  void on_enqueue(JobId id, Time) override {
+    queue_.push_back(store_->get(id));
+  }
+  void on_start(JobId id, Time) override { queue_.erase(id); }
+  void on_reorder(const std::vector<JobId>& order, Time) override {
+    queue_.assign(order, *store_);
+  }
   void select(Time now, int free_nodes, const std::vector<JobId>& order,
               const std::vector<RunningJob>& running,
               std::vector<JobId>& starts) override;
 
+  const SelectStats& select_stats() const noexcept { return stats_; }
+
  private:
   const JobStore* store_ = nullptr;
+  QueueIndex queue_;
+  SelectStats stats_;
 };
 
 }  // namespace jsched::core

@@ -5,8 +5,10 @@
 //  provide accurate execution time estimates for their jobs no scheduling
 //  algorithm can generate good schedules."
 //
-// This decorator wraps any *stateless* dispatcher (head-only list, G&G
-// first fit, EASY) and vetoes starts that would — by the user's estimate —
+// This decorator wraps any dispatcher that plans nothing beyond the
+// current select() (head-only list, G&G first fit, EASY: the last two
+// drop a job from their queue index only when on_start reports it
+// started) and vetoes starts that would — by the user's estimate —
 // still be running when the next drain window opens, and starts nothing
 // while a window is open. Because the veto works on estimates, a job that
 // overruns its estimate still violates the window: the decorator enforces

@@ -23,6 +23,15 @@
 namespace jsched::core {
 
 /// Maintains the ordered list of waiting jobs.
+///
+/// Dispatchers that keep their own copy of the queue (EASY and first fit
+/// search a QueueIndex) follow order() through the notifications alone, so
+/// every policy keeps two rules:
+///  * an on_submit that leaves version() unchanged appends the job at the
+///    tail of order();
+///  * otherwise order() changes only by losing the jobs passed to
+///    on_remove, the rest keeping their relative order.
+/// Anything else, such as inserting mid-queue or replanning, bumps version().
 class OrderingPolicy {
  public:
   virtual ~OrderingPolicy() = default;

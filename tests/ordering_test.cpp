@@ -2,9 +2,13 @@
 
 #include <gtest/gtest.h>
 
+#include <algorithm>
+#include <memory>
 #include <stdexcept>
 #include <vector>
 
+#include "core/psrs.h"
+#include "core/smart.h"
 #include "test_support.h"
 #include "util/rng.h"
 
@@ -269,35 +273,66 @@ TEST(WeightKindTest, SchedulingWeights) {
 }
 
 TEST(IndexedRemoval, MatchesLinearScanReference) {
-  // The id->position index replaced std::find-based removals; drive
-  // FcfsOrder with a random submit/remove mix (removals from head, middle
-  // and tail alike) against a plain vector doing the scan-and-erase the
-  // old code did. Orders must agree after every operation.
-  JobStore store;
-  FcfsOrder order;
-  order.reset(machine(), store);
-  std::vector<JobId> reference;
-  util::Rng rng(123);
-  JobId next = 0;
-  for (int op = 0; op < 4000; ++op) {
-    if (reference.empty() || rng.bernoulli(0.55)) {
-      Job j = make_job(op, 1, 10);
-      j.id = next++;
-      store.put(j);
-      order.on_submit(j.id, op);
-      reference.push_back(j.id);
-    } else {
-      const std::size_t pick = static_cast<std::size_t>(rng.uniform_int(
-          0, static_cast<std::int64_t>(reference.size()) - 1));
-      const JobId victim = reference[pick];
-      reference.erase(reference.begin() + static_cast<std::ptrdiff_t>(pick));
-      order.on_remove(victim, op);
-      // Removing again must throw: the index forgot the job.
-      if (op % 97 == 0) {
-        EXPECT_THROW(order.on_remove(victim, op), std::logic_error);
+  // Every policy finds a started job by scanning its queue. Drive all four
+  // with a random submit/remove mix (removals from head, middle and tail
+  // alike) and check, after every operation, the contract documented on
+  // OrderingPolicy that the dispatchers' queue index relies on: a submit
+  // that leaves version() unchanged appends at the tail, and a removal
+  // drops exactly the removed job. FCFS must also match a plain vector
+  // doing the scan-and-erase.
+  const auto policies = [] {
+    std::vector<std::unique_ptr<OrderingPolicy>> v;
+    v.push_back(std::make_unique<FcfsOrder>());
+    v.push_back(std::make_unique<PriorityFcfsOrder>());
+    v.push_back(std::make_unique<SmartOrder>(SmartParams{}));
+    v.push_back(std::make_unique<PsrsOrder>(PsrsParams{}));
+    return v;
+  }();
+  for (const auto& order : policies) {
+    SCOPED_TRACE(order->name());
+    JobStore store;
+    order->reset(machine(), store);
+    std::vector<JobId> reference;  // order() expected after each operation
+    util::Rng rng(123);
+    JobId next = 0;
+    std::uint64_t reorders = 0;
+    for (int op = 0; op < 4000; ++op) {
+      const std::uint64_t version = order->version();
+      if (reference.empty() || rng.bernoulli(0.55)) {
+        Job j = make_job(op, static_cast<int>(rng.uniform_int(1, 16)),
+                         rng.uniform_int(1, 5000));
+        j.id = next++;
+        j.priority_class = static_cast<std::int32_t>(rng.uniform_int(0, 2));
+        store.put(j);
+        order->on_submit(j.id, op);
+        reference.push_back(j.id);
+      } else {
+        const std::size_t pick = static_cast<std::size_t>(rng.uniform_int(
+            0, static_cast<std::int64_t>(reference.size()) - 1));
+        const JobId victim = reference[pick];
+        reference.erase(reference.begin() + static_cast<std::ptrdiff_t>(pick));
+        order->on_remove(victim, op);
+        // Removing again must throw: the job left the queue.
+        if (op % 97 == 0) {
+          EXPECT_THROW(order->on_remove(victim, op), std::logic_error);
+        }
       }
+      if (order->version() != version) {
+        // A reorder may permute the queue, never change its members.
+        ++reorders;
+        std::vector<JobId> got = order->order();
+        std::sort(got.begin(), got.end());
+        std::sort(reference.begin(), reference.end());
+        ASSERT_EQ(got, reference) << "op " << op;
+        reference = order->order();
+      }
+      ASSERT_EQ(order->order(), reference) << "op " << op;
     }
-    ASSERT_EQ(order.order(), reference) << "op " << op;
+    if (order->name() == "FCFS") {
+      EXPECT_EQ(reorders, 0u);
+    } else {
+      EXPECT_GT(reorders, 0u) << "the mix exercises mid-queue inserts/replans";
+    }
   }
 }
 

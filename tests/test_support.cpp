@@ -1,5 +1,7 @@
 #include "test_support.h"
 
+#include <algorithm>
+
 #include "util/journal.h"
 
 namespace jsched::test {
@@ -53,6 +55,84 @@ std::vector<std::string> read_lines(const std::string& path) {
   util::AppendLog::for_each_line(
       path, [&](const std::string& line) { lines.push_back(line); });
   return lines;
+}
+
+void LinearEasyDispatch::select(Time now, int free_nodes,
+                                const std::vector<JobId>& order,
+                                const std::vector<core::RunningJob>& running,
+                                std::vector<JobId>& starts) {
+  starts.clear();
+  ++stats_.selects;
+
+  // Greedy phase: start head jobs while they fit.
+  std::size_t head = 0;
+  while (head < order.size()) {
+    ++stats_.slots_examined;
+    const Job& j = store_->get(order[head]);
+    if (j.nodes > free_nodes) break;
+    free_nodes -= j.nodes;
+    starts.push_back(order[head]);
+    ++head;
+  }
+  if (head >= order.size()) return;
+
+  // Reservation for the head: walk estimated completions until enough
+  // nodes accumulate. The active set (running jobs + this round's greedy
+  // starts, in that order so the unstable sort below sees the exact same
+  // sequence) is only materialized when a reservation is actually needed —
+  // the everything-started case above skips the copy entirely.
+  ++stats_.shadows;
+  active_.assign(running.begin(), running.end());
+  for (JobId id : starts) {
+    const Job& j = store_->get(id);
+    active_.push_back({id, now, now + j.estimate, j.nodes});
+  }
+  const Job& head_job = store_->get(order[head]);
+  std::sort(active_.begin(), active_.end(),
+            [](const core::RunningJob& a, const core::RunningJob& b) {
+              return a.estimated_end < b.estimated_end;
+            });
+  Time shadow = now;
+  int avail = free_nodes;
+  for (const auto& r : active_) {
+    if (avail >= head_job.nodes) break;
+    avail += r.nodes;
+    shadow = r.estimated_end;
+  }
+  // `avail` nodes are free once the head can start; whatever the head does
+  // not need may be held past the shadow time by backfilled jobs.
+  int extra = avail - head_job.nodes;
+
+  // Backfill phase: any later job may start now if it fits and does not
+  // disturb the head's reservation.
+  for (std::size_t i = head + 1; i < order.size() && free_nodes > 0; ++i) {
+    ++stats_.slots_examined;
+    const Job& j = store_->get(order[i]);
+    if (j.nodes > free_nodes) continue;
+    const bool ends_before_shadow = now + j.estimate <= shadow;
+    if (ends_before_shadow || j.nodes <= extra) {
+      free_nodes -= j.nodes;
+      if (!ends_before_shadow) extra -= j.nodes;
+      starts.push_back(order[i]);
+    }
+  }
+}
+
+void LinearFirstFitDispatch::select(Time, int free_nodes,
+                                    const std::vector<JobId>& order,
+                                    const std::vector<core::RunningJob>&,
+                                    std::vector<JobId>& starts) {
+  starts.clear();
+  ++stats_.selects;
+  for (JobId id : order) {
+    if (free_nodes == 0) break;
+    ++stats_.slots_examined;
+    const int need = store_->get(id).nodes;
+    if (need <= free_nodes) {
+      free_nodes -= need;
+      starts.push_back(id);
+    }
+  }
 }
 
 }  // namespace jsched::test

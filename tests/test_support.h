@@ -5,6 +5,7 @@
 #include <string>
 #include <vector>
 
+#include "core/dispatch.h"
 #include "core/factory.h"
 #include "sim/machine.h"
 #include "sim/schedule.h"
@@ -37,5 +38,49 @@ std::uint64_t run_fingerprint(const core::AlgorithmSpec& spec,
 /// Every complete line of `path`, in file order, collected through
 /// util::AppendLog::for_each_line (torn tail dropped, missing file empty).
 std::vector<std::string> read_lines(const std::string& path);
+
+/// EASY backfilling by a linear scan of the whole wait queue every round:
+/// the selection core::EasyBackfillDispatch made before it searched a
+/// core::QueueIndex, kept as the reference the differential suite holds
+/// it to. Counts every queue position it reads in slots_examined, and a
+/// shadow computation for every blocked head.
+class LinearEasyDispatch final : public core::Dispatcher {
+ public:
+  std::string name() const override { return "EASY"; }
+  void reset(const sim::Machine&, const core::JobStore& store) override {
+    store_ = &store;
+    stats_ = {};
+  }
+  void select(Time now, int free_nodes, const std::vector<JobId>& order,
+              const std::vector<core::RunningJob>& running,
+              std::vector<JobId>& starts) override;
+
+  const core::SelectStats& select_stats() const noexcept { return stats_; }
+
+ private:
+  const core::JobStore* store_ = nullptr;
+  std::vector<core::RunningJob> active_;
+  core::SelectStats stats_;
+};
+
+/// Garey&Graham first fit by a linear scan of the whole wait queue: the
+/// reference for core::FirstFitDispatch, counting the positions it reads.
+class LinearFirstFitDispatch final : public core::Dispatcher {
+ public:
+  std::string name() const override { return "FF"; }
+  void reset(const sim::Machine&, const core::JobStore& store) override {
+    store_ = &store;
+    stats_ = {};
+  }
+  void select(Time now, int free_nodes, const std::vector<JobId>& order,
+              const std::vector<core::RunningJob>& running,
+              std::vector<JobId>& starts) override;
+
+  const core::SelectStats& select_stats() const noexcept { return stats_; }
+
+ private:
+  const core::JobStore* store_ = nullptr;
+  core::SelectStats stats_;
+};
 
 }  // namespace jsched::test
