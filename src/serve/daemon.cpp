@@ -10,6 +10,7 @@
 
 #include "serve/journal.h"
 #include "sim/event_core.h"
+#include "util/hash.h"
 
 namespace jsched::serve {
 namespace {
@@ -17,6 +18,19 @@ namespace {
 /// How often the loop polls a live feed while idle or waiting for a far
 /// event.
 constexpr std::chrono::milliseconds kPollGranularity{20};
+
+/// Decisions between two digests, at least (one waits for an instant's end).
+constexpr std::size_t kDigestEvery = 64;
+
+/// One decision's term in the digest: FNV-1a over (kind, id, epoch, t),
+/// kind 0 for a completion and 1 for a start.
+std::uint64_t decision_hash(std::uint64_t kind,
+                            const sim::EventCore::Attempt& attempt, Time t) {
+  std::uint64_t h = util::fnv1a_mix(util::kFnvOffset, kind);
+  h = util::fnv1a_mix(h, attempt.id);
+  h = util::fnv1a_mix(h, attempt.epoch);
+  return util::fnv1a_mix(h, static_cast<std::uint64_t>(t));
+}
 
 }  // namespace
 
@@ -67,7 +81,6 @@ ServeReport serve(Feed& feed, const ServeOptions& options) {
   std::size_t replayed = 0;  // replay[replayed..] is not yet delivered
   const auto replay_left = [&] { return replay.size() - replayed; };
   std::size_t skip_feed = 0;
-  Time start_virtual = 0;
   if (journal != nullptr && journal->has_history()) {
     report.recovered = true;
     replay = journal->admitted();
@@ -81,24 +94,21 @@ ServeReport serve(Feed& feed, const ServeOptions& options) {
     if (options.feed_restarts_from_start) {
       skip_feed = journal->consumed_feed_records();
     }
-    // Resume the virtual clock at the last journaled instant: the replay
-    // runs at memory speed regardless of pacing, and wall-time mapping
-    // continues from where the dead run reached, not from zero.
-    start_virtual = journal->last_event_time();
     if (options.log) {
       options.log("journal " + journal->path() + ": replaying " +
                   std::to_string(report.recovered_jobs) + " admission(s) (" +
                   std::to_string(report.recovered_completed) +
-                  " completed), skipping " + std::to_string(skip_feed) +
+                  " completed at the last digest), skipping " +
+                  std::to_string(skip_feed) +
                   " consumed feed record(s), resuming at t=" +
-                  std::to_string(start_virtual));
+                  std::to_string(journal->last_event_time()));
     }
   }
   if (journal != nullptr) journal->begin_run();
 
   // Crash drill: die *for real* once this run has journaled enough. Placed
   // after each append point so the kill lands mid-stream, between a
-  // journaled decision and whatever would have followed it.
+  // journaled record and whatever would have followed it.
   const auto chaos_tick = [&] {
     if (options.chaos_kill_after_appends > 0 &&
         journal->appends() >= options.chaos_kill_after_appends) {
@@ -106,11 +116,42 @@ ServeReport serve(Feed& feed, const ServeOptions& options) {
     }
   };
 
+  // The digest covers every decision so far, at instants <= digest.t (the
+  // last round's). A sum ignores the order and rounds of an instant's
+  // decisions, so a restart serving a kBlock batch in fewer rounds matches.
+  // A loaded digest is checked once no decision at or before its instant is
+  // left; only past the last one does the run append its own.
+  DecisionDigest digest{-1, 0, 0};
+  std::size_t checked = 0;     // loaded digests matched so far
+  std::size_t undigested = 0;  // decisions after the last digest
+  const auto check_digests = [&](Time before) {
+    const std::vector<DecisionDigest>& loaded = journal->digests();
+    for (; checked < loaded.size() && loaded[checked].t < before; ++checked) {
+      const DecisionDigest& d = loaded[checked];
+      if (d.dones != digest.dones || d.sum != digest.sum) {
+        throw JournalReplayError(
+            "admission journal " + journal->path() +
+            ": replay diverged at the digest at t=" + std::to_string(d.t) +
+            " (journal written under another feed, spec, machine, fault "
+            "trace or binary?)");
+      }
+      undigested = 0;
+    }
+  };
+  const auto append_digest = [&] {
+    journal->record_digest(digest);
+    undigested = 0;
+    chaos_tick();
+  };
+
   // Virtual/wall mapping. vnow = V0 + floor(elapsed * speed); an event at
   // virtual t falls due at epoch + ceil((t - V0) / speed) — the ceil
   // guarantees vnow(due(t)) >= t, so sleeping until due never wakes
   // early, and anything at or before the resume point V0 is due at once.
-  const Time v0 = start_virtual;
+  // A restart resumes at the last journaled instant: the replay runs at
+  // memory speed regardless of pacing, and wall-time mapping continues
+  // from where the dead run reached, not from zero.
+  const Time v0 = journal != nullptr ? journal->last_event_time() : 0;
   const auto vnow = [&]() -> Time {
     if (!paced) return kTimeInfinity;
     const auto elapsed = std::chrono::duration_cast<std::chrono::nanoseconds>(
@@ -136,7 +177,12 @@ ServeReport serve(Feed& feed, const ServeOptions& options) {
   const auto undelivered = [&] { return admission.size() + replay_left(); };
   std::vector<SubmitRecord> batch;
   bool feed_open = true;
-  Time last_stamp = v0;  // admission stamps are non-decreasing
+  // Admission stamps are non-decreasing and, in a restart, later than the
+  // last loaded digest: a fresh job must not join the decisions it covers.
+  Time last_stamp = v0;
+  if (journal != nullptr && !journal->digests().empty()) {
+    last_stamp = std::max(v0, journal->digests().back().t + 1);
+  }
 
   // Graceful degradation: under faults the backlog bound shrinks with the
   // surviving capacity (never below 1 — a transient total outage should
@@ -153,8 +199,17 @@ ServeReport serve(Feed& feed, const ServeOptions& options) {
     return std::max<std::size_t>(scaled, 1);
   };
 
-  // Stamp + enqueue one polled record; drops are counted (and journaled —
-  // a dropped record is still a *consumed* one). `from_holdover` marks
+  // Count a polled record that is not admitted, and journal it: a dropped
+  // record is still a *consumed* one.
+  const auto drop = [&](DropKind kind, std::size_t& counter) {
+    ++counter;
+    if (journal != nullptr) {
+      journal->record_drop(kind);
+      chaos_tick();
+    }
+  };
+
+  // Stamp + enqueue one polled record, or drop it. `from_holdover` marks
   // records admitted late under kBlock backpressure.
   const auto admit = [&](SubmitRecord r, bool from_holdover) {
     // Time can only move forward: a live record is stamped "now", and a
@@ -171,11 +226,7 @@ ServeReport serve(Feed& feed, const ServeOptions& options) {
     const auto field =
         invalid_job_field(stamp, r.nodes, r.runtime, r.estimate, r.user);
     if (field || r.nodes > options.machine.nodes) {
-      ++report.rejected_invalid;
-      if (journal != nullptr) {
-        journal->record_drop(DropKind::kInvalid);
-        chaos_tick();
-      }
+      drop(DropKind::kInvalid, report.rejected_invalid);
       if (options.log) {
         options.log(field ? std::string("rejected: invalid ") +
                                 field_name(*field) + " field"
@@ -188,11 +239,7 @@ ServeReport serve(Feed& feed, const ServeOptions& options) {
     }
     const std::size_t backlog = effective_max_backlog();
     if (backlog > 0 && scheduler->queue_length() + undelivered() >= backlog) {
-      ++report.shed_backlog;
-      if (journal != nullptr) {
-        journal->record_drop(DropKind::kShedBacklog);
-        chaos_tick();
-      }
+      drop(DropKind::kShedBacklog, report.shed_backlog);
       return;
     }
     if (late) ++report.late_arrivals;
@@ -295,11 +342,7 @@ ServeReport serve(Feed& feed, const ServeOptions& options) {
         }
         if (undelivered() >= options.queue_capacity) {
           if (options.overload == OverloadPolicy::kShed) {
-            ++report.shed_capacity;
-            if (journal != nullptr) {
-              journal->record_drop(DropKind::kShedCapacity);
-              chaos_tick();
-            }
+            drop(DropKind::kShedCapacity, report.shed_capacity);
           } else {
             holdover.push_back(r);
           }
@@ -356,19 +399,17 @@ ServeReport serve(Feed& feed, const ServeOptions& options) {
     }
 
     // ---- Process the event at t through the kernel. One round = one
-    // decision sample; each decision is journaled in the kernel's order
-    // (completions after begin, starts after finish).
+    // decision sample, its digest check or append included.
     const auto decision_start = clock.now();
-    kernel.begin(t);
-    if (journal != nullptr) {
-      for (const sim::EventCore::Attempt& done : kernel.completed()) {
-        if (journal->record_done(done.id, done.epoch, t)) {
-          ++report.replayed_decisions;
-        } else {
-          chaos_tick();
-        }
+    if (journal != nullptr && t > digest.t) {
+      check_digests(t);
+      if (checked == journal->digests().size() &&
+          undigested >= kDigestEvery) {
+        append_digest();
       }
+      digest.t = t;
     }
+    kernel.begin(t);
     report.killed += kernel.killed().size();
     if (kernel.capacity_changed()) {
       ++report.capacity_events;
@@ -403,12 +444,18 @@ ServeReport serve(Feed& feed, const ServeOptions& options) {
     kernel.finish(t);
     report.requeued += kernel.killed().size();
     if (journal != nullptr) {
+      for (const sim::EventCore::Attempt& done : kernel.completed()) {
+        digest.sum += decision_hash(0, done, t);
+      }
       for (const sim::EventCore::Attempt& start : kernel.started()) {
-        if (journal->record_start(start.id, start.epoch, t)) {
-          ++report.replayed_decisions;
-        } else {
-          chaos_tick();
-        }
+        digest.sum += decision_hash(1, start, t);
+      }
+      digest.dones += kernel.completed().size();
+      const std::size_t made =
+          kernel.completed().size() + kernel.started().size();
+      undigested += made;
+      if (report.recovered && t <= journal->last_event_time()) {
+        report.replayed_decisions += made;
       }
     }
 
@@ -437,6 +484,12 @@ ServeReport serve(Feed& feed, const ServeOptions& options) {
                : "") +
           " p99=" + std::to_string(report.decision_latency_ns.p99()) + "ns");
     }
+  }
+
+  // Every admitted job is done (an abort leaves the tail unchecked).
+  if (journal != nullptr && !report.aborted) {
+    check_digests(kTimeInfinity);
+    if (undigested > 0) append_digest();
   }
 
   const auto elapsed = std::chrono::duration_cast<std::chrono::nanoseconds>(

@@ -38,13 +38,17 @@
 // the same FaultOptions.
 //
 // Crash safety: options.journal points the loop at a write-ahead
-// AdmissionJournal (serve/journal.h). Every consumed feed record and every
-// decision is journaled before the daemon acts on it; a daemon restarted
-// on a journal with history replays the admissions at their original
-// virtual times, re-derives (and verifies) the decisions, and resumes the
-// feed where the dead run left it — the final report, fingerprint
-// included, is bit-identical to an uninterrupted run. With no journal the
-// loop is byte-identical to its pre-journal behavior.
+// AdmissionJournal (serve/journal.h) that holds every consumed feed record
+// before the daemon acts on it. Decisions follow from those, so they are
+// hashed, not journaled: about once per 64 decisions, at an instant
+// boundary, the loop journals its decision digest (below). A daemon
+// restarted on a journal with history replays the admissions at their
+// original virtual times, re-derives the decisions, checks each journaled
+// digest (JournalReplayError if another feed, spec, machine, fault trace
+// or binary wrote it) and resumes the feed where the dead run left it:
+// the final report, fingerprint included, is bit-identical to an
+// uninterrupted run. The digest is the wrapping sum (mod 2^64) of one
+// FNV-1a hash of (kind, id, epoch, t) per completion and start.
 #pragma once
 
 #include <chrono>
@@ -116,8 +120,8 @@ struct ServeOptions {
   /// Write-ahead admission journal (not owned; null = no journaling).
   /// When it holds history, serve() replays it before opening the feed:
   /// recovered admissions re-enter at their original virtual times,
-  /// decisions re-derive deterministically and are verified against the
-  /// journaled ones (serve/journal.h documents the protocol). The feed
+  /// decisions re-derive deterministically and are checked against the
+  /// journaled digests (serve/journal.h documents the records). The feed
   /// opens at the last journaled admission's instant, so a batch the kill
   /// split still reaches the scheduler in one round.
   AdmissionJournal* journal = nullptr;
@@ -130,7 +134,7 @@ struct ServeOptions {
 
   /// Crash drill: raise SIGKILL after this many journal appends by this
   /// run (0 = off; requires `journal`). The ServeRecovery tests and the
-  /// CI serve-recovery job use it to die mid-decision, unclean, for real.
+  /// CI serve-recovery job use it to die mid-stream, unclean, for real.
   std::size_t chaos_kill_after_appends = 0;
 };
 
@@ -153,7 +157,7 @@ struct ServeReport {
   std::size_t decisions = 0;  // event-loop scheduling rounds
   /// Wall nanoseconds per scheduling round (one kernel instant —
   /// completions, arrivals, select_starts and the record fold — plus its
-  /// journal appends), measured with the daemon's clock.
+  /// digest work), measured with the daemon's clock.
   util::LatencyHistogram decision_latency_ns;
 
   // Throughput.
@@ -175,8 +179,8 @@ struct ServeReport {
   // Recovery accounting (moves only under options.journal).
   bool recovered = false;            // the journal held history at start
   std::size_t recovered_jobs = 0;    // admissions replayed from the journal
-  std::size_t recovered_completed = 0;  // of those, already done pre-crash
-  std::size_t replayed_decisions = 0;   // journaled starts/dones re-derived
+  std::size_t recovered_completed = 0;  // done by the last loaded digest
+  std::size_t replayed_decisions = 0;   // made up to last_event_time()
   std::size_t journal_appends = 0;      // records appended by this run
   double recovery_replay_seconds = 0.0;  // wall time to drain the replay
 

@@ -8,20 +8,7 @@
 
 namespace jsched::serve {
 
-namespace {
-
-constexpr char kTag[] = "s1";
-
-std::uint64_t decision_key(JobId id, std::uint32_t epoch) noexcept {
-  return (static_cast<std::uint64_t>(id) << 32) | epoch;
-}
-
-}  // namespace
-
-AdmissionJournal::AdmissionJournal(std::string path)
-    : log_(std::move(path)) {
-  load();
-}
+constexpr char kTag[] = "s1";  // the admission journal's record tag
 
 AdmissionJournal::AdmissionJournal(std::string path,
                                    util::AppendLog::Durability durability)
@@ -81,32 +68,31 @@ void AdmissionJournal::load() {
       delayed_at_open_ += j.delayed ? 1 : 0;
       last_event_time_ = std::max(last_event_time_, j.record.submit);
       admitted_.push_back(j);
-      ++admits_;
       ++consumed_at_open_;
     } else if (verb == "drop") {
       const std::int64_t kind = next_i64();
       if (kind < 0 || kind > 2) throw fail("drop record with unknown kind");
       ++drops_[kind];
       ++consumed_at_open_;
-    } else if (verb == "start" || verb == "done") {
-      const std::int64_t id = next_i64();
-      const std::int64_t attempt = next_i64();
+    } else if (verb == "digest") {
       const Time t = next_i64();
-      if (id < 0 || static_cast<std::size_t>(id) >= admits_) {
-        throw fail("decision record for a job never admitted");
+      const std::int64_t dones = next_i64();
+      std::uint64_t sum = 0;
+      if (!(in >> std::hex >> sum)) throw fail("truncated record");
+      const DecisionDigest last =
+          digests_.empty() ? DecisionDigest{} : digests_.back();
+      if (t < last.t || dones < static_cast<std::int64_t>(last.dones)) {
+        throw fail("digest record earlier than the one before it");
       }
-      if (attempt < 0 || attempt > 0xffffffffll) {
-        throw fail("decision record with a bad epoch");
+      if (dones > static_cast<std::int64_t>(admitted_.size())) {
+        throw fail("digest record counts more completions than admissions");
       }
-      DecisionMap& map = verb[0] == 's' ? starts_ : dones_;
-      map[decision_key(static_cast<JobId>(id),
-                       static_cast<std::uint32_t>(attempt))] = t;
+      digests_.push_back({t, static_cast<std::size_t>(dones), sum});
       last_event_time_ = std::max(last_event_time_, t);
     }
-    // Unknown verbs under a valid checksum: written by a newer daemon;
-    // skipping them keeps old binaries able to at least open the file.
+    // Unknown verbs under a valid checksum: written by a newer daemon, or
+    // an older one's `start`/`done`; skipping them keeps the file open.
   });
-  completed_at_open_ = dones_.size();  // one done per job, at its last epoch
 }
 
 void AdmissionJournal::append_record(const std::string& payload) {
@@ -127,7 +113,6 @@ void AdmissionJournal::record_admit(const SubmitRecord& r, bool late,
                 static_cast<std::int64_t>(r.submit), r.nodes,
                 static_cast<std::int64_t>(r.runtime),
                 static_cast<std::int64_t>(r.estimate), r.user, flags);
-  ++admits_;
   append_record(buf);
 }
 
@@ -136,38 +121,11 @@ void AdmissionJournal::record_drop(DropKind kind) {
   append_record("drop " + std::to_string(static_cast<int>(kind)));
 }
 
-bool AdmissionJournal::record_decision(const char* verb,
-                                       const DecisionMap& map,
-                                       JobId id, std::uint32_t epoch,
-                                       Time t) {
-  if (static_cast<std::size_t>(id) >= admits_) {
-    throw JournalReplayError("admission journal " + log_.path() + ": " +
-                             verb + " for job " + std::to_string(id) +
-                             " which was never admitted");
-  }
-  const auto it = map.find(decision_key(id, epoch));
-  if (it != map.end()) {
-    if (it->second == t) return true;  // replayed decision: suppress
-    throw JournalReplayError(
-        "admission journal " + log_.path() + ": replay diverged — " + verb +
-        " of job " + std::to_string(id) + " (epoch " + std::to_string(epoch) +
-        ") re-derived at t=" + std::to_string(t) + " but journaled at t=" +
-        std::to_string(it->second) +
-        " (journal written by a different feed, spec or machine?)");
-  }
+void AdmissionJournal::record_digest(const DecisionDigest& digest) {
   char buf[80];
-  std::snprintf(buf, sizeof(buf), "%s %u %u %" PRId64, verb, id, epoch,
-                static_cast<std::int64_t>(t));
+  std::snprintf(buf, sizeof(buf), "digest %" PRId64 " %zu %016" PRIx64,
+                static_cast<std::int64_t>(digest.t), digest.dones, digest.sum);
   append_record(buf);
-  return false;
-}
-
-bool AdmissionJournal::record_start(JobId id, std::uint32_t epoch, Time t) {
-  return record_decision("start", starts_, id, epoch, t);
-}
-
-bool AdmissionJournal::record_done(JobId id, std::uint32_t epoch, Time t) {
-  return record_decision("done", dones_, id, epoch, t);
 }
 
 }  // namespace jsched::serve

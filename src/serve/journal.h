@@ -1,63 +1,44 @@
 // Durable admission journal: the serve daemon's write-ahead log.
 //
 // The daemon's decision loop is deterministic given its admission stream
-// (that is the subsystem's bit-identity contract with the offline
-// simulator), so crash safety does not require checkpointing scheduler
-// state — it requires never losing an admission. The journal records, as
-// checksummed util::AppendLog records (honoring JSCHED_JOURNAL_FSYNC):
+// (the subsystem's bit-identity contract with the offline simulator), so
+// crash safety needs no scheduler state and no decisions, only every
+// admission. Checksummed util::AppendLog records (JSCHED_JOURNAL_FSYNC):
 //
 //   s1 <crc> run <k>                                   daemon (re)start #k
 //   s1 <crc> admit <submit> <nodes> <runtime> <estimate> <user> <flags>
 //   s1 <crc> drop <kind>                               consumed + dropped
-//   s1 <crc> start <id> <epoch> <t>                    start decision
-//   s1 <crc> done <id> <epoch> <t>                     record finalized
+//   s1 <crc> digest <t> <dones> <sum>                  decisions up to t
 //
-// Admission records carry no id: ids are dense by admission order, so the
-// i-th admit line IS job i — an invariant the replay protocol preserves
-// (see below). `flags` packs the late-arrival / delayed-admission bits so
-// a resumed run's report counts match an uninterrupted one. `drop` lines
-// exist for the same reason (shed/rejected counters) and to make
-// "records consumed from the feed" == admits + drops, which is what a
-// restart skips when the feed restarts from the beginning.
-//
-// Replay protocol (serve() with a journal holding history): re-admit every
-// journaled job at its original virtual submit time, in journal order, and
-// let the deterministic loop re-derive every decision. record_start /
-// record_done deduplicate against the loaded history *by (job, epoch)* —
-// `epoch` is the job's kill counter under fault injection, so the second
-// start of a requeued job is a distinct record, not a duplicate. A
-// decision the journal already holds is *suppressed* (not re-appended; the
-// return value tells the loop it is replaying) and verified: the same
-// (job, epoch) recorded at a different time means the journal belongs to a
-// different feed, scheduler or machine, and raises JournalReplayError
-// instead of silently writing a forked history. Fresh decisions append as
-// usual, so a run killed during replay leaves a journal that still
-// satisfies the id-density invariant (suppressed admits are never
-// double-written) and can be resumed again — restarts compose.
-//
-// Memory: the journal keeps only the history it loaded. A fresh admission
-// is only counted (the count backs the "never admitted" check) and a fresh
-// decision is appended and forgotten, so memory does not grow with service.
+// The i-th admit line is job i (ids are dense by admission order). `flags`
+// holds the late / delayed bits and `drop` lines the shed and rejected
+// counts, so a resumed run's report matches an uninterrupted one; admits +
+// drops are the feed records a restart skips when its feed restarts from
+// the beginning. A digest holds serve()'s decision digest (hex `sum`,
+// serve/daemon.h) and the completions `dones` at instants <= t; the loader
+// checks only that t and dones never decrease and that dones never exceeds
+// the admits before it. Journals written before digests existed hold
+// `start`/`done` records; they are skipped like any unknown verb, so those
+// journals load and their decisions are re-derived unchecked. The journal
+// keeps what it loaded and nothing it appends.
 #pragma once
 
 #include <cstddef>
 #include <cstdint>
 #include <stdexcept>
 #include <string>
-#include <unordered_map>
 #include <vector>
 
 #include "serve/feed.h"
 #include "util/journal.h"
 #include "util/time.h"
-#include "workload/job.h"
 
 namespace jsched::serve {
 
 /// The journal disagrees with the run replaying it: a re-derived decision
-/// does not match the recorded one (different feed / spec / machine under
-/// the same journal path), or a record references a job the journal never
-/// admitted.
+/// digest does not match the journaled one (different feed / spec /
+/// machine / fault trace under the same journal path), or a record is
+/// structurally impossible.
 class JournalReplayError : public std::runtime_error {
  public:
   using std::runtime_error::runtime_error;
@@ -78,6 +59,13 @@ struct JournaledJob {
   bool delayed = false;  // was admitted from holdover under kBlock
 };
 
+/// One `digest` record: the decisions made at instants <= t.
+struct DecisionDigest {
+  Time t = 0;
+  std::size_t dones = 0;  // completions
+  std::uint64_t sum = 0;  // wrapping sum of the decision hashes
+};
+
 class AdmissionJournal {
  public:
   /// Opens (creating if missing) the journal at `path` and loads every
@@ -85,8 +73,9 @@ class AdmissionJournal {
   /// util::CorruptRecordError on checksum mismatches, JournalReplayError
   /// on structurally impossible histories, std::runtime_error on
   /// unopenable files. Durability defaults to JSCHED_JOURNAL_FSYNC.
-  explicit AdmissionJournal(std::string path);
-  AdmissionJournal(std::string path, util::AppendLog::Durability durability);
+  explicit AdmissionJournal(std::string path,
+                            util::AppendLog::Durability durability =
+                                util::AppendLog::durability_from_env());
 
   AdmissionJournal(const AdmissionJournal&) = delete;
   AdmissionJournal& operator=(const AdmissionJournal&) = delete;
@@ -104,16 +93,22 @@ class AdmissionJournal {
   const std::vector<JournaledJob>& admitted() const noexcept {
     return admitted_;
   }
+  /// Every digest loaded at open, in journal order; never changes after.
+  const std::vector<DecisionDigest>& digests() const noexcept {
+    return digests_;
+  }
   /// Feed records consumed by prior runs (admits + drops): the prefix a
   /// restarted daemon skips when its feed restarts from the beginning.
   std::size_t consumed_feed_records() const noexcept {
     return consumed_at_open_;
   }
-  /// Jobs with a journaled `done` record at open.
-  std::size_t completed_at_open() const noexcept { return completed_at_open_; }
-  /// Latest virtual time the journal knows of (max over admit submits,
-  /// starts and dones); 0 when empty. A paced restart resumes its
-  /// virtual clock here instead of re-pacing the past.
+  /// Completions the last loaded digest covers (0 without one).
+  std::size_t completed_at_open() const noexcept {
+    return digests_.empty() ? 0 : digests_.back().dones;
+  }
+  /// Latest virtual time the journal knows of (max over admit submits and
+  /// digest instants); 0 when empty. A paced restart resumes its virtual
+  /// clock here instead of re-pacing the past.
   Time last_event_time() const noexcept { return last_event_time_; }
 
   // Dropped-record counters to restore into a resumed ServeReport.
@@ -129,41 +124,27 @@ class AdmissionJournal {
   void begin_run();
 
   /// Journal one fresh admission (`r.submit` already stamped) / one
-  /// consumed-but-dropped record. Never called for recovered jobs — the
-  /// loop re-admits those from admitted() without touching the file.
+  /// consumed-but-dropped record / one decision digest. Never called for
+  /// recovered jobs — the loop re-admits those from admitted() without
+  /// touching the file.
   void record_admit(const SubmitRecord& r, bool late, bool delayed);
   void record_drop(DropKind kind);
-
-  /// Journal a start / completion decision of attempt `epoch` of job
-  /// `id`. Returns true when the loaded history holds the identical
-  /// record (a replayed decision — suppressed, nothing written); false
-  /// when it was fresh and appended. Throws JournalReplayError when the
-  /// history holds a *different* time for the same (job, epoch), or when
-  /// `id` was never admitted.
-  bool record_start(JobId id, std::uint32_t epoch, Time t);
-  bool record_done(JobId id, std::uint32_t epoch, Time t);
+  void record_digest(const DecisionDigest& digest);
 
   /// Records appended by *this* process (excludes loaded history). The
   /// chaos-kill knob and the bench's journal-overhead metric count these.
   std::size_t appends() const noexcept { return appends_; }
 
  private:
-  using DecisionMap = std::unordered_map<std::uint64_t, Time>;  // (id,epoch)
-
   void load();
   void append_record(const std::string& payload);
-  bool record_decision(const char* verb, const DecisionMap& map, JobId id,
-                       std::uint32_t epoch, Time t);
 
   util::AppendLog log_;
-  std::vector<JournaledJob> admitted_;  // loaded at open
-  std::size_t admits_ = 0;              // loaded + fresh: the next JobId
-  DecisionMap starts_;                  // loaded at open
-  DecisionMap dones_;  // loaded; one entry per finished job (final epoch)
+  std::vector<JournaledJob> admitted_;    // loaded at open
+  std::vector<DecisionDigest> digests_;  // loaded at open
   std::size_t drops_[3] = {0, 0, 0};
   std::size_t runs_ = 0;
   std::size_t consumed_at_open_ = 0;
-  std::size_t completed_at_open_ = 0;
   std::size_t late_at_open_ = 0;
   std::size_t delayed_at_open_ = 0;
   Time last_event_time_ = 0;

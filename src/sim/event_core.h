@@ -110,8 +110,9 @@ class JobWindow final : public JobTable {
 /// file comment: next_event, then begin / arrive... / finish at its time.
 class EventCore {
  public:
-  /// One attempt of one job: serve() journals completions and starts as
-  /// these (the epoch counts the job's earlier killed attempts).
+  /// One attempt of one job: serve() hashes completions and starts as
+  /// these into its decision digest (the epoch counts the job's earlier
+  /// killed attempts).
   struct Attempt {
     JobId id;
     std::uint32_t epoch;

@@ -10,10 +10,12 @@
 // re-exec'd child, and the parent restarts over the survivor journal.
 #include "serve/journal.h"
 
+#include <algorithm>
 #include <csignal>
 #include <cstdio>
 #include <cstdlib>
 #include <fstream>
+#include <functional>
 #include <sstream>
 #include <string>
 #include <vector>
@@ -73,7 +75,7 @@ SubmitRecord rec(Time submit, int nodes, Duration runtime) {
   return r;
 }
 
-TEST(AdmissionJournal, RoundTripsAdmissionsDropsAndDecisions) {
+TEST(AdmissionJournal, RoundTripsAdmissionsDropsAndDigests) {
   TempJournal f("adm-roundtrip");
   {
     AdmissionJournal j(f.path());
@@ -83,10 +85,10 @@ TEST(AdmissionJournal, RoundTripsAdmissionsDropsAndDecisions) {
     j.record_admit(rec(20, 4, 200), /*late=*/true, /*delayed=*/true);
     j.record_drop(DropKind::kInvalid);
     j.record_drop(DropKind::kShedBacklog);
-    EXPECT_FALSE(j.record_start(0, 0, 10));
-    EXPECT_FALSE(j.record_done(0, 0, 110));
-    EXPECT_FALSE(j.record_start(1, 0, 110));
-    EXPECT_EQ(j.appends(), 8u);
+    j.record_digest({110, 1, 0xfedcba9876543210ull});
+    j.record_digest({130, 1, 42});
+    EXPECT_EQ(j.appends(), 7u);
+    EXPECT_TRUE(j.digests().empty());  // appended, not kept
   }
   AdmissionJournal j(f.path());
   EXPECT_TRUE(j.has_history());
@@ -97,38 +99,43 @@ TEST(AdmissionJournal, RoundTripsAdmissionsDropsAndDecisions) {
   EXPECT_FALSE(j.admitted()[0].late);
   EXPECT_TRUE(j.admitted()[1].late);
   EXPECT_TRUE(j.admitted()[1].delayed);
+  ASSERT_EQ(j.digests().size(), 2u);
+  EXPECT_EQ(j.digests()[0].t, 110);
+  EXPECT_EQ(j.digests()[0].dones, 1u);
+  EXPECT_EQ(j.digests()[0].sum, 0xfedcba9876543210ull);  // all 64 bits
+  EXPECT_EQ(j.digests()[1].sum, 42u);
   EXPECT_EQ(j.consumed_feed_records(), 4u);  // 2 admits + 2 drops
-  EXPECT_EQ(j.completed_at_open(), 1u);
+  EXPECT_EQ(j.completed_at_open(), 1u);      // the last digest's dones
   EXPECT_EQ(j.dropped_invalid(), 1u);
   EXPECT_EQ(j.dropped_shed_backlog(), 1u);
   EXPECT_EQ(j.dropped_shed_capacity(), 0u);
   EXPECT_EQ(j.late_at_open(), 1u);
   EXPECT_EQ(j.delayed_at_open(), 1u);
-  EXPECT_EQ(j.last_event_time(), 110);
+  EXPECT_EQ(j.last_event_time(), 130);  // a digest after the last admit
   EXPECT_EQ(j.appends(), 0u);  // loaded history is not "appended by us"
-}
 
-TEST(AdmissionJournal, SuppressesReplayedDecisionsByEpoch) {
-  TempJournal f("adm-dedup");
-  {
-    AdmissionJournal j(f.path());
-    j.begin_run();
-    j.record_admit(rec(0, 1, 50), false, false);
-    j.record_start(0, 0, 0);
-    j.record_start(0, 1, 80);  // second attempt after a kill: distinct
+  // A digest behind the one before it, or counting more completions than
+  // the admits before it, cannot come from a serve() run.
+  for (const char* digest : {"digest 100 1 0", "digest 120 0 0",
+                             "digest -5 0 0", "digest 120 3 0"}) {
+    SCOPED_TRACE(digest);
+    TempJournal bad("adm-digest");
+    {
+      util::AppendLog log(bad.path());
+      log.append_checked("s1", "run 0");
+      log.append_checked("s1", "admit 10 2 100 100 7 0");
+      log.append_checked("s1", "admit 20 4 200 200 7 0");
+      log.append_checked("s1", "digest 110 1 0");
+      log.append_checked("s1", digest);
+    }
+    try {
+      AdmissionJournal journal(bad.path());
+      ADD_FAILURE() << "expected JournalReplayError";
+    } catch (const serve::JournalReplayError& e) {
+      EXPECT_NE(std::string(e.what()).find("at record 5"), std::string::npos)
+          << e.what();
+    }
   }
-  AdmissionJournal j(f.path());
-  // Identical re-derived decisions are suppressed, not re-appended.
-  EXPECT_TRUE(j.record_start(0, 0, 0));
-  EXPECT_TRUE(j.record_start(0, 1, 80));
-  EXPECT_EQ(j.appends(), 0u);
-  // A fresh epoch is a fresh record.
-  EXPECT_FALSE(j.record_start(0, 2, 120));
-  EXPECT_EQ(j.appends(), 1u);
-  // The same (job, epoch) at a different time is a forked history.
-  EXPECT_THROW(j.record_start(0, 0, 5), serve::JournalReplayError);
-  // Decisions about jobs never admitted are structurally impossible.
-  EXPECT_THROW(j.record_start(9, 0, 5), serve::JournalReplayError);
 }
 
 TEST(AdmissionJournal, DetectsCorruptRecords) {
@@ -255,6 +262,35 @@ void expect_reports_identical(const ServeReport& a, const ServeReport& b) {
   }
 }
 
+/// The verb of a journal record ("s1 <checksum> <verb> ...").
+std::string verb_of(const std::string& record) {
+  std::istringstream in(record);
+  std::string tag, checksum, verb;
+  in >> tag >> checksum >> verb;
+  return verb;
+}
+
+/// The instants of the journal's `digest` records, in file order.
+std::vector<Time> digest_instants(const std::string& path) {
+  std::vector<Time> instants;
+  for (const std::string& record : test::read_lines(path)) {
+    std::istringstream in(record);
+    std::string tag, checksum, verb;
+    Time t = 0;
+    in >> tag >> checksum >> verb;
+    if (verb == "digest" && in >> t) instants.push_back(t);
+  }
+  return instants;
+}
+
+/// Writes the first `k` records to `path`: what a kill after append k
+/// leaves, since each append is one flushed line.
+void write_prefix(const std::string& path,
+                  const std::vector<std::string>& records, std::size_t k) {
+  std::ofstream out(path);
+  for (std::size_t i = 0; i < k; ++i) out << records[i] << "\n";
+}
+
 TEST(ServeRecovery, JournalingOffAndOnProduceTheSameSchedule) {
   const ServeReport plain = run_once(recovery_options(nullptr));
   TempJournal f("journal-overhead");
@@ -262,8 +298,12 @@ TEST(ServeRecovery, JournalingOffAndOnProduceTheSameSchedule) {
   const ServeReport journaled = run_once(recovery_options(&journal));
   expect_reports_identical(plain, journaled);
   EXPECT_FALSE(journaled.recovered);
-  // run header + one admit + one start + one done per job.
-  EXPECT_EQ(journaled.journal_appends, 1 + 3 * plain.submitted);
+  // run header + one admit per job + one digest per 64 or more decisions
+  // (a start and a completion per job), the last one as the run ends.
+  const std::size_t digests = digest_instants(f.path()).size();
+  EXPECT_EQ(journaled.journal_appends, 1 + plain.submitted + digests);
+  EXPECT_GE(digests, 1u);
+  EXPECT_LE(digests, 2 * plain.submitted / 64 + 1);
 }
 
 TEST(ServeRecovery, RestartAtRandomizedKillPointsIsBitIdentical) {
@@ -316,8 +356,8 @@ TEST(ServeRecovery, RestartsComposeAcrossRepeatedCrashes) {
 }
 
 TEST(ServeRecovery, FaultyRunRecoversWithRequeuesIntact) {
-  // Kill-restart under fault injection: the journal's (job, epoch) keying
-  // must keep a requeued job's second start distinct from its first.
+  // Kill-restart under fault injection: the digest hashes (job, epoch), so
+  // a requeued job's second start stays distinct from its first.
   fault::TraceInjector injector(
       {{5'000, -32}, {40'000, +32}, {80'000, -16}, {120'000, +16}}, 64);
   fault::FaultOptions faults;
@@ -344,6 +384,28 @@ TEST(ServeRecovery, FaultyRunRecoversWithRequeuesIntact) {
   EXPECT_EQ(resumed.min_capacity, reference.min_capacity);
 }
 
+/// The every-append sweeps' workload: the recovery workload's first 60
+/// jobs with submits rounded down to whole 1000 s, so equal-submit batches
+/// are common.
+const workload::Workload& batched_workload() {
+  static const workload::Workload w = [] {
+    std::vector<Job> jobs(recovery_workload().jobs().begin(),
+                          recovery_workload().jobs().begin() + 60);
+    for (Job& j : jobs) j.submit -= j.submit % 1000;
+    return workload::Workload(jobs);
+  }();
+  return w;
+}
+
+/// Half the machine fails at 8000 s and returns at 43000 s.
+fault::FaultOptions batched_faults() {
+  static const fault::TraceInjector injector({{8'000, -32}, {43'000, +32}},
+                                             64);
+  fault::FaultOptions faults;
+  faults.trace = &injector.trace();
+  return faults;
+}
+
 TEST(ServeRecovery, RecoversAtEveryAppendPoint) {
   // Each append is one flushed line, so the first k records of a finished
   // run's journal are exactly what a kill after append k leaves. Restart
@@ -354,14 +416,6 @@ TEST(ServeRecovery, RecoversAtEveryAppendPoint) {
   // the journaled and the fresh half of that batch in one round, judging
   // the fresh half against bounds that count the journaled half, as the
   // uninterrupted run did.
-  std::vector<Job> jobs(recovery_workload().jobs().begin(),
-                        recovery_workload().jobs().begin() + 60);
-  for (Job& j : jobs) j.submit -= j.submit % 1000;
-  const workload::Workload w(jobs);
-  fault::TraceInjector injector({{8'000, -32}, {43'000, +32}}, 64);
-  fault::FaultOptions faults;
-  faults.trace = &injector.trace();
-
   struct Case {
     const char* spec;
     std::size_t max_backlog;
@@ -377,11 +431,11 @@ TEST(ServeRecovery, RecoversAtEveryAppendPoint) {
     const auto serve_with = [&](AdmissionJournal* journal) {
       ServeOptions options = recovery_options(journal);
       options.spec = core::parse_spec(c.spec);
-      options.faults = faults;
+      options.faults = batched_faults();
       options.max_backlog = c.max_backlog;
       options.queue_capacity = c.queue_capacity;
       options.overload = serve::OverloadPolicy::kShed;
-      workload::WorkloadSource source(w);
+      workload::WorkloadSource source(batched_workload());
       serve::JobSourceFeed feed(source);
       return serve::serve(feed, options);
     };
@@ -413,10 +467,7 @@ TEST(ServeRecovery, RecoversAtEveryAppendPoint) {
       SCOPED_TRACE("restarted after append " + std::to_string(k) + " of " +
                    std::to_string(records.size()));
       TempJournal prefix("every-append");
-      {
-        std::ofstream out(prefix.path());
-        for (std::size_t i = 0; i < k; ++i) out << records[i] << "\n";
-      }
+      write_prefix(prefix.path(), records, k);
       AdmissionJournal journal(prefix.path());
       const ServeReport resumed = serve_with(&journal);
       expect_reports_identical(reference, resumed);
@@ -425,6 +476,234 @@ TEST(ServeRecovery, RecoversAtEveryAppendPoint) {
       if (HasFailure()) return;  // one diverging prefix says it all
     }
   }
+}
+
+TEST(ServeRecovery, RecoversAtEveryAppendPointUnderBackpressure) {
+  // Under kBlock with a queue of 1, the uninterrupted run serves an
+  // instant's batch over several rounds (one per holdover admission), and
+  // a restart serves the journaled part of it in fewer. The digest sums
+  // each instant's decisions whatever rounds make them, so no prefix may
+  // be refused, and each must recover the same schedule. Round counts
+  // differ (ROADMAP item 7) and are not compared.
+  const auto serve_with = [&](AdmissionJournal* journal) {
+    ServeOptions options = recovery_options(journal);
+    options.faults = batched_faults();
+    options.queue_capacity = 1;
+    options.overload = serve::OverloadPolicy::kBlock;
+    workload::WorkloadSource source(batched_workload());
+    serve::JobSourceFeed feed(source);
+    return serve::serve(feed, options);
+  };
+  const ServeReport reference = serve_with(nullptr);
+  ASSERT_GT(reference.delayed_admissions, 0u);
+  ASSERT_GT(reference.killed, 0u);
+
+  TempJournal full("backpressure-full");
+  {
+    AdmissionJournal journal(full.path());
+    (void)serve_with(&journal);
+  }
+  const std::vector<std::string> records = test::read_lines(full.path());
+  ASSERT_GT(digest_instants(full.path()).size(), 1u);
+  for (std::size_t k = 0; k <= records.size(); ++k) {
+    SCOPED_TRACE("restarted after append " + std::to_string(k) + " of " +
+                 std::to_string(records.size()));
+    TempJournal prefix("backpressure");
+    write_prefix(prefix.path(), records, k);
+    AdmissionJournal journal(prefix.path());
+    ServeReport resumed;
+    EXPECT_NO_THROW(resumed = serve_with(&journal));
+    EXPECT_EQ(resumed.schedule_fnv, reference.schedule_fnv);
+    EXPECT_EQ(resumed.completed, reference.completed);
+    EXPECT_EQ(resumed.killed, reference.killed);
+    if (HasFailure()) return;
+  }
+}
+
+TEST(ServeRecovery, RestartUnderAnotherSpecMachineOrFaultTraceIsRefused) {
+  // The digest is what still refuses a journal written under another
+  // setup now that decisions are not journaled one by one. Try a finished
+  // journal and the same journal cut right after its first digest.
+  TempJournal finished("foreign-finished");
+  {
+    AdmissionJournal journal(finished.path());
+    (void)run_once(recovery_options(&journal));
+  }
+  const std::vector<std::string> records = test::read_lines(finished.path());
+  std::size_t first_digest = 0;
+  while (first_digest < records.size() &&
+         verb_of(records[first_digest]) != "digest") {
+    ++first_digest;
+  }
+  ASSERT_LT(first_digest, records.size());
+
+  fault::TraceInjector injector({{1'000, -48}, {40'000, +48}}, 64);
+  struct Variant {
+    const char* name;
+    std::function<void(ServeOptions&)> apply;
+  };
+  const Variant variants[] = {
+      {"spec SMART-FFIA",
+       [](ServeOptions& o) { o.spec = core::parse_spec("SMART-FFIA"); }},
+      {"machine 128", [](ServeOptions& o) { o.machine.nodes = 128; }},
+      {"fault trace",
+       [&](ServeOptions& o) { o.faults.trace = &injector.trace(); }},
+  };
+  for (const std::size_t k : {records.size(), first_digest + 1}) {
+    for (const Variant& v : variants) {
+      SCOPED_TRACE(std::string(v.name) + ", journal of " + std::to_string(k) +
+                   " records");
+      TempJournal f("foreign");
+      write_prefix(f.path(), records, k);
+      const std::vector<Time> instants = digest_instants(f.path());
+      AdmissionJournal journal(f.path());
+      ServeOptions options = recovery_options(&journal);
+      v.apply(options);
+      try {
+        (void)run_once(options);
+        ADD_FAILURE() << "the restart was not refused";
+      } catch (const serve::JournalReplayError& e) {
+        const std::string what = e.what();
+        const std::size_t at = what.find("digest at t=");
+        ASSERT_NE(at, std::string::npos) << what;
+        const Time t = std::stoll(what.substr(at + 12));
+        EXPECT_NE(std::find(instants.begin(), instants.end(), t),
+                  instants.end())
+            << what;
+      }
+    }
+  }
+}
+
+TEST(ServeRecovery, RestartOfAFinishedJournalAppendsOnlyItsRunHeader) {
+  TempJournal f("finished");
+  ServeReport first;
+  {
+    AdmissionJournal journal(f.path());
+    first = run_once(recovery_options(&journal));
+  }
+  const std::size_t records = test::read_lines(f.path()).size();
+  AdmissionJournal journal(f.path());
+  EXPECT_EQ(journal.completed_at_open(), first.completed);
+  const ServeReport resumed = run_once(recovery_options(&journal));
+  expect_reports_identical(first, resumed);
+  EXPECT_EQ(resumed.journal_appends, 1u);
+  EXPECT_EQ(resumed.recovered_completed, first.completed);
+  // No faults: a start and a completion per job, all re-derived.
+  EXPECT_EQ(resumed.replayed_decisions, 2 * first.submitted);
+  const std::vector<std::string> after = test::read_lines(f.path());
+  ASSERT_EQ(after.size(), records + 1);
+  EXPECT_EQ(verb_of(after.back()), "run");
+}
+
+TEST(ServeRecovery, FreshSubmissionsAfterARestartFollowTheLastDigest) {
+  // A finished daemon restarted on its journal with a new feed: what it
+  // admits is stamped after the last digest's instant, so a fresh job
+  // joins no decision that digest covers and the check still passes.
+  TempJournal f("fresh-after");
+  ServeReport first;
+  {
+    AdmissionJournal journal(f.path());
+    first = run_once(recovery_options(&journal));
+  }
+  const Time last_digest = digest_instants(f.path()).back();
+  EXPECT_EQ(last_digest, first.virtual_makespan);
+  AdmissionJournal journal(f.path());
+  ServeOptions options = recovery_options(&journal);
+  options.feed_restarts_from_start = false;  // a new client, not a replay
+  serve::ScriptFeed feed({rec(0, 4, 100)});
+  const ServeReport resumed = serve::serve(feed, options);
+  EXPECT_EQ(resumed.completed, first.completed + 1);
+  EXPECT_EQ(resumed.late_arrivals, first.late_arrivals + 1);
+  EXPECT_EQ(resumed.virtual_makespan, last_digest + 1 + 100);
+  EXPECT_EQ(resumed.journal_appends, 3u);  // run, admit, final digest
+}
+
+TEST(ServeRecovery, DigestInstantsStrictlyIncreaseAcrossRestarts) {
+  const ServeReport reference = run_once(recovery_options(nullptr));
+  TempJournal f("digest-order");
+  {
+    AdmissionJournal journal(f.path());
+    (void)run_aborted(&journal, 150);
+  }
+  {
+    AdmissionJournal journal(f.path());
+    EXPECT_TRUE(run_aborted(&journal, 400).recovered);
+  }
+  {
+    AdmissionJournal journal(f.path());
+    EXPECT_EQ(journal.runs(), 2u);
+    expect_reports_identical(reference,
+                             run_once(recovery_options(&journal)));
+  }
+  // Each of the three runs appended digests, and no restart repeated or
+  // went behind one it loaded.
+  std::vector<std::size_t> digests_per_run;
+  for (const std::string& record : test::read_lines(f.path())) {
+    const std::string verb = verb_of(record);
+    if (verb == "run") digests_per_run.push_back(0);
+    if (verb == "digest") ++digests_per_run.back();
+  }
+  ASSERT_EQ(digests_per_run.size(), 3u);
+  for (const std::size_t n : digests_per_run) EXPECT_GT(n, 0u);
+  const std::vector<Time> instants = digest_instants(f.path());
+  EXPECT_EQ(std::adjacent_find(instants.begin(), instants.end(),
+                               std::greater_equal<Time>()),
+            instants.end());
+}
+
+TEST(ServeRecovery, LegacyDecisionRecordsLoadAndRecoverBitIdentical) {
+  // Journals written before digests existed hold a `start` and a `done`
+  // record per decision instead. They must still load, their decisions
+  // re-derived unchecked. Build one from a killed run's admissions plus
+  // the offline schedule's decisions up to its last admission.
+  const ServeReport reference = run_once(recovery_options(nullptr));
+  TempJournal killed("legacy-source");
+  {
+    AdmissionJournal journal(killed.path());
+    (void)run_aborted(&journal, 200);
+  }
+  const sim::Schedule schedule =
+      test::run(core::parse_spec("FCFS+EASY"), recovery_workload(), 64);
+  TempJournal f("legacy");
+  std::size_t admits = 0;
+  Time last_admit = 0;
+  {
+    util::AppendLog log(f.path());
+    for (const std::string& record : test::read_lines(killed.path())) {
+      const std::string verb = verb_of(record);
+      if (verb == "digest") continue;
+      std::string payload;
+      ASSERT_TRUE(util::AppendLog::check_record(record, "s1", &payload));
+      log.append_checked("s1", payload);
+      if (verb != "admit") continue;
+      ++admits;
+      std::istringstream in(payload);
+      std::string admit;
+      in >> admit >> last_admit;
+    }
+    for (JobId id = 0; id < admits; ++id) {
+      const sim::JobRecord& r = schedule[id];
+      if (r.start <= last_admit) {
+        log.append_checked("s1", "start " + std::to_string(id) + " 0 " +
+                                     std::to_string(r.start));
+      }
+      if (r.end <= last_admit) {
+        log.append_checked("s1", "done " + std::to_string(id) + " 0 " +
+                                     std::to_string(r.end));
+      }
+    }
+  }
+  ASSERT_GT(admits, 0u);
+  ASSERT_LT(admits, reference.submitted);
+  AdmissionJournal journal(f.path());
+  EXPECT_EQ(journal.admitted().size(), admits);
+  EXPECT_TRUE(journal.digests().empty());
+  EXPECT_EQ(journal.completed_at_open(), 0u);
+  EXPECT_EQ(journal.last_event_time(), last_admit);
+  const ServeReport resumed = run_once(recovery_options(&journal));
+  EXPECT_TRUE(resumed.recovered);
+  expect_reports_identical(reference, resumed);
 }
 
 TEST(ServeRecovery, PacedRecoveryUnderManualClockIsDeterministic) {
@@ -491,7 +770,7 @@ TEST(ServeRecovery, SigkilledProcessRecoversBitIdentical) {
   const ServeReport reference = run_once(recovery_options(nullptr));
   TempJournal f("sigkill-smoke");
   // Two real SIGKILLs at different depths, then an in-process restart.
-  for (const char* budget : {"120", "700"}) {
+  for (const char* budget : {"120", "180"}) {
     auto child = util::Subprocess::spawn(
         {util::self_exe_path(),
          "--gtest_filter=ServeRecovery.ChildCrashRun", "--gtest_brief=1"},

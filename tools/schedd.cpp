@@ -261,7 +261,7 @@ void arm_resilience(const Cli& cli, serve::ServeOptions& options,
     if (state.journal->has_history()) {
       std::fprintf(stderr,
                    "[schedd] journal %s: run %zu, recovering %zu admissions "
-                   "(%zu complete)\n",
+                   "(%zu complete at its last digest)\n",
                    cli.journal.c_str(), state.journal->runs(),
                    state.journal->admitted().size(),
                    state.journal->completed_at_open());
