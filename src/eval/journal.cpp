@@ -56,9 +56,9 @@ std::uint64_t sweep_fingerprint(std::uint64_t workload_fnv,
 SweepJournal::SweepJournal(std::string path) : log_(std::move(path)) {
   std::size_t line_no = 0;
   std::uint64_t first_segment = kLegacySegment;
-  util::AppendLog::for_each_line(log_.path(), [&](const std::string& line) {
+  util::AppendLog::for_each_line(log_.path(), [&](std::string_view line) {
     ++line_no;
-    std::istringstream in(line);
+    std::istringstream in{std::string(line)};
     std::string tag;
     in >> tag;
     if (tag == "v1seg") {

@@ -4,7 +4,7 @@
 #include <cmath>
 #include <csignal>
 #include <deque>
-#include <span>
+#include <optional>
 #include <stdexcept>
 #include <vector>
 
@@ -75,16 +75,17 @@ ServeReport serve(Feed& feed, const ServeOptions& options) {
   // (bypassing admit() — they were stamped by the dead run), the feed
   // stays un-polled until the replay reaches its last admission's instant,
   // and the dead run's drop/late/delay counters are restored so the final
-  // report reads as if the daemon had never died. The journal never adds
-  // to admitted() after open, so the replay reads it in place.
-  std::span<const JournaledJob> replay;
-  std::size_t replayed = 0;  // replay[replayed..] is not yet delivered
-  const auto replay_left = [&] { return replay.size() - replayed; };
+  // report reads as if the daemon had never died. The admissions stream
+  // back from the file one at a time, the next one buffered.
+  std::optional<AdmissionJournal::Replay> replay;
+  std::size_t replay_left = 0;  // journaled admissions not yet delivered
+  JournaledJob replay_next;     // the first of them while replay_left > 0
   std::size_t skip_feed = 0;
   if (journal != nullptr && journal->has_history()) {
     report.recovered = true;
-    replay = journal->admitted();
-    report.recovered_jobs = replay.size();
+    replay_left = journal->admitted_count();
+    if (replay_left > 0) replay.emplace(*journal).next(replay_next);
+    report.recovered_jobs = replay_left;
     report.recovered_completed = journal->completed_at_open();
     report.late_arrivals = journal->late_at_open();
     report.delayed_admissions = journal->delayed_at_open();
@@ -174,7 +175,7 @@ ServeReport serve(Feed& feed, const ServeOptions& options) {
   // when it judged the rest of their batch, so the per-record capacity and
   // backlog checks count them too. Whether to poll at all still asks only
   // the live queue: the dead run polled that batch before admitting any.
-  const auto undelivered = [&] { return admission.size() + replay_left(); };
+  const auto undelivered = [&] { return admission.size() + replay_left; };
   std::vector<SubmitRecord> batch;
   bool feed_open = true;
   // Admission stamps are non-decreasing and, in a restart, later than the
@@ -273,7 +274,7 @@ ServeReport serve(Feed& feed, const ServeOptions& options) {
   // The earliest buffered arrival: journal replay, then the admission queue.
   const auto next_arrival = [&] {
     Time a = kTimeInfinity;
-    if (replay_left() > 0) a = replay[replayed].record.submit;
+    if (replay_left > 0) a = replay_next.record.submit;
     if (!admission.empty()) a = std::min(a, admission.front().submit);
     return a;
   };
@@ -302,7 +303,7 @@ ServeReport serve(Feed& feed, const ServeOptions& options) {
       }
     }
 
-    if (!feed_open && replay_left() == 0 && holdover.empty() &&
+    if (!feed_open && replay_left == 0 && holdover.empty() &&
         admission.empty() && kernel.undone() == 0) {
       break;  // served everything
     }
@@ -320,7 +321,7 @@ ServeReport serve(Feed& feed, const ServeOptions& options) {
     // kill may have split its equal-submit batch, and the batch-mates the
     // dead run had not journaled must join the replayed ones in one round.
     const bool replaying =
-        replay_left() > 0 && replay.back().record.submit > t;
+        replay_left > 0 && journal->last_admit_time() > t;
 
     // Poll the feed. Paced: deliver whatever wall time has made due.
     // Free-run: deliver only up to the next event (min(t, next_submit)) so
@@ -419,9 +420,12 @@ ServeReport serve(Feed& feed, const ServeOptions& options) {
     // Arrivals at t: the journal replay first (it rebuilds the pre-crash
     // state and is always time-ordered before anything fresh — the feed
     // stays closed until its last instant), then the live queue.
-    while (replay_left() > 0 && replay[replayed].record.submit <= t) {
-      deliver(replay[replayed++].record, t);
-      if (replay_left() == 0) {
+    while (replay_left > 0 && replay_next.record.submit <= t) {
+      deliver(replay_next.record, t);
+      if (--replay_left > 0) {
+        replay->next(replay_next);
+      } else {
+        replay.reset();
         const auto elapsed =
             std::chrono::duration_cast<std::chrono::nanoseconds>(clock.now() -
                                                                  epoch);

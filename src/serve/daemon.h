@@ -43,7 +43,8 @@
 // hashed, not journaled: about once per 64 decisions, at an instant
 // boundary, the loop journals its decision digest (below). A daemon
 // restarted on a journal with history replays the admissions at their
-// original virtual times, re-derives the decisions, checks each journaled
+// original virtual times, read back from the file one at a time rather
+// than held in memory, re-derives the decisions, checks each journaled
 // digest (JournalReplayError if another feed, spec, machine, fault trace
 // or binary wrote it) and resumes the feed where the dead run left it:
 // the final report, fingerprint included, is bit-identical to an

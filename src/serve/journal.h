@@ -19,14 +19,19 @@
 // checks only that t and dones never decrease and that dones never exceeds
 // the admits before it. Journals written before digests existed hold
 // `start`/`done` records; they are skipped like any unknown verb, so those
-// journals load and their decisions are re-derived unchecked. The journal
-// keeps what it loaded and nothing it appends.
+// journals load and their decisions are re-derived unchecked.
+//
+// Opening checks every record and keeps counters and the digests, not the
+// admissions: a restart pulls those back from the file through a Replay,
+// which re-reads exactly the bytes checked at open. Nothing appended
+// afterwards is kept.
 #pragma once
 
 #include <cstddef>
 #include <cstdint>
 #include <stdexcept>
 #include <string>
+#include <string_view>
 #include <vector>
 
 #include "serve/feed.h"
@@ -88,11 +93,11 @@ class AdmissionJournal {
   bool has_history() const noexcept { return consumed_at_open_ > 0; }
   /// `run` headers loaded at open == prior daemon starts on this journal.
   std::size_t runs() const noexcept { return runs_; }
-  /// Every admission loaded at open, in admission (= JobId) order. Fresh
-  /// admissions are not added, so the vector never changes after open.
-  const std::vector<JournaledJob>& admitted() const noexcept {
-    return admitted_;
-  }
+  /// Admissions loaded at open; Replay yields them. Fresh admissions are
+  /// not counted.
+  std::size_t admitted_count() const noexcept { return admitted_; }
+  /// Submit time of the last admission loaded at open (0 without one).
+  Time last_admit_time() const noexcept { return last_admit_time_; }
   /// Every digest loaded at open, in journal order; never changes after.
   const std::vector<DecisionDigest>& digests() const noexcept {
     return digests_;
@@ -118,6 +123,28 @@ class AdmissionJournal {
   std::size_t late_at_open() const noexcept { return late_at_open_; }
   std::size_t delayed_at_open() const noexcept { return delayed_at_open_; }
 
+  /// Pulls the admissions loaded at open back from the file, in admission
+  /// order: re-reads the bytes checked at open, in blocks through its own
+  /// descriptor, and re-verifies and parses each record as open did, so
+  /// records appended since (this run's) are never read. Throws
+  /// JournalReplayError when the file no longer yields the admissions
+  /// counted at open (cut or rewritten since); the journal must outlive it.
+  class Replay {
+   public:
+    explicit Replay(const AdmissionJournal& journal);
+
+    /// The next admission into `out`; false once all admitted_count()
+    /// were taken.
+    bool next(JournaledJob& out);
+
+   private:
+    const AdmissionJournal* journal_;
+    util::LineReader in_;
+    std::size_t line_no_ = 0;
+    std::size_t taken_ = 0;
+    std::uint64_t admits_fnv_ = util::kFnvOffset;  // over admit checksums
+  };
+
   // ---- write side ----
 
   /// Append this run's `run` header. Call exactly once, before serving.
@@ -125,8 +152,8 @@ class AdmissionJournal {
 
   /// Journal one fresh admission (`r.submit` already stamped) / one
   /// consumed-but-dropped record / one decision digest. Never called for
-  /// recovered jobs — the loop re-admits those from admitted() without
-  /// touching the file.
+  /// recovered jobs — the loop re-admits those through a Replay without
+  /// appending.
   void record_admit(const SubmitRecord& r, bool late, bool delayed);
   void record_drop(DropKind kind);
   void record_digest(const DecisionDigest& digest);
@@ -137,16 +164,19 @@ class AdmissionJournal {
 
  private:
   void load();
-  void append_record(const std::string& payload);
+  void append_record(std::string_view payload);
 
   util::AppendLog log_;
-  std::vector<JournaledJob> admitted_;    // loaded at open
   std::vector<DecisionDigest> digests_;  // loaded at open
+  std::size_t admitted_ = 0;             // loaded at open
+  std::uint64_t admits_fnv_ = util::kFnvOffset;  // over their checksums
+  std::uint64_t loaded_bytes_ = 0;  // the complete records read at open
   std::size_t drops_[3] = {0, 0, 0};
   std::size_t runs_ = 0;
   std::size_t consumed_at_open_ = 0;
   std::size_t late_at_open_ = 0;
   std::size_t delayed_at_open_ = 0;
+  Time last_admit_time_ = 0;
   Time last_event_time_ = 0;
   std::size_t appends_ = 0;
 };

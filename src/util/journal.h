@@ -2,23 +2,25 @@
 //
 // The checkpoint/resume layer of the evaluation harness journals one line
 // per completed sweep cell; a killed process leaves at worst one torn
-// trailing line, which the reader drops. This file is the I/O half only:
-// plain newline-terminated text records, appended and flushed one at a
-// time and read back one complete record at a time (for_each_line), so
-// opening a journal holds one record of it, not the file. The eval and
-// serve layers own their record formats; this stays reusable for any
-// append-only need (sweep journals, the serve admission journal, the
-// shard heartbeat's record count).
+// trailing line, which the reader drops and the next writer cuts off. This
+// file is the I/O half only: plain newline-terminated text records, each
+// appended with one write(2) and read back one complete record at a time
+// from 64 KiB blocks (LineReader, for_each_line), so opening a journal
+// holds one block of it, not the file. The eval and serve layers own their
+// record formats; this stays reusable for any append-only need (sweep
+// journals, the serve admission journal, the shard heartbeat's record
+// count).
 #pragma once
 
 #include <cstdint>
-#include <fstream>
 #include <functional>
 #include <iosfwd>
+#include <limits>
 #include <mutex>
 #include <stdexcept>
 #include <string>
 #include <string_view>
+#include <vector>
 
 #include "util/hash.h"
 
@@ -33,6 +35,9 @@ class CorruptRecordError : public std::runtime_error {
   using std::runtime_error::runtime_error;
 };
 
+/// Writes `v` as exactly 16 lowercase hex digits at `out`; returns out + 16.
+char* write_hex64(char* out, std::uint64_t v) noexcept;
+
 /// `v` as exactly 16 lowercase hex digits.
 std::string hex64(std::uint64_t v);
 
@@ -41,11 +46,9 @@ bool parse_hex64(std::string_view token, std::uint64_t* out) noexcept;
 
 /// Chunked text writer over an std::ostream: records are formatted into an
 /// internal string (integers via std::to_chars — no locale machinery, no
-/// per-field virtual sentry) and handed to the stream in large blocks.
-/// This is the shared formatting layer of AppendLog (which drains + flushes
-/// per record, the crash-tolerance contract) and of bulk writers like
-/// write_swf (which drain every ~256 KiB and turn millions of tiny
-/// operator<< calls into a handful of block writes).
+/// per-field virtual sentry) and handed to the stream in large blocks, so
+/// bulk writers like write_swf turn millions of tiny operator<< calls into
+/// a handful of block writes (one every ~256 KiB).
 class BufferedWriter {
  public:
   /// Buffer up to `flush_threshold` bytes between stream writes. The
@@ -73,14 +76,49 @@ class BufferedWriter {
   std::size_t threshold_;
 };
 
-/// Append-only line log. Appends are serialized by an internal mutex and
-/// flushed per record, so every record written before a kill survives it.
+/// Reads the complete lines of a file front to back, 64 KiB at a time,
+/// stopping after `limit` bytes. A trailing fragment without a final
+/// newline (the footprint of a process killed mid-append) is never
+/// returned, and a missing file reads as empty — both are normal resume
+/// situations, not errors. Throws std::runtime_error when a read fails.
+class LineReader {
+ public:
+  static constexpr std::uint64_t kNoLimit =
+      std::numeric_limits<std::uint64_t>::max();
+
+  explicit LineReader(const std::string& path, std::uint64_t limit = kNoLimit);
+  ~LineReader();
+
+  LineReader(const LineReader&) = delete;
+  LineReader& operator=(const LineReader&) = delete;
+
+  /// The next complete line, newline stripped, into `line` (valid until
+  /// the next call); false once no complete line is left.
+  bool next(std::string_view& line);
+
+  /// Bytes of the lines returned so far, newlines included.
+  std::uint64_t consumed() const noexcept { return consumed_; }
+
+ private:
+  bool fill();
+
+  int fd_ = -1;
+  std::uint64_t unread_ = 0;  // bytes the limit still allows
+  std::uint64_t consumed_ = 0;
+  std::vector<char> buf_;
+  std::size_t begin_ = 0;  // buf_[begin_, end_) is read, not yet returned
+  std::size_t end_ = 0;
+};
+
+/// Append-only line log over one O_APPEND descriptor. Each record is
+/// formatted into a buffer and handed to the OS in one write(2), under an
+/// internal mutex, so every record written before a kill survives it.
 class AppendLog {
  public:
-  /// Per-record durability level. kFlush (the default) flushes to the OS
-  /// after every record — survives any process kill, but a power loss can
-  /// still eat records the kernel had not written back. kFsync adds an
-  /// fsync(2) per record so journals survive power loss too; it is
+  /// Per-record durability level. kFlush (the default) hands each record
+  /// to the OS before returning — survives any process kill, but a power
+  /// loss can still eat records the kernel had not written back. kFsync
+  /// adds an fsync(2) per record so journals survive power loss too; it is
   /// ~10-100x slower per append and only worth it when a sweep shard is
   /// expensive enough that replaying it beats trusting the page cache.
   enum class Durability { kFlush, kFsync };
@@ -90,9 +128,12 @@ class AppendLog {
   /// kFlush otherwise. Read once per call, so tests can flip it.
   static Durability durability_from_env();
 
-  /// Opens `path` in append mode, creating the file when missing. Throws
-  /// std::runtime_error when the file cannot be opened for writing.
-  /// `durability` defaults to the JSCHED_JOURNAL_FSYNC environment switch.
+  /// Opens `path` for appending, creating the file when missing, and cuts
+  /// a torn final record (bytes after the last newline) off the file, so
+  /// the next record starts a line of its own instead of merging into the
+  /// fragment. Throws std::runtime_error when the file cannot be opened
+  /// for writing or cut. `durability` defaults to the JSCHED_JOURNAL_FSYNC
+  /// environment switch.
   explicit AppendLog(std::string path);
   AppendLog(std::string path, Durability durability);
 
@@ -103,9 +144,9 @@ class AppendLog {
 
   const std::string& path() const noexcept { return path_; }
 
-  /// Append one record (a trailing newline is added) and flush. `line`
-  /// must not contain '\n' — records are the unit of crash tolerance.
-  /// Throws std::invalid_argument on an embedded newline and
+  /// Append one record (a trailing newline is added) with one write(2).
+  /// `line` must not contain '\n' — records are the unit of crash
+  /// tolerance. Throws std::invalid_argument on an embedded newline and
   /// std::runtime_error when the write fails.
   void append(std::string_view line);
 
@@ -117,27 +158,31 @@ class AppendLog {
   /// The read half of append_checked. When `line` does not start with
   /// `tag` followed by a space, returns false (not this record kind — the
   /// caller skips or dispatches elsewhere). When it does, verifies the
-  /// checksum and stores the payload into `*payload`, returning true; a
-  /// checksum/framing mismatch throws CorruptRecordError — a complete line
-  /// with the right tag and wrong bits is corruption, never a torn tail.
+  /// checksum and points `*payload` into `line` (stores `*checksum` when
+  /// given), returning true; a checksum/framing mismatch throws
+  /// CorruptRecordError — a complete line with the right tag and wrong
+  /// bits is corruption, never a torn tail.
+  static bool check_record(std::string_view line, std::string_view tag,
+                           std::string_view* payload,
+                           std::uint64_t* checksum = nullptr);
+  /// As above, copying the payload into `*payload`.
   static bool check_record(std::string_view line, std::string_view tag,
                            std::string* payload);
 
-  /// Calls `fn` on every *complete* line of `path` (newline stripped), in
-  /// file order, reading one line at a time so a journal of any size opens
-  /// in O(longest record) memory. A trailing fragment without a final
-  /// newline (the footprint of a process killed mid-append) is dropped,
-  /// and a missing file reads as empty — both are normal resume
-  /// situations, not errors.
+  /// Calls `fn` on every complete line of `path` (newline stripped), in
+  /// file order, through a LineReader: a torn trailing fragment is dropped
+  /// and a missing file reads as empty.
   static void for_each_line(const std::string& path,
-                            const std::function<void(const std::string&)>& fn);
+                            const std::function<void(std::string_view)>& fn);
 
  private:
+  void write_buffered();  // buf_ to the file, then fsync under kFsync
+
   std::string path_;
-  std::mutex mu_;
-  std::ofstream out_;
   Durability durability_ = Durability::kFlush;
-  int fsync_fd_ = -1;  // opened only under Durability::kFsync
+  int fd_ = -1;
+  std::mutex mu_;    // serializes appends; guards buf_
+  std::string buf_;  // the record being appended
 };
 
 }  // namespace jsched::util

@@ -128,7 +128,7 @@ std::string self_exe_path() {
 std::size_t count_complete_lines(const std::string& path,
                                  std::string_view prefix) {
   std::size_t count = 0;
-  AppendLog::for_each_line(path, [&](const std::string& line) {
+  AppendLog::for_each_line(path, [&](std::string_view line) {
     if (line.compare(0, prefix.size(), prefix) == 0) ++count;
   });
   return count;

@@ -10,6 +10,7 @@
 #include <cstdio>
 #include <fstream>
 #include <string>
+#include <string_view>
 #include <vector>
 
 #include "eval/experiment.h"
@@ -123,6 +124,35 @@ TEST(Journal, AppendLogDropsTornTrailingLine) {
   const auto lines = test::read_lines(f.path());
   ASSERT_EQ(lines.size(), 2u);
   EXPECT_EQ(lines[1], "complete-2");
+}
+
+TEST(Journal, LineReaderSpansBlocksAndStopsAtItsLimit) {
+  // Short lines straddle the 64 KiB read blocks, one line outgrows a
+  // block, and a limit inside that line ends the read just before it.
+  TempFile f("linereader");
+  std::vector<std::string> lines;
+  std::uint64_t before_long = 0;
+  for (int i = 0; i < 3000; ++i) {
+    lines.emplace_back(1 + (i * 37) % 90, static_cast<char>('a' + i % 26));
+    before_long += lines.back().size() + 1;
+  }
+  lines.emplace_back(200 * 1024, 'z');
+  lines.emplace_back("tail");
+  {
+    util::AppendLog log(f.path());
+    for (const std::string& line : lines) log.append(line);
+  }
+  EXPECT_EQ(test::read_lines(f.path()), lines);
+  util::LineReader in(f.path(), before_long + 10);
+  std::string_view line;
+  std::size_t read = 0;
+  while (in.next(line)) {
+    ASSERT_LT(read, lines.size());
+    EXPECT_EQ(line, lines[read]);
+    ++read;
+  }
+  EXPECT_EQ(read, 3000u);
+  EXPECT_EQ(in.consumed(), before_long);
 }
 
 TEST(Journal, ChecksummedRecordsRoundTrip) {
@@ -584,6 +614,37 @@ TEST(Journal, SweepJournalDetectsMidFileCorruption) {
   }
   EXPECT_THROW(eval::SweepJournal journal(f.path()),
                util::CorruptRecordError);
+}
+
+TEST(Journal, AppendAfterTornTailReopens) {
+  // A sweep killed mid-append leaves a checksummed fragment. The resumed
+  // sweep loads without it and appends; the next open must find the new
+  // record on a line of its own, not merged into the fragment.
+  TempFile f("sweep-torn-append");
+  eval::RunResult first = sample_result();
+  eval::RunResult second = sample_result();
+  second.spec.order = core::OrderKind::kFcfs;
+  const std::uint64_t first_key = eval::cell_key(5, 64, first.spec, 0);
+  const std::uint64_t second_key = eval::cell_key(5, 64, second.spec, 0);
+  {
+    eval::SweepJournal journal(f.path());
+    journal.record(first_key, first);
+  }
+  {
+    std::ofstream out(f.path(), std::ios::app);
+    out << "v2 deadbeefdeadbeef 0123";  // killed mid-append
+  }
+  {
+    eval::SweepJournal journal(f.path());
+    EXPECT_EQ(journal.loaded(), 1u);
+    journal.record(second_key, second);
+  }
+  eval::SweepJournal resumed(f.path());
+  EXPECT_EQ(resumed.loaded(), 2u);
+  eval::RunResult out;
+  ASSERT_TRUE(resumed.lookup(second_key, second.spec, &out));
+  expect_bit_identical(second, out);
+  EXPECT_EQ(test::read_lines(f.path()).size(), 2u);
 }
 
 TEST(Journal, SweepJournalLoadsUncheckedV1Records) {

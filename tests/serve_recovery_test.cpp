@@ -16,6 +16,7 @@
 #include <cstdlib>
 #include <fstream>
 #include <functional>
+#include <iterator>
 #include <sstream>
 #include <string>
 #include <vector>
@@ -65,6 +66,15 @@ int TempJournal::counter_ = 0;
 
 // ------------------------------------------------- AdmissionJournal unit
 
+/// Every admission `journal` loaded at open, pulled through its reader.
+std::vector<serve::JournaledJob> replayed(const AdmissionJournal& journal) {
+  std::vector<serve::JournaledJob> jobs;
+  AdmissionJournal::Replay replay(journal);
+  serve::JournaledJob job;
+  while (replay.next(job)) jobs.push_back(job);
+  return jobs;
+}
+
 SubmitRecord rec(Time submit, int nodes, Duration runtime) {
   SubmitRecord r;
   r.submit = submit;
@@ -93,12 +103,14 @@ TEST(AdmissionJournal, RoundTripsAdmissionsDropsAndDigests) {
   AdmissionJournal j(f.path());
   EXPECT_TRUE(j.has_history());
   EXPECT_EQ(j.runs(), 1u);
-  ASSERT_EQ(j.admitted().size(), 2u);
-  EXPECT_EQ(j.admitted()[0].record.submit, 10);
-  EXPECT_EQ(j.admitted()[0].record.user, 7);
-  EXPECT_FALSE(j.admitted()[0].late);
-  EXPECT_TRUE(j.admitted()[1].late);
-  EXPECT_TRUE(j.admitted()[1].delayed);
+  EXPECT_EQ(j.admitted_count(), 2u);
+  const std::vector<serve::JournaledJob> admitted = replayed(j);
+  ASSERT_EQ(admitted.size(), 2u);
+  EXPECT_EQ(admitted[0].record.submit, 10);
+  EXPECT_EQ(admitted[0].record.user, 7);
+  EXPECT_FALSE(admitted[0].late);
+  EXPECT_TRUE(admitted[1].late);
+  EXPECT_TRUE(admitted[1].delayed);
   ASSERT_EQ(j.digests().size(), 2u);
   EXPECT_EQ(j.digests()[0].t, 110);
   EXPECT_EQ(j.digests()[0].dones, 1u);
@@ -197,7 +209,74 @@ TEST(AdmissionJournal, TornTailIsDroppedNotFatal) {
     out << "s1 deadbeefdeadbeef admit 20 1";  // killed mid-append
   }
   AdmissionJournal j(f.path());
-  EXPECT_EQ(j.admitted().size(), 1u);
+  EXPECT_EQ(j.admitted_count(), 1u);
+  EXPECT_EQ(replayed(j).size(), 1u);
+}
+
+TEST(AdmissionJournal, AppendAfterTornTailReopens) {
+  // A restart on a journal that ends in a torn record appends after it;
+  // the next open must find every complete record, the new ones included.
+  TempJournal f("adm-torn-append");
+  {
+    AdmissionJournal j(f.path());
+    j.begin_run();
+    j.record_admit(rec(10, 2, 100), false, false);
+  }
+  {
+    std::ofstream out(f.path(), std::ios::app);
+    out << "s1 deadbeefdeadbeef admit 20 1";  // killed mid-append
+  }
+  {
+    AdmissionJournal j(f.path());
+    EXPECT_EQ(j.admitted_count(), 1u);
+    j.begin_run();
+    j.record_admit(rec(30, 4, 200), false, false);
+  }
+  AdmissionJournal j(f.path());
+  EXPECT_EQ(j.runs(), 2u);
+  const std::vector<serve::JournaledJob> admitted = replayed(j);
+  ASSERT_EQ(admitted.size(), 2u);
+  EXPECT_EQ(admitted[1].record.submit, 30);
+  EXPECT_EQ(test::read_lines(f.path()).size(), 4u);
+}
+
+TEST(AdmissionJournal, RefusesMalformedPayloads) {
+  // Checksummed, so only the parser can refuse them: a missing field, a
+  // token that is not a whole integer, an empty token, an unknown drop
+  // kind, a digest sum that is not hex. (Digests that go back or count
+  // more completions than admissions: RoundTripsAdmissionsDropsAndDigests.)
+  for (const char* payload :
+       {"admit 10 2 100 100 7", "digest 110 1", "run", "drop",
+        "admit 12x 2 100 100 7 0", "admit 10 2 100 1e2 7 0",
+        "admit 10 2 100 100 7 ", "drop ", "drop 3", "drop -1",
+        "digest 110 1 xyz"}) {
+    SCOPED_TRACE(payload);
+    TempJournal f("adm-malformed");
+    {
+      util::AppendLog log(f.path());
+      log.append_checked("s1", "run 0");
+      log.append_checked("s1", "admit 10 2 100 100 7 0");
+      log.append_checked("s1", payload);
+    }
+    try {
+      AdmissionJournal j(f.path());
+      ADD_FAILURE() << "expected JournalReplayError";
+    } catch (const serve::JournalReplayError& e) {
+      EXPECT_NE(std::string(e.what()).find("at record 3"), std::string::npos)
+          << e.what();
+    }
+  }
+  // An unknown verb under a valid checksum is still skipped.
+  TempJournal f("adm-unknown-verb");
+  {
+    util::AppendLog log(f.path());
+    log.append_checked("s1", "run 0");
+    log.append_checked("s1", "frobnicate 1 2");
+    log.append_checked("s1", "admit 10 2 100 100 7 0");
+  }
+  AdmissionJournal j(f.path());
+  EXPECT_EQ(j.runs(), 1u);
+  EXPECT_EQ(replayed(j).size(), 1u);
 }
 
 // ------------------------------------------------- crash/restart identity
@@ -327,7 +406,7 @@ TEST(ServeRecovery, RestartAtRandomizedKillPointsIsBitIdentical) {
       (void)run_aborted(&journal, polls);
     }
     AdmissionJournal journal(f.path());
-    const std::size_t journaled_at_open = journal.admitted().size();
+    const std::size_t journaled_at_open = journal.admitted_count();
     const ServeReport resumed = run_once(recovery_options(&journal));
     EXPECT_TRUE(resumed.recovered);
     expect_reports_identical(reference, resumed);
@@ -697,13 +776,113 @@ TEST(ServeRecovery, LegacyDecisionRecordsLoadAndRecoverBitIdentical) {
   ASSERT_GT(admits, 0u);
   ASSERT_LT(admits, reference.submitted);
   AdmissionJournal journal(f.path());
-  EXPECT_EQ(journal.admitted().size(), admits);
+  EXPECT_EQ(journal.admitted_count(), admits);
   EXPECT_TRUE(journal.digests().empty());
   EXPECT_EQ(journal.completed_at_open(), 0u);
   EXPECT_EQ(journal.last_event_time(), last_admit);
   const ServeReport resumed = run_once(recovery_options(&journal));
   EXPECT_TRUE(resumed.recovered);
   expect_reports_identical(reference, resumed);
+}
+
+TEST(ServeRecovery, JournalCutOrRewrittenBeforeReplayIsRefused) {
+  // The restart reads its admissions back from the file after opening it.
+  // A file cut, or rewritten with other (checksummed) admissions, in
+  // between must make serve() refuse instead of replaying what is there.
+  TempJournal source("changed-source");
+  {
+    AdmissionJournal journal(source.path());
+    (void)run_aborted(&journal, 200);
+  }
+  const std::vector<std::string> records = test::read_lines(source.path());
+  std::size_t last_admit = records.size();
+  for (std::size_t i = 0; i < records.size(); ++i) {
+    if (verb_of(records[i]) == "admit") last_admit = i;
+  }
+  ASSERT_LT(last_admit, records.size());
+  // The last admission with its user's last digit changed: same length,
+  // same count, a valid checksum.
+  std::string payload;
+  ASSERT_TRUE(util::AppendLog::check_record(records[last_admit], "s1",
+                                            &payload));
+  const std::size_t user_end = payload.rfind(' ');
+  payload[user_end - 1] = payload[user_end - 1] == '1' ? '2' : '1';
+  for (const bool cut : {true, false}) {
+    SCOPED_TRACE(cut ? "cut" : "rewritten");
+    TempJournal f("changed");
+    write_prefix(f.path(), records, records.size());
+    AdmissionJournal journal(f.path());
+    ASSERT_GT(journal.admitted_count(), 1u);
+    if (cut) {
+      write_prefix(f.path(), records, records.size() / 2);
+    } else {
+      std::vector<std::string> rewritten = records;
+      {
+        TempJournal one("changed-record");
+        util::AppendLog(one.path()).append_checked("s1", payload);
+        rewritten[last_admit] = test::read_lines(one.path()).front();
+      }
+      ASSERT_EQ(rewritten[last_admit].size(), records[last_admit].size());
+      write_prefix(f.path(), rewritten, rewritten.size());
+    }
+    try {
+      (void)run_once(recovery_options(&journal));
+      ADD_FAILURE() << "the changed journal was replayed";
+    } catch (const serve::JournalReplayError& e) {
+      EXPECT_NE(std::string(e.what()).find("changed since it was opened"),
+                std::string::npos)
+          << e.what();
+    }
+  }
+}
+
+TEST(ServeRecovery, JournalBytesArePinned) {
+  // A fixed run and a restart of it that between them admit a late and a
+  // delayed job, drop a record of each DropKind and write digests. The
+  // file's FNV-1a pins every byte the journal's record formatting writes.
+  std::vector<SubmitRecord> records;
+  for (int i = 0; i < 60; ++i) {
+    SubmitRecord r = rec(400 * (i / 3), 1 + (i * 5) % 8, 50 + (i * 37) % 400);
+    r.estimate = r.runtime + 10 * (i % 7);
+    r.user = i % 5;
+    records.push_back(r);
+  }
+  records[7].nodes = 9;  // wider than the machine
+  TempJournal f("pinned-bytes");
+  const auto serve_with = [&](serve::OverloadPolicy overload) {
+    AdmissionJournal journal(f.path());
+    ServeOptions options = recovery_options(&journal);
+    options.machine.nodes = 8;
+    options.queue_capacity = 1;
+    options.max_backlog = 5;
+    options.overload = overload;
+    options.feed_restarts_from_start = false;  // the restart gets a new feed
+    serve::ScriptFeed feed(records);
+    return serve::serve(feed, options);
+  };
+  const ServeReport run = serve_with(serve::OverloadPolicy::kBlock);
+  EXPECT_GT(run.delayed_admissions, 0u);
+  EXPECT_GT(run.rejected_invalid, 0u);
+  EXPECT_GT(run.shed_backlog, 0u);
+  {
+    // The restart's batch arrives after the last admission and before the
+    // last digest's instant, so its one admitted job is stamped late; the
+    // queue of 1 sheds the other two.
+    const AdmissionJournal journal(f.path());
+    const Time t = (journal.last_admit_time() + journal.digests().back().t) / 2;
+    records = {rec(t, 4, 100), rec(t, 2, 60), rec(t, 1, 30)};
+  }
+  const ServeReport restart = serve_with(serve::OverloadPolicy::kShed);
+  EXPECT_TRUE(restart.recovered);
+  EXPECT_EQ(restart.late_arrivals, run.late_arrivals + 1);
+  EXPECT_EQ(restart.shed_capacity, 2u);
+  EXPECT_GT(digest_instants(f.path()).size(), 2u);
+
+  std::ifstream in(f.path(), std::ios::binary);
+  const std::string bytes((std::istreambuf_iterator<char>(in)),
+                          std::istreambuf_iterator<char>());
+  EXPECT_EQ(bytes.size(), 2820u);
+  EXPECT_EQ(util::fnv1a(bytes), 0xf93e47963516dbabull);
 }
 
 TEST(ServeRecovery, PacedRecoveryUnderManualClockIsDeterministic) {

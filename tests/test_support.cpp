@@ -53,7 +53,7 @@ workload::Workload small_mixed_workload() {
 std::vector<std::string> read_lines(const std::string& path) {
   std::vector<std::string> lines;
   util::AppendLog::for_each_line(
-      path, [&](const std::string& line) { lines.push_back(line); });
+      path, [&](std::string_view line) { lines.emplace_back(line); });
   return lines;
 }
 

@@ -263,7 +263,7 @@ void arm_resilience(const Cli& cli, serve::ServeOptions& options,
                    "[schedd] journal %s: run %zu, recovering %zu admissions "
                    "(%zu complete at its last digest)\n",
                    cli.journal.c_str(), state.journal->runs(),
-                   state.journal->admitted().size(),
+                   state.journal->admitted_count(),
                    state.journal->completed_at_open());
     }
     options.journal = state.journal.get();
