@@ -1,5 +1,7 @@
 // Table 3 + Figures 3/4: average (weighted) response time for the
-// CTC-like workload across the full algorithm grid.
+// CTC-like workload across the full algorithm grid; Table 7: the same
+// grids' scheduler computation time, relative to FCFS+EASY (the paper
+// reports percentages only).
 //
 // Paper reference values (430-node trace replayed on 256 nodes):
 //   unweighted — FCFS 4.91E+06 (+1143%), PSRS+BF 1.02E+05 (-74.2%),
@@ -7,6 +9,13 @@
 //   weighted   — G&G 1.20E+11 (-16.1%) wins; PSRS+EASY == FCFS+EASY.
 // Absolute numbers depend on the trace (ours is synthetic, §1 of
 // DESIGN.md); the shape checks below encode the paper's conclusions.
+//
+// Table 7 observations to reproduce in shape:
+//  * plain list schedulers are far cheaper than the EASY reference;
+//  * SMART/PSRS with EASY cost no more than FCFS+EASY in the unweighted
+//    case (their queues stay short);
+//  * in the weighted case PSRS/SMART burn significant time (long queues
+//    plus replanning).
 #include <algorithm>
 #include <cmath>
 #include <cstdio>
@@ -23,10 +32,11 @@ using core::OrderKind;
 int main() {
   const auto cfg = bench::config_from_env();
   const auto machine = bench::machine_of(cfg);
-  std::printf("=== Table 3 / Fig. 3-4: CTC-like workload ===\n");
+  std::printf("=== Table 3 / Fig. 3-4 / Table 7: CTC-like workload ===\n");
   const auto w = bench::ctc_workload(cfg);
   bench::print_workload(w, cfg);
 
+  // measure_cpu is on: the same runs feed Table 7.
   const auto unweighted =
       bench::run_grid_verbose(machine, core::WeightKind::kUnit, w);
   const auto weighted =
@@ -142,5 +152,60 @@ int main() {
        std::abs(v(OrderKind::kPsrs, DispatchKind::kEasy) - ref_w) <
            0.15 * ref_w});
   bench::print_shape_checks(checks);
+
+  std::printf("%s\n", eval::cpu_time_table(
+                          unweighted, "Table 7 (unweighted case): scheduler "
+                                      "CPU time, CTC-like workload")
+                          .to_ascii()
+                          .c_str());
+  std::printf("%s\n", eval::cpu_time_table(
+                          weighted, "Table 7 (weighted case): scheduler CPU "
+                                    "time, CTC-like workload")
+                          .to_ascii()
+                          .c_str());
+
+  auto cpu_u = [&](OrderKind o, DispatchKind d) {
+    return bench::metric_of(unweighted, o, d,
+                            &eval::RunResult::scheduler_cpu_seconds);
+  };
+  const double ref_cpu = cpu_u(OrderKind::kFcfs, DispatchKind::kEasy);
+
+  // Note on scope: the paper's absolute percentages (e.g. FCFS list at
+  // -81.6% of FCFS+EASY) are properties of their implementation. In this
+  // implementation every algorithm schedules the 11-month trace in well
+  // under a second of CPU. The instrument charges about one steady-clock
+  // read per bracketed callback (~370k brackets per configuration here,
+  // ~0.02 s), runs spread by up to ~0.1 s, and so only the ordering-level
+  // observations are meaningful to check.
+  std::vector<ShapeCheck> cpu_checks;
+  cpu_checks.push_back(
+      {"Table 7: every configuration (incl. conservative) schedules the full\n"
+       "       trace in < 60 s of CPU",
+       [&] {
+         for (const auto& r : unweighted) {
+           if (r.scheduler_cpu_seconds >= 60.0) return false;
+         }
+         return true;
+       }()});
+  cpu_checks.push_back(
+      {"Table 7: SMART plain-list ordering is cheaper than the EASY reference",
+       cpu_u(OrderKind::kSmartFfia, DispatchKind::kList) < ref_cpu &&
+           cpu_u(OrderKind::kSmartNfiw, DispatchKind::kList) < ref_cpu});
+  cpu_checks.push_back(
+      {"Table 7: G&G costs less than the EASY reference",
+       cpu_u(OrderKind::kFcfs, DispatchKind::kFirstFit) < ref_cpu});
+  cpu_checks.push_back(
+      {"Table 7: unweighted PSRS/SMART+EASY stay within ~2x of FCFS+EASY",
+       cpu_u(OrderKind::kPsrs, DispatchKind::kEasy) < 2.0 * ref_cpu &&
+           cpu_u(OrderKind::kSmartFfia, DispatchKind::kEasy) < 2.0 * ref_cpu});
+  cpu_checks.push_back(
+      {"Table 7: weighted PSRS needs significantly more list-scheduling time "
+       "(paper: +30.6%)",
+       bench::metric_of(weighted, OrderKind::kPsrs, DispatchKind::kList,
+                        &eval::RunResult::scheduler_cpu_seconds) >
+           1.2 * bench::metric_of(weighted, OrderKind::kFcfs,
+                                  DispatchKind::kList,
+                                  &eval::RunResult::scheduler_cpu_seconds)});
+  bench::print_shape_checks(cpu_checks);
   return 0;
 }

@@ -5,7 +5,6 @@
 
 #include "eval/internal.h"
 #include "eval/journal.h"
-#include "eval/shard.h"
 #include "metrics/streaming.h"
 #include "sim/schedule.h"
 #include "sim/simulator.h"
@@ -14,17 +13,6 @@
 #include "util/parallel.h"
 
 namespace jsched::eval {
-
-void ShardSpec::validate() const {
-  if (count == 0) {
-    throw std::invalid_argument("ShardSpec: count must be >= 1");
-  }
-  if (index >= count) {
-    throw std::invalid_argument("ShardSpec: index " + std::to_string(index) +
-                                " out of range for " + std::to_string(count) +
-                                " shard" + (count == 1 ? "" : "s"));
-  }
-}
 
 namespace detail {
 
@@ -187,31 +175,23 @@ RunResult run_one(const sim::Machine& machine, const core::AlgorithmSpec& spec,
   });
 }
 
-GridResult run_grid_outcomes(const sim::Machine& machine,
-                             core::WeightKind weight,
-                             const workload::Workload& workload,
-                             const ExperimentOptions& options) {
-  options.shard.validate();
-  const std::vector<core::AlgorithmSpec> specs = core::paper_grid(weight);
-  // Cell keys serve two masters: journal checkpointing and the shard
-  // partition. Either one needs the workload fingerprint computed.
-  const bool keyed = options.journal != nullptr || options.shard.active();
-  const std::uint64_t workload_fnv =
-      keyed ? workload::fingerprint(workload) : 0;
-  std::vector<std::uint64_t> keys(specs.size(), 0);
-  if (keyed) {
-    for (std::size_t i = 0; i < specs.size(); ++i) {
-      keys[i] = cell_key(workload_fnv, machine.nodes, specs[i],
-                         options.journal_salt);
-    }
+namespace detail {
+
+std::vector<SweepCell> grid_cells(std::uint64_t workload_fnv,
+                                  int machine_nodes, core::WeightKind weight,
+                                  std::uint64_t salt) {
+  std::vector<SweepCell> cells;
+  for (const core::AlgorithmSpec& spec : core::paper_grid(weight)) {
+    cells.push_back({spec, cell_key(workload_fnv, machine_nodes, spec, salt)});
   }
-  // The shard assignment is a pure function of this grid's key set, so
-  // every shard process derives the identical disjoint partition with no
-  // coordination (see shard.h).
-  std::unique_ptr<ShardPlan> plan;
-  if (options.shard.active()) {
-    plan = std::make_unique<ShardPlan>(keys, options.shard.count);
-  }
+  return cells;
+}
+
+GridResult run_cells(const sim::Machine& machine,
+                     const workload::Workload& workload,
+                     std::uint64_t workload_fnv,
+                     const std::vector<SweepCell>& cells,
+                     const ExperimentOptions& options) {
   GridResult out;
   if (options.journal != nullptr) {
     // Bind the journal to this sweep before any lookup: cells recorded
@@ -221,34 +201,42 @@ GridResult run_grid_outcomes(const sim::Machine& machine,
     out.journal_note = options.journal->open_segment(
         sweep_fingerprint(workload_fnv, machine.nodes));
   }
-  out.cells.resize(specs.size());
-  const auto run_cell = [&](std::size_t i, const ExperimentOptions& opts) {
-    const core::AlgorithmSpec& spec = specs[i];
-    if (plan != nullptr && plan->shard_of(keys[i]) != opts.shard.index) {
-      out.cells[i] = RunOutcome::other_shard();
-      return;
-    }
-    out.cells[i] = detail::run_cell_protected(
-        opts, keys[i], spec,
-        [&] { return run_one(machine, spec, workload, opts); });
-  };
-
+  out.cells.resize(cells.size());
   // Each cell builds its own scheduler and simulates independently; slot i
-  // of the output is written only by cell i, so results land in paper_grid
+  // of the output is written only by cell i, so results land in cell
   // order no matter which configuration finishes first.
-  detail::for_each_cell(specs.size(), options, run_cell);
+  for_each_cell(cells.size(), options,
+                [&](std::size_t i, const ExperimentOptions& opts) {
+                  const SweepCell& cell = cells[i];
+                  out.cells[i] = run_cell_protected(
+                      opts, cell.key, cell.spec, [&] {
+                        return run_one(machine, cell.spec, workload, opts);
+                      });
+                });
   return out;
+}
+
+}  // namespace detail
+
+GridResult run_grid_outcomes(const sim::Machine& machine,
+                             core::WeightKind weight,
+                             const workload::Workload& workload,
+                             const ExperimentOptions& options) {
+  // Only a journal reads the cell keys; without one the workload goes
+  // unhashed.
+  const std::uint64_t workload_fnv =
+      options.journal != nullptr ? workload::fingerprint(workload) : 0;
+  return detail::run_cells(
+      machine, workload, workload_fnv,
+      detail::grid_cells(workload_fnv, machine.nodes, weight,
+                         options.journal_salt),
+      options);
 }
 
 std::vector<RunResult> run_grid(const sim::Machine& machine,
                                 core::WeightKind weight,
                                 const workload::Workload& workload,
                                 const ExperimentOptions& options) {
-  if (options.shard.active()) {
-    throw std::invalid_argument(
-        "run_grid: a sharded sweep produces a partial grid; use "
-        "run_grid_outcomes and merge the shard journals");
-  }
   GridResult grid = run_grid_outcomes(machine, weight, workload, options);
   // Only reachable under kIsolate / kRetryN: kFailFast already threw the
   // original exception from inside the sweep.

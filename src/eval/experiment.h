@@ -26,22 +26,6 @@ namespace jsched::eval {
 
 class SweepJournal;
 
-/// One shard of a deterministically partitioned sweep. The cells of a grid
-/// are ranked by their FNV cell key (see shard.h) and dealt round-robin:
-/// cell with key-rank r belongs to shard r % count. Every shard of a sweep
-/// — whether spawned by the coordinator in tools/sweepd or launched by
-/// hand on another machine — computes the identical assignment from the
-/// identical inputs, so the shards are disjoint and cover the grid with no
-/// coordination. The default {0, 1} owns everything (sharding inactive).
-struct ShardSpec {
-  std::size_t index = 0;
-  std::size_t count = 1;
-
-  bool active() const noexcept { return count > 1; }
-  /// Throws std::invalid_argument unless index < count and count >= 1.
-  void validate() const;
-};
-
 /// Everything measured for one (algorithm, workload) simulation.
 struct RunResult {
   core::AlgorithmSpec spec;
@@ -77,20 +61,15 @@ struct RunResult {
   }
 };
 
-/// One sweep cell: a RunResult, the structured error that replaced it, or
-/// a marker that the cell belongs to another shard of a partitioned sweep.
+/// One sweep cell: a RunResult or the structured error that replaced it.
 struct RunOutcome {
   bool ok = false;
-  /// True when this cell was not attempted because ShardSpec assigns it to
-  /// a different shard (ok is false, but the cell did not *fail* — another
-  /// worker owns it). Skipped cells never count toward failed().
-  bool skipped = false;
   /// Attempts consumed: 1 for a clean run, more under ErrorPolicy::kRetryN,
   /// and 0 when the result was resumed from a SweepJournal without
   /// re-simulating.
   std::size_t attempts = 1;
   RunResult result;  // meaningful iff ok
-  RunError error;    // meaningful iff !ok && !skipped
+  RunError error;    // meaningful iff !ok
 
   static RunOutcome success(RunResult r, std::size_t attempts) {
     RunOutcome o;
@@ -106,16 +85,18 @@ struct RunOutcome {
     o.error = std::move(e);
     return o;
   }
-  static RunOutcome other_shard() {
-    RunOutcome o;
-    o.skipped = true;
-    o.attempts = 0;
-    return o;
-  }
 };
 
-/// All cells of one grid sweep, in core::paper_grid order, plus the
-/// failure bookkeeping a report needs.
+/// One cell of a sweep: the configuration it simulates and the key it is
+/// journaled under (cell_key, eval/journal.h).
+struct SweepCell {
+  core::AlgorithmSpec spec;
+  std::uint64_t key = 0;
+};
+
+/// All cells of one sweep, in the order they were enumerated
+/// (core::paper_grid order for a grid), plus the failure bookkeeping a
+/// report needs.
 struct GridResult {
   std::vector<RunOutcome> cells;
   /// Stale-journal report from SweepJournal::open_segment ("" when the
@@ -125,16 +106,10 @@ struct GridResult {
 
   std::size_t failed() const {
     std::size_t n = 0;
-    for (const RunOutcome& c : cells) n += (!c.ok && !c.skipped) ? 1 : 0;
+    for (const RunOutcome& c : cells) n += c.ok ? 0 : 1;
     return n;
   }
   bool all_ok() const { return failed() == 0; }
-  /// Cells assigned to other shards of a partitioned sweep (not run here).
-  std::size_t skipped() const {
-    std::size_t n = 0;
-    for (const RunOutcome& c : cells) n += c.skipped ? 1 : 0;
-    return n;
-  }
   /// Cells resumed from a journal (attempts == 0).
   std::size_t resumed() const {
     std::size_t n = 0;
@@ -197,13 +172,6 @@ struct ExperimentOptions {
   /// sweeps over the same workload (e.g. fault-sweep points) without
   /// collisions.
   std::uint64_t journal_salt = 0;
-  /// This process's shard of a partitioned sweep (see shard.h). With
-  /// count > 1, run_grid_outcomes attempts only the cells the deterministic
-  /// key partition assigns to `index` and marks the rest skipped; a merge
-  /// of all shards' journals reconstitutes the full grid bit-identically.
-  /// run_grid (the throwing form) rejects an active shard spec — partial
-  /// grids need the outcome-aware API.
-  ShardSpec shard{};
   /// Override scheduler construction (testing/CI hook: inject a throwing
   /// or instrumented scheduler for selected specs). Null = core
   /// factory. Must be thread-safe when threads > 1.
@@ -234,8 +202,7 @@ RunResult run_streamed(const sim::Machine& machine,
 /// is always in paper_grid order and identical for any thread count.
 /// Under kIsolate / kRetryN a sweep with failed cells throws
 /// std::runtime_error summarizing them — use run_grid_outcomes to receive
-/// partial results instead. Throws std::invalid_argument when
-/// options.shard is active (a shard is a partial grid by construction).
+/// partial results instead.
 std::vector<RunResult> run_grid(const sim::Machine& machine,
                                 core::WeightKind weight,
                                 const workload::Workload& workload,

@@ -6,6 +6,7 @@
 #include <functional>
 #include <stdexcept>
 #include <string>
+#include <vector>
 
 #include "eval/experiment.h"
 
@@ -19,6 +20,23 @@ namespace jsched::eval::detail {
 void for_each_cell(
     std::size_t n, const ExperimentOptions& options,
     const std::function<void(std::size_t, const ExperimentOptions&)>& cell);
+
+/// core::paper_grid(weight), each configuration keyed by cell_key: the
+/// cells run_grid_outcomes sweeps and sweep_cells (shard.h) strings
+/// together.
+std::vector<SweepCell> grid_cells(std::uint64_t workload_fnv,
+                                  int machine_nodes, core::WeightKind weight,
+                                  std::uint64_t salt);
+
+/// Run `cells` over `workload` through for_each_cell and run_cell_protected;
+/// outcome i belongs to cells[i]. With a journal, every cell lands in the
+/// one segment of sweep_fingerprint(workload_fnv, machine.nodes), which is
+/// opened before any lookup.
+GridResult run_cells(const sim::Machine& machine,
+                     const workload::Workload& workload,
+                     std::uint64_t workload_fnv,
+                     const std::vector<SweepCell>& cells,
+                     const ExperimentOptions& options);
 
 /// Re-thrown wrapper that pins an exception to a specific RunErrorKind —
 /// used where the phase cannot be told from the exception type alone

@@ -254,6 +254,14 @@ std::size_t SweepJournal::hits() const noexcept {
   return hits_;
 }
 
+std::size_t SweepJournal::count_cells(const std::string& path) {
+  std::size_t cells = 0;
+  util::AppendLog::for_each_line(path, [&cells](std::string_view line) {
+    if (line.starts_with("v2 ") || line.starts_with("v1 ")) ++cells;
+  });
+  return cells;
+}
+
 std::vector<std::pair<std::uint64_t, RunResult>> SweepJournal::snapshot()
     const {
   std::lock_guard<std::mutex> lock(mu_);

@@ -80,6 +80,11 @@ class SweepJournal {
   std::size_t loaded() const noexcept { return loaded_; }
   /// Lookups that returned a stored result so far.
   std::size_t hits() const noexcept;
+  /// Complete cell records in the journal at `path` (v2 and legacy v1;
+  /// segment headers and a torn tail are not counted), read without
+  /// loading them; a missing file counts 0. Each finished cell appends one
+  /// record, so this is the shard coordinator's progress heartbeat.
+  static std::size_t count_cells(const std::string& path);
 
   /// Bind the journal to the sweep identified by `fingerprint`
   /// (sweep_fingerprint of the workload about to run). Cells recorded

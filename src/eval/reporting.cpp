@@ -119,13 +119,9 @@ util::Table failure_table(const GridResult& grid, const std::string& title) {
 
 std::string failure_summary(const GridResult& grid) {
   const std::size_t failed = grid.failed();
-  const std::size_t skipped = grid.skipped();
-  const std::size_t mine = grid.cells.size() - skipped;
-  std::string out =
-      std::to_string(mine - failed) + "/" + std::to_string(mine) + " cells ok";
-  if (skipped > 0) {
-    out += ", " + std::to_string(skipped) + " on other shards";
-  }
+  const std::size_t cells = grid.cells.size();
+  std::string out = std::to_string(cells - failed) + "/" +
+                    std::to_string(cells) + " cells ok";
   if (failed > 0) {
     // Count failures per kind for the parenthetical, in first-seen order.
     std::vector<std::pair<RunErrorKind, std::size_t>> kinds;

@@ -40,9 +40,7 @@ std::string experiment_title(const std::string& workload_name,
 util::Table failure_table(const GridResult& grid, const std::string& title);
 
 /// One-line sweep health summary, e.g.
-/// "12/13 cells ok, 1 failed (scheduler=1), 4 resumed from journal"; a
-/// sharded grid counts only its own cells ("7/7 cells ok, 6 on other
-/// shards").
+/// "12/13 cells ok, 1 failed (scheduler=1), 4 resumed from journal".
 std::string failure_summary(const GridResult& grid);
 
 /// Metadata block of the full-grid perf-trajectory JSON.

@@ -8,6 +8,7 @@
 #include <unordered_set>
 #include <utility>
 
+#include "eval/internal.h"
 #include "eval/journal.h"
 
 namespace jsched::eval {
@@ -48,17 +49,17 @@ std::vector<std::uint64_t> ShardPlan::keys_of(std::size_t shard) const {
   return out;
 }
 
-std::vector<std::uint64_t> grid_cell_keys(std::uint64_t workload_fnv,
-                                          int machine_nodes,
-                                          core::WeightKind weight,
-                                          std::uint64_t salt) {
-  std::vector<std::uint64_t> keys;
-  const std::vector<core::AlgorithmSpec> specs = core::paper_grid(weight);
-  keys.reserve(specs.size());
-  for (const core::AlgorithmSpec& spec : specs) {
-    keys.push_back(cell_key(workload_fnv, machine_nodes, spec, salt));
+std::vector<SweepCell> sweep_cells(std::uint64_t workload_fnv,
+                                   int machine_nodes, std::uint64_t salt) {
+  std::vector<SweepCell> cells;
+  for (core::WeightKind weight :
+       {core::WeightKind::kUnit, core::WeightKind::kEstimatedArea}) {
+    for (SweepCell& cell :
+         detail::grid_cells(workload_fnv, machine_nodes, weight, salt)) {
+      cells.push_back(std::move(cell));
+    }
   }
-  return keys;
+  return cells;
 }
 
 std::string MergeReport::describe() const {
@@ -91,13 +92,13 @@ std::string MergeReport::describe() const {
 }
 
 MergeReport merge_shard_journals(const MergeOptions& options) {
+  // The workers' partition, dealt over the same keys; it also refuses
+  // duplicate keys and an empty shard list.
+  const ShardPlan plan(options.expected_keys, options.shard_paths.size());
   MergeReport report;
+  report.missing_by_shard.assign(plan.count(), 0);
   const std::unordered_set<std::uint64_t> expected(
       options.expected_keys.begin(), options.expected_keys.end());
-  if (expected.size() != options.expected_keys.size()) {
-    throw std::invalid_argument(
-        "merge_shard_journals: expected_keys contains duplicates");
-  }
 
   // Gather every shard's cells; the first shard (in index order) to
   // provide a key wins, later providers count as duplicates. With the
@@ -126,16 +127,11 @@ MergeReport merge_shard_journals(const MergeOptions& options) {
   std::remove(options.out_path.c_str());
   SweepJournal merged(options.out_path);
   merged.open_segment(options.sweep_fingerprint);
-  if (options.plan != nullptr) {
-    report.missing_by_shard.assign(options.plan->count(), 0);
-  }
   for (const std::uint64_t key : options.expected_keys) {
     const auto it = found.find(key);
     if (it == found.end()) {
       report.missing.push_back(key);
-      if (options.plan != nullptr) {
-        ++report.missing_by_shard[options.plan->shard_of(key)];
-      }
+      ++report.missing_by_shard[plan.shard_of(key)];
       continue;
     }
     merged.record(key, it->second);

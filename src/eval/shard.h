@@ -1,13 +1,14 @@
 // Deterministic sweep partitioning and shard-journal merging.
 //
-// A sweep grid is a set of cells, each with a collision-free 64-bit FNV
-// cell key (eval/journal.h). To scale a sweep past one machine's cores,
-// the cell set is partitioned into N disjoint shards *by key*: sort the
-// keys, deal rank r to shard r % N. The assignment is pure arithmetic over
-// data every participant already has (the workload fingerprint, machine
-// size and algorithm specs), so N worker processes — spawned by the
-// tools/sweepd coordinator or launched by hand across machines — agree on
-// the partition with zero coordination, and the same partition is
+// A sweep is one list of cells (sweep_cells: both objectives' paper grid,
+// 26 cells), each with a collision-free 64-bit FNV cell key
+// (eval/journal.h). To scale a sweep past one machine's cores, the list is
+// partitioned into N disjoint shards *by key*: sort the keys, deal rank r
+// to shard r % N. The assignment is pure arithmetic over data every
+// participant already has (the workload fingerprint, machine size and
+// algorithm specs), so N worker processes — spawned by the tools/sweepd
+// coordinator or launched by hand across machines — and the merge agree
+// on the partition with zero coordination, and the same partition is
 // recomputed identically on resume.
 //
 // Each shard appends finished cells to its own SweepJournal. The merge
@@ -42,7 +43,6 @@ class ShardPlan {
   ShardPlan(std::vector<std::uint64_t> keys, std::size_t count);
 
   std::size_t count() const noexcept { return count_; }
-  std::size_t size() const noexcept { return sorted_.size(); }
 
   /// Shard owning `key`; throws std::out_of_range when `key` is not part
   /// of this sweep.
@@ -56,14 +56,15 @@ class ShardPlan {
   std::size_t count_;
 };
 
-/// Cell keys of the full paper grid for one objective, in paper_grid
-/// (enumeration == serial execution) order. These are the exact keys
-/// run_grid_outcomes journals under, so a driver can pre-compute the
-/// expected cell set of a sweep it has not run yet.
-std::vector<std::uint64_t> grid_cell_keys(std::uint64_t workload_fnv,
-                                          int machine_nodes,
-                                          core::WeightKind weight,
-                                          std::uint64_t salt = 0);
+/// The paper's evaluation as one list: core::paper_grid for the unweighted
+/// objective, then for the weighted one (26 cells), each keyed exactly as
+/// run_grid_outcomes journals it. This is the serial order of the two
+/// grids. Every participant of a sharded sweep derives its work from this
+/// list: a worker deals a ShardPlan over its keys and runs its own cells,
+/// and the merge expects its keys and deals the same plan to attribute
+/// what is missing.
+std::vector<SweepCell> sweep_cells(std::uint64_t workload_fnv,
+                                   int machine_nodes, std::uint64_t salt = 0);
 
 /// What merge_shard_journals found and wrote.
 struct MergeReport {
@@ -71,7 +72,7 @@ struct MergeReport {
   std::size_t duplicates = 0;  // keys present in more than one shard
   /// Expected keys found in no shard journal, in enumeration order.
   std::vector<std::uint64_t> missing;
-  /// missing split by owning shard (filled when a plan is supplied).
+  /// missing split by owning shard, one entry per shard path.
   std::vector<std::size_t> missing_by_shard;
   /// Keys found in shard journals but not expected — footprint of a shard
   /// journal reused across different sweeps.
@@ -85,20 +86,19 @@ struct MergeReport {
 };
 
 struct MergeOptions {
-  /// Shard journal paths in shard-index order. A path may name a missing
-  /// file (a shard that never started): its cells simply report missing.
+  /// Shard journal paths in shard-index order, one per shard: their count
+  /// is the sweep's shard count. A path may name a missing file (a shard
+  /// that never started): its cells simply report missing.
   std::vector<std::string> shard_paths;
   /// The complete expected cell set, in the order records should appear in
-  /// the merged journal (grid-enumeration order for bit-identity with a
-  /// serial single-process journal).
+  /// the merged journal (sweep_cells order for bit-identity with a serial
+  /// single-process journal). The merge deals the workers' ShardPlan over
+  /// these keys to attribute each missing cell to the shard that owns it.
   std::vector<std::uint64_t> expected_keys;
   /// Segment fingerprint (eval::sweep_fingerprint) for the merged journal.
   std::uint64_t sweep_fingerprint = 0;
   /// Output path; an existing file is replaced, not appended to.
   std::string out_path;
-  /// Optional assignment used to attribute missing cells to the shard that
-  /// should have produced them.
-  const ShardPlan* plan = nullptr;
 };
 
 /// Merge shard journals into one (see file comment for the invariants).

@@ -5,7 +5,7 @@
 #include <thread>
 #include <utility>
 
-#include "core/job_store.h"
+#include "eval/internal.h"
 #include "eval/journal.h"
 #include "eval/reporting.h"
 
@@ -13,6 +13,17 @@ namespace jsched::eval {
 
 std::string shard_journal_path(const std::string& dir, std::size_t index) {
   return dir + "/shard-" + std::to_string(index) + ".journal";
+}
+
+void ShardSpec::validate() const {
+  if (count == 0) {
+    throw std::invalid_argument("ShardSpec: count must be >= 1");
+  }
+  if (index >= count) {
+    throw std::invalid_argument("ShardSpec: index " + std::to_string(index) +
+                                " out of range for " + std::to_string(count) +
+                                " shard" + (count == 1 ? "" : "s"));
+  }
 }
 
 ShardWorkerReport run_shard_worker(
@@ -26,7 +37,6 @@ ShardWorkerReport run_shard_worker(
 
   ExperimentOptions opts = config.options;
   opts.journal = &journal;
-  opts.shard = config.shard;
 
   // Chaos kill: arm only on a virgin journal, so the relaunched worker
   // (which finds the records its predecessor left) runs clean instead of
@@ -43,36 +53,34 @@ ShardWorkerReport run_shard_worker(
     };
   }
 
-  ShardWorkerReport report;
   const workload::Workload workload = make_workload();
-  for (core::WeightKind weight : config.weights) {
-    GridResult grid = run_grid_outcomes(config.machine, weight, workload, opts);
-    report.cells += grid.cells.size() - grid.skipped();
-    report.skipped += grid.skipped();
-    report.resumed += grid.resumed();
-    report.failed += grid.failed();
-    for (const RunOutcome& c : grid.cells) {
-      if (c.ok && c.attempts >= 1) ++report.ran;
-    }
-    if (config.log) {
-      config.log("shard " + std::to_string(config.shard.index) + "/" +
-                 std::to_string(config.shard.count) + " " +
-                 core::to_string(weight) + ": " + failure_summary(grid));
-    }
+  const std::uint64_t workload_fnv = workload::fingerprint(workload);
+  const std::vector<SweepCell> sweep =
+      sweep_cells(workload_fnv, config.machine.nodes, opts.journal_salt);
+  std::vector<std::uint64_t> keys;
+  for (const SweepCell& cell : sweep) keys.push_back(cell.key);
+  const ShardPlan plan(std::move(keys), config.shard.count);
+  std::vector<SweepCell> mine;
+  for (const SweepCell& cell : sweep) {
+    if (plan.shard_of(cell.key) == config.shard.index) mine.push_back(cell);
+  }
+
+  const GridResult grid =
+      detail::run_cells(config.machine, workload, workload_fnv, mine, opts);
+  ShardWorkerReport report;
+  report.cells = grid.cells.size();
+  report.resumed = grid.resumed();
+  report.failed = grid.failed();
+  for (const RunOutcome& c : grid.cells) {
+    if (c.ok && c.attempts >= 1) ++report.ran;
+  }
+  if (config.log) {
+    config.log("shard " + std::to_string(config.shard.index) + "/" +
+               std::to_string(config.shard.count) + ": " +
+               failure_summary(grid));
   }
   return report;
 }
-
-namespace {
-
-std::size_t journal_cells(const std::string& path) {
-  // Cell records only — v2 (checksummed, current) plus legacy v1; segment
-  // headers ("v1seg ") share no prefix with either and are not counted.
-  return util::count_complete_lines(path, "v2 ") +
-         util::count_complete_lines(path, "v1 ");
-}
-
-}  // namespace
 
 CoordinatorReport run_shard_coordinator(const CoordinatorConfig& config) {
   if (config.shards.empty()) {
@@ -81,6 +89,9 @@ CoordinatorReport run_shard_coordinator(const CoordinatorConfig& config) {
   const std::size_t n = config.shards.size();
   const auto say = [&config](const std::string& line) {
     if (config.log) config.log(line);
+  };
+  const auto cells_done = [&config](std::size_t i) {
+    return SweepJournal::count_cells(config.shards[i].journal_path);
   };
 
   CoordinatorReport report;
@@ -149,15 +160,13 @@ CoordinatorReport run_shard_coordinator(const CoordinatorConfig& config) {
       if (status->success()) {
         s.ok = true;
         say("shard " + std::to_string(i) + ": done (" +
-            std::to_string(journal_cells(config.shards[i].journal_path)) +
-            " cells journaled)");
+            std::to_string(cells_done(i)) + " cells journaled)");
       } else if (s.restarts < config.restart_budget) {
         ++s.restarts;
         say("shard " + std::to_string(i) + ": " + status->describe() +
             "; restarting (" + std::to_string(s.restarts) + "/" +
             std::to_string(config.restart_budget) + "), will resume " +
-            std::to_string(journal_cells(config.shards[i].journal_path)) +
-            " journaled cells");
+            std::to_string(cells_done(i)) + " journaled cells");
         launch(i);
         ++live;
       } else {
@@ -172,13 +181,13 @@ CoordinatorReport run_shard_coordinator(const CoordinatorConfig& config) {
       std::string beat = "progress:";
       for (std::size_t i = 0; i < n; ++i) {
         beat += " shard" + std::to_string(i) + "=" +
-                std::to_string(journal_cells(config.shards[i].journal_path));
+                std::to_string(cells_done(i));
       }
       say(beat);
     }
   }
   for (std::size_t i = 0; i < n; ++i) {
-    report.shards[i].cells_done = journal_cells(config.shards[i].journal_path);
+    report.shards[i].cells_done = cells_done(i);
   }
   return report;
 }

@@ -4,12 +4,11 @@
 //
 // The split keeps policy out of the binary: tools/sweepd delegates here
 // and only decides how to build argv for a worker and which workload to
-// materialize. The coordinator's knowledge of a worker is deliberately thin — an exit code
-// and the growing shard journal (util::count_complete_lines over "v2 " /
-// legacy "v1 " records) — so the same monitoring works for workers it did
-// not spawn,
-// e.g. shards launched by hand on other machines whose journals are
-// merged later with merge_shard_journals.
+// materialize. The coordinator's knowledge of a worker is deliberately
+// thin — an exit code and the growing shard journal
+// (SweepJournal::count_cells) — so the same monitoring works for workers
+// it did not spawn, e.g. shards launched by hand on other machines whose
+// journals are merged later with merge_shard_journals.
 #pragma once
 
 #include <chrono>
@@ -28,19 +27,29 @@ namespace jsched::eval {
 /// Conventional shard journal path: `<dir>/shard-<index>.journal`.
 std::string shard_journal_path(const std::string& dir, std::size_t index);
 
-/// One worker's whole assignment: the paper grid per objective in
-/// `weights`, filtered to the cells `shard` owns, checkpointed into
-/// `journal_path`.
+/// One shard of a sweep: the cells of sweep_cells are ranked by key and
+/// dealt round-robin (ShardPlan), and the cell with key-rank r belongs to
+/// shard r % count. Every shard of a sweep — spawned by the coordinator in
+/// tools/sweepd or launched by hand on another machine — and the merge
+/// compute the identical assignment from the identical inputs, so the
+/// shards are disjoint and cover the sweep with no coordination. The
+/// default {0, 1} owns everything.
+struct ShardSpec {
+  std::size_t index = 0;
+  std::size_t count = 1;
+
+  /// Throws std::invalid_argument unless index < count and count >= 1.
+  void validate() const;
+};
+
+/// One worker's whole assignment: the cells of sweep_cells that `shard`
+/// owns, checkpointed into `journal_path`.
 struct ShardWorkerConfig {
   sim::Machine machine;
-  /// Objectives to sweep, in order. The default is the full evaluation:
-  /// the unweighted grid then the weighted one (26 cells total).
-  std::vector<core::WeightKind> weights{core::WeightKind::kUnit,
-                                        core::WeightKind::kEstimatedArea};
   std::string journal_path;
   ShardSpec shard{};
-  /// Base options for every grid; journal and shard are overridden by the
-  /// worker (error policy, threads, deadlines pass through).
+  /// Base options for every cell; the journal is the worker's own (error
+  /// policy, threads and the journal salt pass through).
   ExperimentOptions options{};
   /// Crash-injection hook for the restart/resume drill (0 = off): SIGKILL
   /// this process at the start of its (N+1)th fresh simulation, i.e. right
@@ -48,22 +57,23 @@ struct ShardWorkerConfig {
   /// empty, so the restarted worker — which resumes those N cells — runs
   /// to completion instead of dying in a loop. Use N >= 1.
   std::size_t chaos_kill_after = 0;
-  /// Progress sink (one line per grid); may be empty.
+  /// Progress sink (one summary line); may be empty.
   std::function<void(const std::string&)> log;
 };
 
 struct ShardWorkerReport {
-  std::size_t cells = 0;    // cells this shard owns, across all weights
+  std::size_t cells = 0;    // cells this shard owns
   std::size_t ran = 0;      // freshly simulated this run
   std::size_t resumed = 0;  // restored from the shard journal
-  std::size_t skipped = 0;  // cells owned by other shards
   std::size_t failed = 0;
 
   bool ok() const noexcept { return failed == 0; }
 };
 
-/// Run one shard worker to completion in this process. `make_workload`
-/// materializes the sweep's workload, once, however many objectives run.
+/// Run one shard worker to completion in this process: deal the plan over
+/// sweep_cells and run the owned cells, in list order, through the cell
+/// runner run_grid_outcomes uses, into one journal segment.
+/// `make_workload` materializes the sweep's workload once.
 /// Exceptions propagate: a worker process should let them kill it and
 /// leave the journal for its replacement.
 ShardWorkerReport run_shard_worker(

@@ -73,20 +73,6 @@ struct FailureTrace {
 FailureTrace make_failure_trace(std::vector<FailureEvent> events,
                                 int machine_nodes);
 
-/// Replays an explicit event list — the test-facing injector. Thin wrapper
-/// over make_failure_trace that keeps the validated trace alive alongside
-/// the FaultOptions pointing at it.
-class TraceInjector {
- public:
-  TraceInjector(std::vector<FailureEvent> events, int machine_nodes)
-      : trace_(make_failure_trace(std::move(events), machine_nodes)) {}
-
-  const FailureTrace& trace() const noexcept { return trace_; }
-
- private:
-  FailureTrace trace_;
-};
-
 /// The fault axis of a simulation. Default-constructed (null trace) or an
 /// empty trace means "no faults": the event kernel skips its fault batch
 /// and running-set upkeep and produces bit-identical schedules.

@@ -216,9 +216,11 @@ ServeReport serve(Feed& feed, const ServeOptions& options) {
     // Time can only move forward: a live record is stamped "now", and a
     // timed record that shows up after its moment is clamped to the
     // monotone floor (counted — late explicit submits are a client bug
-    // worth surfacing, not a daemon crash).
-    const Time floor_t =
-        std::max<Time>(last_stamp, std::max<Time>(kernel.now(), 0));
+    // worth surfacing, not a daemon crash). The floor lies past the last
+    // round, so an admission made after the round at t (a kBlock holdover,
+    // or a live record polled in t's virtual second) opens a new instant:
+    // one round per instant, which is how a restart replays them.
+    const Time floor_t = std::max<Time>(last_stamp, kernel.now() + 1);
     const bool live = r.submit < 0;
     const Time stamp =
         std::max(live ? (paced ? vnow() : floor_t) : r.submit, floor_t);

@@ -34,7 +34,7 @@
 // virtual timeline through the kernel's fault batch — completions, fault
 // batch (kills: latest start first, larger id on ties), one
 // on_capacity_change, arrivals, re-submissions, starts — so a served trace
-// under a trace injector stays bit-identical to sim::simulate_stream with
+// under a failure trace stays bit-identical to sim::simulate_stream with
 // the same FaultOptions.
 //
 // Crash safety: options.journal points the loop at a write-ahead

@@ -98,33 +98,6 @@ ParseResult parse_submit_line(const std::string& line, SubmitRecord& out,
   return ParseResult::kRecord;
 }
 
-// ---------------------------------------------------------------- ScriptFeed
-
-ScriptFeed::ScriptFeed(std::vector<SubmitRecord> records)
-    : records_(std::move(records)) {
-  Time prev = 0;
-  for (const SubmitRecord& r : records_) {
-    if (r.submit < 0) {
-      throw std::invalid_argument("ScriptFeed: live (-1) submits not allowed");
-    }
-    if (r.submit < prev) {
-      throw std::invalid_argument("ScriptFeed: submits must be sorted");
-    }
-    prev = r.submit;
-  }
-}
-
-bool ScriptFeed::poll(Time vnow, std::vector<SubmitRecord>& out) {
-  while (pos_ < records_.size() && records_[pos_].submit <= vnow) {
-    out.push_back(records_[pos_++]);
-  }
-  return pos_ < records_.size();
-}
-
-Time ScriptFeed::next_submit() const {
-  return pos_ < records_.size() ? records_[pos_].submit : kTimeInfinity;
-}
-
 // ------------------------------------------------------------- JobSourceFeed
 
 JobSourceFeed::JobSourceFeed(workload::JobSource& source) : source_(&source) {

@@ -1,8 +1,8 @@
 // Submission feeds: where the serve daemon's jobs come from.
 //
 // The daemon is transport-agnostic; a Feed hides whether submissions come
-// from a replayed trace, an in-memory script, a pipe/tailed file, or a
-// localhost TCP socket. All transports speak one line protocol:
+// from a replayed trace, a pipe/tailed file, or a localhost TCP socket.
+// All transports speak one line protocol:
 //
 //   @<submit> <nodes> <runtime> <estimate> [user]   timed record (replay)
 //   <nodes> <runtime> <estimate> [user]             live record (submit = now)
@@ -76,21 +76,6 @@ class Feed {
 
  protected:
   Feed() = default;
-};
-
-/// In-memory feed over a fixed list of records (tests, canned bursts).
-/// Records must be in non-decreasing submit order; live records (-1) are
-/// not allowed here — scripts are replay-style by definition.
-class ScriptFeed final : public Feed {
- public:
-  explicit ScriptFeed(std::vector<SubmitRecord> records);
-
-  bool poll(Time vnow, std::vector<SubmitRecord>& out) override;
-  Time next_submit() const override;
-
- private:
-  std::vector<SubmitRecord> records_;
-  std::size_t pos_ = 0;
 };
 
 /// Replay a workload::JobSource (trace file, synthetic generator) as a

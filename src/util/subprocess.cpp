@@ -10,8 +10,6 @@
 #include <sys/wait.h>
 #include <unistd.h>
 
-#include "util/journal.h"
-
 namespace jsched::util {
 
 std::string ExitStatus::describe() const {
@@ -123,15 +121,6 @@ std::string self_exe_path() {
   }
   buf[n] = '\0';
   return std::string(buf);
-}
-
-std::size_t count_complete_lines(const std::string& path,
-                                 std::string_view prefix) {
-  std::size_t count = 0;
-  AppendLog::for_each_line(path, [&](std::string_view line) {
-    if (line.compare(0, prefix.size(), prefix) == 0) ++count;
-  });
-  return count;
 }
 
 }  // namespace jsched::util

@@ -3,18 +3,16 @@
 // The multi-process sweep coordinator spawns one worker per shard, polls
 // them for exit, and restarts crashed ones. Workers need no IPC channel:
 // their only observable state is the shard journal they append to, so the
-// coordinator's "heartbeat" is the number of complete records in that file
-// (count_complete_lines below, which streams the file through
-// AppendLog::for_each_line). This keeps the protocol trivially robust —
-// a worker that can write its journal is making progress, and one that
-// cannot is indistinguishable from a dead one, which is exactly how the
-// restart logic should treat it.
+// coordinator's "heartbeat" is the number of complete cell records in that
+// file (eval::SweepJournal::count_cells). This keeps the protocol
+// trivially robust — a worker that can write its journal is making
+// progress, and one that cannot is indistinguishable from a dead one,
+// which is exactly how the restart logic should treat it.
 #pragma once
 
 #include <cstddef>
 #include <optional>
 #include <string>
-#include <string_view>
 #include <vector>
 
 #include <sys/types.h>
@@ -78,14 +76,5 @@ class Subprocess {
 /// can respawn itself in worker mode. Throws std::runtime_error when the
 /// link cannot be read (non-Linux /proc-less environments).
 std::string self_exe_path();
-
-/// Number of complete (newline-terminated) lines in `path` that start with
-/// `prefix`; a missing file counts 0. This is the journal-tail progress
-/// protocol: shard workers append one "v1 ..." record per finished cell,
-/// so the line count IS the cell count — no pipe, socket or shared memory
-/// involved, and it works unchanged for workers on other machines whose
-/// journals arrive over a shared filesystem.
-std::size_t count_complete_lines(const std::string& path,
-                                 std::string_view prefix);
 
 }  // namespace jsched::util

@@ -66,11 +66,12 @@ TEST(FaultTrace, RejectsInvalidInput) {
   EXPECT_THROW(fault::make_failure_trace({{5, +1}}, 4), std::invalid_argument);
 }
 
-TEST(FaultTrace, InjectorKeepsTraceAlive) {
-  fault::TraceInjector injector({{10, -1}, {20, +1}}, 8);
-  EXPECT_EQ(injector.trace().events.size(), 2u);
+TEST(FaultTrace, NonEmptyTraceActivatesFaultOptions) {
+  const FailureTrace trace =
+      fault::make_failure_trace({{10, -1}, {20, +1}}, 8);
+  EXPECT_EQ(trace.events.size(), 2u);
   FaultOptions options;
-  options.trace = &injector.trace();
+  options.trace = &trace;
   EXPECT_TRUE(options.active());
   EXPECT_FALSE(FaultOptions{}.active());
 }

@@ -647,6 +647,22 @@ TEST(Journal, AppendAfterTornTailReopens) {
   EXPECT_EQ(test::read_lines(f.path()).size(), 2u);
 }
 
+TEST(Journal, CountCellsDropsTornTail) {
+  // The coordinator's heartbeat: complete cell records only, v2 and legacy
+  // v1, without segment headers, other tags or the in-flight append.
+  TempFile f("count-cells");
+  EXPECT_EQ(eval::SweepJournal::count_cells(f.path()), 0u);  // missing file
+  {
+    std::ofstream out(f.path(), std::ios::binary);
+    out << "v1seg 00000000deadbeef\n"
+        << "v2 0123456789abcdef first\n"
+        << "v1 second\n"
+        << "v3 from a later version\n"
+        << "v2 0123456789abcdef torn-no-newline";
+  }
+  EXPECT_EQ(eval::SweepJournal::count_cells(f.path()), 2u);
+}
+
 TEST(Journal, SweepJournalLoadsUncheckedV1Records) {
   // Journals written before per-record checksums (v1 records) must keep
   // resuming bit-identically. Synthesize one by stripping the "v2 <crc>"

@@ -437,10 +437,10 @@ TEST(ServeRecovery, RestartsComposeAcrossRepeatedCrashes) {
 TEST(ServeRecovery, FaultyRunRecoversWithRequeuesIntact) {
   // Kill-restart under fault injection: the digest hashes (job, epoch), so
   // a requeued job's second start stays distinct from its first.
-  fault::TraceInjector injector(
+  const fault::FailureTrace outages = fault::make_failure_trace(
       {{5'000, -32}, {40'000, +32}, {80'000, -16}, {120'000, +16}}, 64);
   fault::FaultOptions faults;
-  faults.trace = &injector.trace();
+  faults.trace = &outages;
 
   ServeOptions plain = recovery_options(nullptr);
   plain.faults = faults;
@@ -478,10 +478,10 @@ const workload::Workload& batched_workload() {
 
 /// Half the machine fails at 8000 s and returns at 43000 s.
 fault::FaultOptions batched_faults() {
-  static const fault::TraceInjector injector({{8'000, -32}, {43'000, +32}},
-                                             64);
+  static const fault::FailureTrace outages =
+      fault::make_failure_trace({{8'000, -32}, {43'000, +32}}, 64);
   fault::FaultOptions faults;
-  faults.trace = &injector.trace();
+  faults.trace = &outages;
   return faults;
 }
 
@@ -558,44 +558,52 @@ TEST(ServeRecovery, RecoversAtEveryAppendPoint) {
 }
 
 TEST(ServeRecovery, RecoversAtEveryAppendPointUnderBackpressure) {
-  // Under kBlock with a queue of 1, the uninterrupted run serves an
-  // instant's batch over several rounds (one per holdover admission), and
-  // a restart serves the journaled part of it in fewer. The digest sums
-  // each instant's decisions whatever rounds make them, so no prefix may
-  // be refused, and each must recover the same schedule. Round counts
-  // differ (ROADMAP item 7) and are not compared.
-  const auto serve_with = [&](AdmissionJournal* journal) {
-    ServeOptions options = recovery_options(journal);
-    options.faults = batched_faults();
-    options.queue_capacity = 1;
-    options.overload = serve::OverloadPolicy::kBlock;
-    workload::WorkloadSource source(batched_workload());
-    serve::JobSourceFeed feed(source);
-    return serve::serve(feed, options);
-  };
-  const ServeReport reference = serve_with(nullptr);
-  ASSERT_GT(reference.delayed_admissions, 0u);
-  ASSERT_GT(reference.killed, 0u);
+  // Under kBlock with a queue of 1, the uninterrupted run admits an
+  // instant's batch one holdover at a time. Each admission made after the
+  // round at t is stamped t + 1 and opens an instant of its own, so a
+  // restart, which serves each journaled instant in one round, makes the
+  // same rounds. SMART and PSRS reorder their queue per round: merging two
+  // rounds would change their decisions, and the digest would refuse the
+  // restart. Every prefix must recover the same schedule in the same
+  // rounds.
+  for (const char* spec : {"SMART-FFIA", "SMART-NFIW+EASY", "PSRS+CONS",
+                           "PSRS", "FCFS+EASY", "FCFS+CONS"}) {
+    SCOPED_TRACE(spec);
+    const auto serve_with = [&](AdmissionJournal* journal) {
+      ServeOptions options = recovery_options(journal);
+      options.spec = core::parse_spec(spec);
+      options.faults = batched_faults();
+      options.queue_capacity = 1;
+      options.overload = serve::OverloadPolicy::kBlock;
+      workload::WorkloadSource source(batched_workload());
+      serve::JobSourceFeed feed(source);
+      return serve::serve(feed, options);
+    };
+    const ServeReport reference = serve_with(nullptr);
+    ASSERT_GT(reference.delayed_admissions, 0u);
+    ASSERT_GT(reference.killed, 0u);
 
-  TempJournal full("backpressure-full");
-  {
-    AdmissionJournal journal(full.path());
-    (void)serve_with(&journal);
-  }
-  const std::vector<std::string> records = test::read_lines(full.path());
-  ASSERT_GT(digest_instants(full.path()).size(), 1u);
-  for (std::size_t k = 0; k <= records.size(); ++k) {
-    SCOPED_TRACE("restarted after append " + std::to_string(k) + " of " +
-                 std::to_string(records.size()));
-    TempJournal prefix("backpressure");
-    write_prefix(prefix.path(), records, k);
-    AdmissionJournal journal(prefix.path());
-    ServeReport resumed;
-    EXPECT_NO_THROW(resumed = serve_with(&journal));
-    EXPECT_EQ(resumed.schedule_fnv, reference.schedule_fnv);
-    EXPECT_EQ(resumed.completed, reference.completed);
-    EXPECT_EQ(resumed.killed, reference.killed);
-    if (HasFailure()) return;
+    TempJournal full("backpressure-full");
+    {
+      AdmissionJournal journal(full.path());
+      (void)serve_with(&journal);
+    }
+    const std::vector<std::string> records = test::read_lines(full.path());
+    ASSERT_GT(digest_instants(full.path()).size(), 1u);
+    for (std::size_t k = 0; k <= records.size(); ++k) {
+      SCOPED_TRACE("restarted after append " + std::to_string(k) + " of " +
+                   std::to_string(records.size()));
+      TempJournal prefix("backpressure");
+      write_prefix(prefix.path(), records, k);
+      AdmissionJournal journal(prefix.path());
+      ServeReport resumed;
+      EXPECT_NO_THROW(resumed = serve_with(&journal));
+      EXPECT_EQ(resumed.schedule_fnv, reference.schedule_fnv);
+      EXPECT_EQ(resumed.decisions, reference.decisions);
+      EXPECT_EQ(resumed.completed, reference.completed);
+      EXPECT_EQ(resumed.killed, reference.killed);
+      if (HasFailure()) return;
+    }
   }
 }
 
@@ -616,7 +624,8 @@ TEST(ServeRecovery, RestartUnderAnotherSpecMachineOrFaultTraceIsRefused) {
   }
   ASSERT_LT(first_digest, records.size());
 
-  fault::TraceInjector injector({{1'000, -48}, {40'000, +48}}, 64);
+  const fault::FailureTrace outages =
+      fault::make_failure_trace({{1'000, -48}, {40'000, +48}}, 64);
   struct Variant {
     const char* name;
     std::function<void(ServeOptions&)> apply;
@@ -626,7 +635,7 @@ TEST(ServeRecovery, RestartUnderAnotherSpecMachineOrFaultTraceIsRefused) {
        [](ServeOptions& o) { o.spec = core::parse_spec("SMART-FFIA"); }},
       {"machine 128", [](ServeOptions& o) { o.machine.nodes = 128; }},
       {"fault trace",
-       [&](ServeOptions& o) { o.faults.trace = &injector.trace(); }},
+       [&](ServeOptions& o) { o.faults.trace = &outages; }},
   };
   for (const std::size_t k : {records.size(), first_digest + 1}) {
     for (const Variant& v : variants) {
@@ -690,7 +699,7 @@ TEST(ServeRecovery, FreshSubmissionsAfterARestartFollowTheLastDigest) {
   AdmissionJournal journal(f.path());
   ServeOptions options = recovery_options(&journal);
   options.feed_restarts_from_start = false;  // a new client, not a replay
-  serve::ScriptFeed feed({rec(0, 4, 100)});
+  test::ScriptFeed feed({rec(0, 4, 100)});
   const ServeReport resumed = serve::serve(feed, options);
   EXPECT_EQ(resumed.completed, first.completed + 1);
   EXPECT_EQ(resumed.late_arrivals, first.late_arrivals + 1);
@@ -857,7 +866,7 @@ TEST(ServeRecovery, JournalBytesArePinned) {
     options.max_backlog = 5;
     options.overload = overload;
     options.feed_restarts_from_start = false;  // the restart gets a new feed
-    serve::ScriptFeed feed(records);
+    test::ScriptFeed feed(records);
     return serve::serve(feed, options);
   };
   const ServeReport run = serve_with(serve::OverloadPolicy::kBlock);
@@ -882,7 +891,7 @@ TEST(ServeRecovery, JournalBytesArePinned) {
   const std::string bytes((std::istreambuf_iterator<char>(in)),
                           std::istreambuf_iterator<char>());
   EXPECT_EQ(bytes.size(), 2820u);
-  EXPECT_EQ(util::fnv1a(bytes), 0xf93e47963516dbabull);
+  EXPECT_EQ(util::fnv1a(bytes), 0xb0b7244052768bd5ull);
 }
 
 TEST(ServeRecovery, PacedRecoveryUnderManualClockIsDeterministic) {

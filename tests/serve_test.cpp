@@ -32,6 +32,7 @@
 #include "util/clock.h"
 #include "workload/ctc_model.h"
 #include "workload/job_source.h"
+#include "test_support.h"
 #include "workload/transforms.h"
 
 namespace jsched {
@@ -39,10 +40,10 @@ namespace {
 
 using serve::OverloadPolicy;
 using serve::ParseResult;
-using serve::ScriptFeed;
 using serve::ServeOptions;
 using serve::ServeReport;
 using serve::SubmitRecord;
+using test::ScriptFeed;
 
 core::AlgorithmSpec fcfs_with(core::DispatchKind dispatch) {
   core::AlgorithmSpec spec;
@@ -725,14 +726,14 @@ TEST(Serve, SummaryJsonCarriesTheKeyFields) {
 // ------------------------------------------------------------------ faults
 
 TEST(Serve, FaultyServeIsBitIdenticalToFaultySimulator) {
-  // The ISSUE acceptance check: serving a trace through a TraceInjector
-  // must reproduce sim::simulate_stream's faulty schedule bit for bit,
-  // with consistent kill/requeue counters.
+  // Serving a trace under a failure trace must reproduce
+  // sim::simulate_stream's faulty schedule bit for bit, with consistent
+  // kill/requeue counters.
   const workload::Workload& w = replay_workload();
-  fault::TraceInjector injector(
+  const fault::FailureTrace outages = fault::make_failure_trace(
       {{20'000, -64}, {100'000, +64}, {250'000, -128}, {400'000, +128}}, 256);
   fault::FaultOptions faults;
-  faults.trace = &injector.trace();
+  faults.trace = &outages;
 
   const sim::Machine machine{256};
   auto scheduler = core::make_scheduler(fcfs_with(core::DispatchKind::kEasy));
@@ -758,19 +759,20 @@ TEST(Serve, FaultyServeIsBitIdenticalToFaultySimulator) {
   EXPECT_EQ(served.killed, offline.resilience.kills);
   EXPECT_EQ(served.requeued, served.killed);
   EXPECT_GT(served.killed, 0u);
-  EXPECT_EQ(served.capacity_events, injector.trace().events.size());
+  EXPECT_EQ(served.capacity_events, outages.events.size());
   EXPECT_EQ(served.min_capacity, 128);
   EXPECT_EQ(served.wasted_node_seconds, offline.resilience.wasted_node_seconds);
   EXPECT_EQ(served.availability, offline.resilience.availability);
 }
 
 TEST(Serve, FaultTraceMustMatchTheMachine) {
-  fault::TraceInjector injector({{10, -1}, {20, +1}}, 8);
+  const fault::FailureTrace outages =
+      fault::make_failure_trace({{10, -1}, {20, +1}}, 8);
   ScriptFeed feed(burst(2));
   ServeOptions options;
   options.machine.nodes = 16;  // trace built for 8
   options.spec = fcfs_with(core::DispatchKind::kEasy);
-  options.faults.trace = &injector.trace();
+  options.faults.trace = &outages;
   EXPECT_THROW(serve::serve(feed, options), std::invalid_argument);
 }
 
@@ -800,9 +802,10 @@ TEST(Serve, BacklogBoundDegradesWithLostCapacity) {
   const ServeReport intact = run({});
   EXPECT_EQ(intact.shed_backlog, 4u);  // 12 offered, bound 8
 
-  fault::TraceInjector injector({{1, -4}, {100'000, +4}}, 8);
+  const fault::FailureTrace outages =
+      fault::make_failure_trace({{1, -4}, {100'000, +4}}, 8);
   fault::FaultOptions faults;
-  faults.trace = &injector.trace();
+  faults.trace = &outages;
   const ServeReport degraded = run(faults);
   EXPECT_EQ(degraded.shed_backlog, 8u);  // bound scaled to 4 survivors
   EXPECT_EQ(degraded.min_capacity, 4);

@@ -1,7 +1,7 @@
-// Sharded sweeps: the deterministic cell partition (eval::ShardPlan),
-// shard-aware grid execution, journal merging with its partition
-// invariants, the workload materialization cache, and the in-process
-// worker loop. The load-bearing property throughout: how a sweep is
+// Sharded sweeps: the one 26-cell list every participant derives
+// (eval::sweep_cells), the deterministic cell partition (eval::ShardPlan),
+// the in-process worker loop, and journal merging with its partition
+// invariants. The load-bearing property throughout: how a sweep is
 // partitioned must be unobservable in its results — every RunResult,
 // fingerprint included, bit-identical to the serial single-process run.
 #include "eval/shard.h"
@@ -55,8 +55,6 @@ TEST(Shard, SpecValidates) {
   EXPECT_NO_THROW((eval::ShardSpec{3, 4}).validate());
   EXPECT_THROW((eval::ShardSpec{0, 0}).validate(), std::invalid_argument);
   EXPECT_THROW((eval::ShardSpec{2, 2}).validate(), std::invalid_argument);
-  EXPECT_FALSE((eval::ShardSpec{0, 1}).active());
-  EXPECT_TRUE((eval::ShardSpec{0, 2}).active());
 }
 
 TEST(Shard, PlanDealsRoundRobinByKeyRank) {
@@ -104,82 +102,115 @@ TEST(Shard, PlanRejectsBadInputs) {
   EXPECT_THROW(plan.shard_of(99), std::out_of_range);
 }
 
+std::vector<std::uint64_t> cell_keys(
+    const std::vector<eval::SweepCell>& cells) {
+  std::vector<std::uint64_t> keys;
+  for (const eval::SweepCell& cell : cells) keys.push_back(cell.key);
+  return keys;
+}
+
+/// The sweep's cells for `w` on `m`: what every worker and the merge deal.
+std::vector<eval::SweepCell> sweep_of(const workload::Workload& w,
+                                      const sim::Machine& m) {
+  return eval::sweep_cells(workload::fingerprint(w), m.nodes);
+}
+
+/// Run both objectives' grids serially into one journal, as a
+/// single-process sweep does. Scheduler CPU is not measured here or in
+/// run_shard_into, so equal work journals equal bytes.
+void run_serial_sweep(const workload::Workload& w, const sim::Machine& m,
+                      const std::string& journal_path) {
+  eval::SweepJournal journal(journal_path);
+  eval::ExperimentOptions opt;
+  opt.measure_cpu = false;
+  opt.journal = &journal;
+  for (core::WeightKind weight :
+       {core::WeightKind::kUnit, core::WeightKind::kEstimatedArea}) {
+    ASSERT_TRUE(eval::run_grid_outcomes(m, weight, w, opt).all_ok());
+  }
+}
+
 TEST(Shard, GridCellKeysMatchWhatSweepsJournal) {
-  // grid_cell_keys must predict the exact keys run_grid_outcomes writes,
-  // or a driver's expected set (and the merge) would drift from reality.
+  // sweep_cells must list both grids in paper_grid order under the exact
+  // keys run_grid_outcomes writes, or the workers' plan and the merge's
+  // expected set would drift from reality.
   const auto w = test::small_mixed_workload();
   sim::Machine m;
   m.nodes = 16;
-  TempFile f("gridkeys");
-  eval::SweepJournal journal(f.path());
-  eval::ExperimentOptions opt;
-  opt.journal = &journal;
-  const auto grid =
-      eval::run_grid_outcomes(m, core::WeightKind::kUnit, w, opt);
-  ASSERT_TRUE(grid.all_ok());
-
-  const auto expected = eval::grid_cell_keys(workload::fingerprint(w), m.nodes,
-                                             core::WeightKind::kUnit);
-  ASSERT_EQ(expected.size(), grid.cells.size());
-  const auto cells = journal.snapshot();
-  ASSERT_EQ(cells.size(), expected.size());
-  auto sorted = expected;
-  std::sort(sorted.begin(), sorted.end());
-  for (std::size_t i = 0; i < cells.size(); ++i) {
-    EXPECT_EQ(cells[i].first, sorted[i]);
+  const auto cells = sweep_of(w, m);
+  auto specs = core::paper_grid(core::WeightKind::kUnit);
+  for (const auto& spec : core::paper_grid(core::WeightKind::kEstimatedArea)) {
+    specs.push_back(spec);
   }
+  ASSERT_EQ(cells.size(), 26u);
+  for (std::size_t i = 0; i < cells.size(); ++i) {
+    EXPECT_EQ(cells[i].spec.display_name(), specs[i].display_name());
+    EXPECT_EQ(cells[i].spec.weight, specs[i].weight);
+  }
+
+  TempFile f("gridkeys");
+  run_serial_sweep(w, m, f.path());
+  const auto journaled = eval::SweepJournal(f.path()).snapshot();
+  auto sorted = cell_keys(cells);
+  std::sort(sorted.begin(), sorted.end());
+  ASSERT_EQ(journaled.size(), sorted.size());
+  for (std::size_t i = 0; i < journaled.size(); ++i) {
+    EXPECT_EQ(journaled[i].first, sorted[i]);
+  }
+}
+
+/// Run shard `index` of `count` over the whole sweep through the worker
+/// loop, into its own journal.
+eval::ShardWorkerReport run_shard_into(const workload::Workload& w,
+                                       const sim::Machine& m,
+                                       std::size_t index, std::size_t count,
+                                       const std::string& journal_path) {
+  eval::ShardWorkerConfig config;
+  config.machine = m;
+  config.journal_path = journal_path;
+  config.shard = {index, count};
+  config.options.measure_cpu = false;
+  const auto report = eval::run_shard_worker([&w] { return w; }, config);
+  EXPECT_TRUE(report.ok());
+  return report;
 }
 
 TEST(Shard, ShardedGridIsDisjointUnionOfSerialGrid) {
   const auto w = test::small_mixed_workload();
   sim::Machine m;
   m.nodes = 16;
-  const auto serial = eval::run_grid(m, core::WeightKind::kUnit, w);
+  const auto unit = eval::run_grid(m, core::WeightKind::kUnit, w);
+  const auto area = eval::run_grid(m, core::WeightKind::kEstimatedArea, w);
+  const auto cells = sweep_of(w, m);
+  ASSERT_EQ(cells.size(), unit.size() + area.size());
 
   constexpr std::size_t kShards = 3;
-  std::vector<int> owners(serial.size(), 0);
+  std::vector<int> owners(cells.size(), 0);
   for (std::size_t s = 0; s < kShards; ++s) {
-    eval::ExperimentOptions opt;
-    opt.shard = {s, kShards};
-    const auto grid = eval::run_grid_outcomes(m, core::WeightKind::kUnit, w, opt);
-    ASSERT_EQ(grid.cells.size(), serial.size());
-    EXPECT_EQ(grid.failed(), 0u);
-    EXPECT_GT(grid.skipped(), 0u);
-    for (std::size_t i = 0; i < grid.cells.size(); ++i) {
-      if (grid.cells[i].skipped) continue;
+    TempFile f("sharded-grid");
+    const auto report = run_shard_into(w, m, s, kShards, f.path());
+    EXPECT_EQ(report.ran, report.cells);
+    const auto journaled = eval::SweepJournal(f.path()).snapshot();
+    EXPECT_EQ(journaled.size(), report.cells);
+    for (const auto& [key, result] : journaled) {
+      const auto cell = std::find_if(
+          cells.begin(), cells.end(),
+          [key = key](const eval::SweepCell& c) { return c.key == key; });
+      ASSERT_NE(cell, cells.end());
+      const std::size_t i = static_cast<std::size_t>(cell - cells.begin());
       ++owners[i];
-      ASSERT_TRUE(grid.cells[i].ok);
-      // Bit-identical to the serial cell, fingerprint and metrics alike.
-      EXPECT_EQ(grid.cells[i].result.schedule_fnv, serial[i].schedule_fnv);
-      EXPECT_EQ(grid.cells[i].result.art, serial[i].art);
-      EXPECT_EQ(grid.cells[i].result.awrt, serial[i].awrt);
+      // Bit-identical to run_grid's cell for its objective, fingerprint
+      // and metrics alike.
+      const eval::RunResult& serial =
+          i < unit.size() ? unit[i] : area[i - unit.size()];
+      EXPECT_EQ(result.spec.display_name(), serial.spec.display_name());
+      EXPECT_EQ(result.schedule_fnv, serial.schedule_fnv);
+      EXPECT_EQ(result.art, serial.art);
+      EXPECT_EQ(result.awrt, serial.awrt);
     }
   }
   // Disjoint cover: every cell ran on exactly one shard.
   for (int count : owners) EXPECT_EQ(count, 1);
-}
-
-TEST(Shard, RunGridRejectsActiveShard) {
-  const auto w = test::small_mixed_workload();
-  sim::Machine m;
-  m.nodes = 16;
-  eval::ExperimentOptions opt;
-  opt.shard = {1, 2};
-  EXPECT_THROW(eval::run_grid(m, core::WeightKind::kUnit, w, opt),
-               std::invalid_argument);
-}
-
-/// Run one shard of the unit-weight grid into its own journal; returns the
-/// journal path contents by reference through `journal_path`.
-void run_shard_into(const workload::Workload& w, const sim::Machine& m,
-                    std::size_t index, std::size_t count,
-                    const std::string& journal_path) {
-  eval::SweepJournal journal(journal_path);
-  eval::ExperimentOptions opt;
-  opt.journal = &journal;
-  opt.shard = {index, count};
-  const auto grid = eval::run_grid_outcomes(m, core::WeightKind::kUnit, w, opt);
-  ASSERT_EQ(grid.failed(), 0u);
 }
 
 eval::MergeOptions merge_options_for(const workload::Workload& w,
@@ -188,8 +219,7 @@ eval::MergeOptions merge_options_for(const workload::Workload& w,
                                      const std::string& out_path) {
   eval::MergeOptions merge;
   merge.shard_paths = std::move(shard_paths);
-  merge.expected_keys = eval::grid_cell_keys(workload::fingerprint(w), m.nodes,
-                                             core::WeightKind::kUnit);
+  merge.expected_keys = cell_keys(sweep_of(w, m));
   merge.sweep_fingerprint =
       eval::sweep_fingerprint(workload::fingerprint(w), m.nodes);
   merge.out_path = out_path;
@@ -201,13 +231,18 @@ TEST(ShardMerge, SingleShardMergeIsByteIdenticalToSerialJournal) {
   sim::Machine m;
   m.nodes = 16;
   TempFile serial("merge-serial");
-  run_shard_into(w, m, 0, 1, serial.path());
+  run_serial_sweep(w, m, serial.path());
+  TempFile shard("merge-one-shard");
+  run_shard_into(w, m, 0, 1, shard.path());
+  // One shard runs the whole list in order, in one segment: the journal a
+  // serial sweep of the two grids writes.
+  EXPECT_EQ(slurp(shard.path()), slurp(serial.path()));
 
   TempFile merged("merge-out");
   const auto report = eval::merge_shard_journals(
-      merge_options_for(w, m, {serial.path()}, merged.path()));
+      merge_options_for(w, m, {shard.path()}, merged.path()));
   EXPECT_TRUE(report.ok()) << report.describe();
-  EXPECT_EQ(report.merged, 13u);
+  EXPECT_EQ(report.merged, 26u);
   // The strongest form of "merge changes nothing": the merged file's bytes
   // equal the journal an uninterrupted serial sweep wrote.
   EXPECT_EQ(slurp(merged.path()), slurp(serial.path()));
@@ -226,22 +261,26 @@ TEST(ShardMerge, TwoShardsMergeAndResumeBitIdentically) {
   const auto report = eval::merge_shard_journals(
       merge_options_for(w, m, {shard0.path(), shard1.path()}, merged.path()));
   ASSERT_TRUE(report.ok()) << report.describe();
-  EXPECT_EQ(report.merged, 13u);
+  EXPECT_EQ(report.merged, 26u);
 
-  // Resume the full grid from the merged journal: no cell re-simulates,
-  // and the results match a fresh serial run bit for bit.
+  // Resume both grids from the merged journal: no cell re-simulates, and
+  // the results match a fresh serial run bit for bit.
   eval::SweepJournal journal(merged.path());
   eval::ExperimentOptions opt;
   opt.journal = &journal;
-  const auto grid = eval::run_grid_outcomes(m, core::WeightKind::kUnit, w, opt);
-  ASSERT_TRUE(grid.all_ok());
-  EXPECT_EQ(grid.resumed(), grid.cells.size());
-  const auto serial = eval::run_grid(m, core::WeightKind::kUnit, w);
-  const auto resumed = grid.results();
-  ASSERT_EQ(resumed.size(), serial.size());
-  for (std::size_t i = 0; i < serial.size(); ++i) {
-    EXPECT_EQ(resumed[i].schedule_fnv, serial[i].schedule_fnv);
-    EXPECT_EQ(resumed[i].art, serial[i].art);
+  for (core::WeightKind weight :
+       {core::WeightKind::kUnit, core::WeightKind::kEstimatedArea}) {
+    const auto grid = eval::run_grid_outcomes(m, weight, w, opt);
+    ASSERT_TRUE(grid.all_ok());
+    EXPECT_EQ(grid.resumed(), grid.cells.size());
+    const auto serial = eval::run_grid(m, weight, w);
+    const auto resumed = grid.results();
+    ASSERT_EQ(resumed.size(), serial.size());
+    for (std::size_t i = 0; i < serial.size(); ++i) {
+      EXPECT_EQ(resumed[i].schedule_fnv, serial[i].schedule_fnv);
+      EXPECT_EQ(resumed[i].art, serial[i].art);
+      EXPECT_EQ(resumed[i].awrt, serial[i].awrt);
+    }
   }
 }
 
@@ -249,7 +288,7 @@ TEST(ShardMerge, RejectsCellsDuplicatedAcrossShards) {
   const auto w = test::small_mixed_workload();
   sim::Machine m;
   m.nodes = 16;
-  // Two "shards" that each ran the whole grid: every cell is duplicated.
+  // Two "shards" that each ran the whole sweep: every cell is duplicated.
   TempFile a("merge-dup-a");
   TempFile b("merge-dup-b");
   run_shard_into(w, m, 0, 1, a.path());
@@ -259,8 +298,8 @@ TEST(ShardMerge, RejectsCellsDuplicatedAcrossShards) {
   const auto report = eval::merge_shard_journals(
       merge_options_for(w, m, {a.path(), b.path()}, merged.path()));
   EXPECT_FALSE(report.ok());
-  EXPECT_EQ(report.duplicates, 13u);
-  EXPECT_EQ(report.merged, 13u);  // first copy of each still merges
+  EXPECT_EQ(report.duplicates, 26u);
+  EXPECT_EQ(report.merged, 26u);  // first copy of each still merges
 }
 
 TEST(ShardMerge, ReportsMissingCellsPerShard) {
@@ -274,43 +313,65 @@ TEST(ShardMerge, ReportsMissingCellsPerShard) {
       std::string(::testing::TempDir()) + "merge-miss-absent.journal";
   std::remove(absent.c_str());
 
-  auto options = merge_options_for(w, m, {shard0.path(), absent}, "");
   TempFile merged("merge-miss-out");
-  options.out_path = merged.path();
-  const eval::ShardPlan plan(options.expected_keys, 2);
-  options.plan = &plan;
+  const auto options =
+      merge_options_for(w, m, {shard0.path(), absent}, merged.path());
   const auto report = eval::merge_shard_journals(options);
   std::remove(absent.c_str());
+  const eval::ShardPlan plan(options.expected_keys, 2);
   EXPECT_FALSE(report.ok());
   EXPECT_EQ(report.missing.size(), plan.keys_of(1).size());
   ASSERT_EQ(report.missing_by_shard.size(), 2u);
   EXPECT_EQ(report.missing_by_shard[0], 0u);
   EXPECT_EQ(report.missing_by_shard[1], report.missing.size());
-  EXPECT_NE(report.describe().find("missing"), std::string::npos);
+  EXPECT_EQ(report.describe(), "13 cells merged, 13 missing (shard 1: 13)");
+}
+
+TEST(ShardMerge, AttributesMissingCellsToTheirOwners) {
+  // A partial sweep: shard 0 of 3 ran alone. The merge deals the workers'
+  // plan over the same list, so every missing cell belongs to shard 1 or 2
+  // and each absent shard is charged exactly the cells it owns.
+  const auto w = test::small_mixed_workload();
+  sim::Machine m;
+  m.nodes = 16;
+  TempFile shard0("owners-s0");
+  const auto worker = run_shard_into(w, m, 0, 3, shard0.path());
+  std::vector<std::string> paths = {shard0.path()};
+  for (const char* stem : {"owners-absent1", "owners-absent2"}) {
+    paths.push_back(std::string(::testing::TempDir()) + stem + ".journal");
+    std::remove(paths.back().c_str());
+  }
+
+  TempFile merged("owners-out");
+  const auto options = merge_options_for(w, m, paths, merged.path());
+  const auto report = eval::merge_shard_journals(options);
+  EXPECT_EQ(report.merged, worker.cells);
+  EXPECT_EQ(report.missing.size(), 26u - worker.cells);
+  ASSERT_EQ(report.missing_by_shard.size(), 3u);
+  EXPECT_EQ(report.missing_by_shard[0], 0u) << report.describe();
+  const eval::ShardPlan plan(options.expected_keys, 3);
+  EXPECT_EQ(report.missing_by_shard[1], plan.keys_of(1).size());
+  EXPECT_EQ(report.missing_by_shard[2], plan.keys_of(2).size());
 }
 
 TEST(ShardMerge, FlagsUnexpectedForeignCells) {
   const auto w = test::small_mixed_workload();
   sim::Machine m;
   m.nodes = 16;
-  // The journal holds unit-weight cells, but the expected set asks for the
-  // weighted grid: everything found is foreign, everything wanted missing.
+  // The journal holds the sweep on 16 nodes, but the expected set asks for
+  // the one on 32: everything found is foreign, everything wanted missing.
   TempFile shard0("merge-foreign");
   run_shard_into(w, m, 0, 1, shard0.path());
 
-  eval::MergeOptions options;
-  options.shard_paths = {shard0.path()};
-  options.expected_keys = eval::grid_cell_keys(
-      workload::fingerprint(w), m.nodes, core::WeightKind::kEstimatedArea);
-  options.sweep_fingerprint =
-      eval::sweep_fingerprint(workload::fingerprint(w), m.nodes);
+  sim::Machine wider;
+  wider.nodes = 32;
   TempFile merged("merge-foreign-out");
-  options.out_path = merged.path();
-  const auto report = eval::merge_shard_journals(options);
+  const auto report = eval::merge_shard_journals(
+      merge_options_for(w, wider, {shard0.path()}, merged.path()));
   EXPECT_FALSE(report.ok());
-  EXPECT_EQ(report.unexpected, 13u);
+  EXPECT_EQ(report.unexpected, 26u);
   EXPECT_EQ(report.merged, 0u);
-  EXPECT_EQ(report.missing.size(), 13u);
+  EXPECT_EQ(report.missing.size(), 26u);
 }
 
 TEST(ShardWorker, RunsOwnedCellsThenResumes) {
@@ -319,7 +380,6 @@ TEST(ShardWorker, RunsOwnedCellsThenResumes) {
   TempFile journal("worker");
   eval::ShardWorkerConfig config;
   config.machine = m;
-  config.weights = {core::WeightKind::kUnit, core::WeightKind::kEstimatedArea};
   config.journal_path = journal.path();
   config.shard = {0, 2};
   int materializations = 0;
@@ -328,14 +388,13 @@ TEST(ShardWorker, RunsOwnedCellsThenResumes) {
     return test::small_mixed_workload();
   };
 
-  // Each 13-cell grid is partitioned independently, and shard 0 of 2 takes
-  // the 7 even key ranks: 7 unit + 7 weighted cells, 6 + 6 skipped.
+  // The plan deals the one 26-cell list, so shard 0 of 2 takes the 13
+  // even key ranks across both objectives.
   const auto first = eval::run_shard_worker(make, config);
   EXPECT_TRUE(first.ok());
-  EXPECT_EQ(first.cells, 14u);
-  EXPECT_EQ(first.ran, 14u);
+  EXPECT_EQ(first.cells, 13u);
+  EXPECT_EQ(first.ran, 13u);
   EXPECT_EQ(first.resumed, 0u);
-  EXPECT_EQ(first.skipped, 12u);
   // One materialization serves both objectives.
   EXPECT_EQ(materializations, 1);
 
@@ -343,7 +402,7 @@ TEST(ShardWorker, RunsOwnedCellsThenResumes) {
   const auto second = eval::run_shard_worker(make, config);
   EXPECT_TRUE(second.ok());
   EXPECT_EQ(second.ran, 0u);
-  EXPECT_EQ(second.resumed, 14u);
+  EXPECT_EQ(second.resumed, 13u);
 }
 
 TEST(ShardCoordinator, PollStopDrainsWorkersGracefully) {

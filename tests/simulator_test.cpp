@@ -166,7 +166,7 @@ void expect_contract_violation(const workload::Workload& w, int nodes,
           records.push_back(
               {j.submit, j.nodes, j.runtime, j.estimate, j.user});
         }
-        serve::ScriptFeed feed(records);
+        test::ScriptFeed feed(records);
         serve::ServeOptions options;
         options.machine = m;
         options.scheduler_factory = [&](const core::AlgorithmSpec&) {

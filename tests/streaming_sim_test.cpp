@@ -117,14 +117,14 @@ TEST(StreamingSimTest, GoldenGridBitIdenticalToBatch) {
 TEST(StreamingSimTest, FaultInjectionParity) {
   const workload::Workload& w = golden_workload();
   // A trace with two outages deep enough to kill running jobs.
-  const fault::TraceInjector injector(
+  const fault::FailureTrace outages = fault::make_failure_trace(
       {{50'000, -200}, {120'000, +200}, {400'000, -128}, {500'000, +128}},
       kMachineNodes);
   for (const fault::RecoveryPolicy policy :
        {fault::RecoveryPolicy::kRequeueFromScratch,
         fault::RecoveryPolicy::kCheckpointRestart}) {
     fault::FaultOptions faults;
-    faults.trace = &injector.trace();
+    faults.trace = &outages;
     faults.recovery.policy = policy;
     faults.recovery.checkpoint_interval = 1800;
     faults.recovery.restart_overhead = 60;

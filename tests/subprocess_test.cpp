@@ -1,13 +1,10 @@
 // util::Subprocess — the child-process layer under the sharded sweep
-// coordinator — and count_complete_lines, its journal-tail progress
-// protocol.
+// coordinator.
 #include "util/subprocess.h"
 
 #include <gtest/gtest.h>
 
 #include <csignal>
-#include <cstdio>
-#include <fstream>
 #include <string>
 
 namespace jsched::util {
@@ -69,24 +66,6 @@ TEST(Subprocess, SelfExePathIsAbsolute) {
   ASSERT_FALSE(self.empty());
   EXPECT_EQ(self.front(), '/');
   EXPECT_NE(self.find("jsched_tests"), std::string::npos);
-}
-
-TEST(Subprocess, CountCompleteLinesDropsTornTail) {
-  const std::string path =
-      std::string(::testing::TempDir()) + "count-lines.journal";
-  std::remove(path.c_str());
-  EXPECT_EQ(count_complete_lines(path, "v1 "), 0u);  // missing file
-  {
-    std::ofstream out(path, std::ios::binary);
-    out << "v1seg deadbeef\n"
-        << "v1 first\n"
-        << "v1 second\n"
-        << "other line\n"
-        << "v1 torn-no-newline";  // in-flight append: not yet a record
-  }
-  EXPECT_EQ(count_complete_lines(path, "v1 "), 2u);
-  EXPECT_EQ(count_complete_lines(path, ""), 4u);  // every complete line
-  std::remove(path.c_str());
 }
 
 }  // namespace

@@ -280,9 +280,10 @@ TEST(SwfFaultRoundTrip, KilledAttemptsSurviveWriteAndRead) {
   const Workload w = test::make_workload({test::make_job(0, 4, 600, 1200)});
   sim::Machine m;
   m.nodes = 4;
-  const fault::TraceInjector inj({{100, -4}, {200, 4}}, m.nodes);
+  const fault::FailureTrace outages =
+      fault::make_failure_trace({{100, -4}, {200, 4}}, m.nodes);
   sim::SimOptions opt;
-  opt.faults.trace = &inj.trace();
+  opt.faults.trace = &outages;
   auto scheduler = core::make_scheduler(core::AlgorithmSpec{});
   const sim::Schedule s = sim::simulate(m, *scheduler, w, opt);
   ASSERT_EQ(s.attempts.size(), 1u);

@@ -1,6 +1,7 @@
 #include "test_support.h"
 
 #include <algorithm>
+#include <stdexcept>
 
 #include "util/journal.h"
 
@@ -48,6 +49,31 @@ workload::Workload small_mixed_workload() {
       make_job(210, 16, 40, 50),    // 8: another full-machine job
       make_job(220, 1, 20, 30),     // 9
   });
+}
+
+ScriptFeed::ScriptFeed(std::vector<serve::SubmitRecord> records)
+    : records_(std::move(records)) {
+  Time prev = 0;
+  for (const serve::SubmitRecord& r : records_) {
+    if (r.submit < 0) {
+      throw std::invalid_argument("ScriptFeed: live (-1) submits not allowed");
+    }
+    if (r.submit < prev) {
+      throw std::invalid_argument("ScriptFeed: submits must be sorted");
+    }
+    prev = r.submit;
+  }
+}
+
+bool ScriptFeed::poll(Time vnow, std::vector<serve::SubmitRecord>& out) {
+  while (pos_ < records_.size() && records_[pos_].submit <= vnow) {
+    out.push_back(records_[pos_++]);
+  }
+  return pos_ < records_.size();
+}
+
+Time ScriptFeed::next_submit() const {
+  return pos_ < records_.size() ? records_[pos_].submit : kTimeInfinity;
 }
 
 std::vector<std::string> read_lines(const std::string& path) {

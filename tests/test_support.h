@@ -7,6 +7,7 @@
 
 #include "core/dispatch.h"
 #include "core/factory.h"
+#include "serve/feed.h"
 #include "sim/machine.h"
 #include "sim/schedule.h"
 #include "sim/simulator.h"
@@ -38,6 +39,22 @@ std::uint64_t run_fingerprint(const core::AlgorithmSpec& spec,
 /// Every complete line of `path`, in file order, collected through
 /// util::AppendLog::for_each_line (torn tail dropped, missing file empty).
 std::vector<std::string> read_lines(const std::string& path);
+
+/// In-memory feed over a fixed list of records. Records must be in
+/// non-decreasing submit order, and live records (-1) are not allowed:
+/// a script is replay-style by definition. Throws std::invalid_argument
+/// otherwise.
+class ScriptFeed final : public serve::Feed {
+ public:
+  explicit ScriptFeed(std::vector<serve::SubmitRecord> records);
+
+  bool poll(Time vnow, std::vector<serve::SubmitRecord>& out) override;
+  Time next_submit() const override;
+
+ private:
+  std::vector<serve::SubmitRecord> records_;
+  std::size_t pos_ = 0;
+};
 
 /// EASY backfilling by a linear scan of the whole wait queue every round:
 /// the selection core::EasyBackfillDispatch made before it searched a

@@ -239,7 +239,7 @@ TEST(WorkloadIntake, EveryIntakeHoldsTheRuntimeBound) {
     record.submit = 0;
     record.runtime = runtime;
     record.estimate = runtime;
-    serve::ScriptFeed feed({record});
+    test::ScriptFeed feed({record});
     serve::ServeOptions options;
     options.machine = machine;
     const serve::ServeReport report = serve::serve(feed, options);

@@ -1,8 +1,8 @@
 // sweepd: sharded multi-process sweep driver for the paper's full grid.
 //
-// One sweep = the 13-configuration grid for both objectives (26 cells)
-// over the CTC-like trace, deterministically partitioned across N worker
-// processes by cell key (eval/shard.h). Each worker checkpoints its cells
+// One sweep = the 13-configuration grid for both objectives (26 cells,
+// eval::sweep_cells) over the CTC-like trace, deterministically
+// partitioned across N worker processes by cell key (eval/shard.h). Each worker checkpoints its cells
 // into its own journal; the coordinator monitors workers through those
 // journals, restarts crashed ones, and finally merges the shard journals
 // into one file that is byte-identical to what an uninterrupted
@@ -195,28 +195,21 @@ int run_worker(const Cli& cli) {
 int merge_and_report(const Cli& cli, const SweepSetup& s,
                      const workload::Workload& w) {
   const std::uint64_t workload_fnv = workload::fingerprint(w);
-  std::vector<std::uint64_t> expected;
-  for (core::WeightKind weight :
-       {core::WeightKind::kUnit, core::WeightKind::kEstimatedArea}) {
-    for (std::uint64_t key :
-         eval::grid_cell_keys(workload_fnv, s.machine.nodes, weight)) {
-      expected.push_back(key);
-    }
-  }
-  const eval::ShardPlan plan(expected, cli.shards);
-
   eval::MergeOptions merge;
   for (std::size_t i = 0; i < cli.shards; ++i) {
     merge.shard_paths.push_back(
         eval::shard_journal_path(cli.journal_dir, i));
   }
-  merge.expected_keys = expected;
+  // The workers' list: the merge deals their plan over these keys.
+  for (const eval::SweepCell& cell :
+       eval::sweep_cells(workload_fnv, s.machine.nodes)) {
+    merge.expected_keys.push_back(cell.key);
+  }
   merge.sweep_fingerprint =
       eval::sweep_fingerprint(workload_fnv, s.machine.nodes);
   merge.out_path = cli.merged_journal.empty()
                        ? cli.journal_dir + "/merged.journal"
                        : cli.merged_journal;
-  merge.plan = &plan;
   const eval::MergeReport report = eval::merge_shard_journals(merge);
   std::printf("merge: %s -> %s\n", report.describe().c_str(),
               merge.out_path.c_str());
