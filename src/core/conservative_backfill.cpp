@@ -1,6 +1,5 @@
 #include "core/conservative_backfill.h"
 
-#include <algorithm>
 #include <cassert>
 #include <limits>
 #include <stdexcept>
@@ -57,8 +56,10 @@ void ConservativeBackfillDispatch::reset(const sim::Machine& machine,
   compression_debt_ = false;
   stats_ = {};
   cursor_ = {};  // anchored in the profile just replaced
+  unreserved_.clear();
+  unreserved_stale_ = false;
   growth_.clear();
-  prev_window_.clear();
+  epoch_ = 0;
   screen_all_ = true;
 }
 
@@ -70,17 +71,20 @@ void ConservativeBackfillDispatch::reserve(JobId id, Time from) {
 }
 
 void ConservativeBackfillDispatch::set_reservation(JobId id, Time start) {
-  const auto [it, fresh] = reserved_.try_emplace(id, start);
+  const auto [it, fresh] = reserved_.try_emplace(id, Reservation{start});
   if (!fresh) {
-    wakeups_.erase({it->second, id});
-    it->second = start;
+    wakeups_.erase({it->second.start, id});
+    it->second.start = start;
   }
   wakeups_.emplace(start, id);
 }
 
 void ConservativeBackfillDispatch::on_enqueue(JobId id, Time now) {
-  if (reserved_.size() < params_.reservation_depth && reservable(id)) {
+  if (!reservable(id)) return;  // parked until capacity recovers
+  if (reserved_.size() < params_.reservation_depth) {
     reserve(id, now);
+  } else if (!unreserved_stale_) {
+    unreserved_.push_back(id);  // the ordering appended it to the queue
   }
 }
 
@@ -142,14 +146,20 @@ void ConservativeBackfillDispatch::replan(const std::vector<JobId>& order,
   // survives it.
   const bool full_coverage = limit >= reserved_.size();
 
+  // A member stamped by the previous replan holds its certificate; every
+  // member is stamped by this one.
   planned_.clear();
   for (JobId id : order) {
     if (planned_.size() >= limit) break;
     auto it = reserved_.find(id);
     if (it == reserved_.end()) continue;  // dormant (beyond depth)
+    Reservation& r = it->second;
     const Job& j = store_->get(id);
-    planned_.push_back({id, it->second, j.estimate, j.nodes, false});
+    planned_.push_back({id, r.start, j.estimate, j.nodes,
+                        !screen_all_ && r.screened == epoch_, false});
+    r.screened = epoch_ + 1;
   }
+  ++epoch_;
   if (!planned_.empty()) {
     if (params_.scratch_replan) {
       replace_from(0, now);  // reference semantics: lift and re-place all
@@ -160,12 +170,9 @@ void ConservativeBackfillDispatch::replan(const std::vector<JobId>& order,
   // The plan is a compressed fixed point again: every window member now
   // holds a standing certificate "no earlier fit exists", valid until
   // capacity grows across its width (growth_ collects the candidate
-  // spans). Members are recorded so jobs surfacing into the window later
-  // — which carry no certificate — are recognized and screened in full.
-  prev_window_.clear();
-  prev_window_.reserve(planned_.size());
-  for (const PlannedJob& p : planned_) prev_window_.push_back(p.id);
-  std::sort(prev_window_.begin(), prev_window_.end());
+  // spans). Their stamps equal epoch_, so jobs surfacing into the window
+  // later — which carry no certificate — are recognized and screened in
+  // full.
   growth_.clear();
   screen_all_ = false;
   if (full_coverage) compression_debt_ = false;
@@ -182,26 +189,20 @@ void ConservativeBackfillDispatch::replan_incremental(Time now) {
   // the profile, so retiring it from the overlay places it. A job that
   // moves is moved in place, keeping the profile a valid allocation after
   // every mutation (see place()).
-  spans_.clear();
-  spans_.reserve(planned_.size());
-  for (const PlannedJob& p : planned_) {
-    spans_.push_back({p.start, span_end(p.start, p.estimate), p.nodes});
-  }
-  overlay_.build(spans_);
+  //
   // Window entrants are capacity growth too: when the certificates were
   // proven, an entrant's reservation was a dormant blocker outside the
   // window; now the overlay lifts it, so a certified predecessor may
   // legitimately move into its slot. Fold their spans into the growth set.
   // (Entrants created since the last replan never blocked anything —
   // counting them is merely conservative.)
-  if (!screen_all_) {
-    for (const PlannedJob& p : planned_) {
-      if (!std::binary_search(prev_window_.begin(), prev_window_.end(),
-                              p.id)) {
-        growth_.push_back({p.start, span_end(p.start, p.estimate), p.nodes});
-      }
-    }
+  spans_.clear();
+  spans_.reserve(planned_.size());
+  for (const PlannedJob& p : planned_) {
+    spans_.push_back({p.start, span_end(p.start, p.estimate), p.nodes});
+    if (!screen_all_ && !p.screened) growth_.push_back(spans_.back());
   }
+  overlay_.build(spans_, &span_index_);
   growth_overlay_.build(growth_);
   const std::uint64_t restarts_before = cursor_.restarts();
   for (std::size_t k = 0; k < planned_.size(); ++k) {
@@ -212,10 +213,7 @@ void ConservativeBackfillDispatch::replan_incremental(Time now) {
       // Overdue reservation whose wakeup has not been delivered yet: the
       // scratch procedure re-places it from `now`. Rare — fall back.
       fit = kTimeInfinity;
-    } else if (p.start == now ||
-               (!screen_all_ && std::binary_search(prev_window_.begin(),
-                                                   prev_window_.end(),
-                                                   p.id))) {
+    } else if (p.start == now || p.screened) {
       // Certificate. The previous replan proved no fit before this job's
       // start; since then the view it is resolved against differs from
       // the proven one only by shrinks (which cannot create fits) and by
@@ -255,7 +253,7 @@ void ConservativeBackfillDispatch::replan_incremental(Time now) {
       break;
     }
     if (fit == p.start && !p.detached) {
-      overlay_.subtract(p.start, span_end(p.start, p.estimate), p.nodes);
+      overlay_.retire(span_index_[k], p.nodes);
       ++stats_.reused;
       if (certified && p.start != now) ++stats_.certified;
     } else {
@@ -274,7 +272,7 @@ void ConservativeBackfillDispatch::place(std::size_t k, Time start) {
   // so once it leaves, the slot is growth for their certificates.
   if (!p.detached) {
     profile_.release(p.start, p.estimate, p.nodes);
-    overlay_.subtract(p.start, old_end, p.nodes);
+    overlay_.retire(span_index_[k], p.nodes);
   }
   if (start != p.start) growth_overlay_.add(p.start, old_end, p.nodes);
   // The new span fits the combined view, but later positions still hold
@@ -289,7 +287,7 @@ void ConservativeBackfillDispatch::place(std::size_t k, Time start) {
     const Time q_end = span_end(q.start, q.estimate);
     if (q.start >= end || start >= q_end) continue;
     profile_.release(q.start, q.estimate, q.nodes);
-    overlay_.subtract(q.start, q_end, q.nodes);
+    overlay_.retire(span_index_[j], q.nodes);
     q.detached = true;
     ++stats_.detached;
   }
@@ -330,9 +328,9 @@ void ConservativeBackfillDispatch::on_reorder(const std::vector<JobId>& order,
   // and re-place in the new order.
   {
     sim::Profile::BulkUpdate bulk(profile_);
-    for (const auto& [id, start] : reserved_) {
+    for (const auto& [id, r] : reserved_) {
       const Job& j = store_->get(id);
-      profile_.release(start, j.estimate, j.nodes);
+      profile_.release(r.start, j.estimate, j.nodes);
     }
   }
   const std::size_t count = reserved_.size();
@@ -348,6 +346,7 @@ void ConservativeBackfillDispatch::on_reorder(const std::vector<JobId>& order,
   compression_debt_ = false;
   growth_.clear();
   screen_all_ = true;  // placements outside replan(): no certificates
+  mark_unreserved_stale();  // the unreserved jobs changed relative order
 }
 
 void ConservativeBackfillDispatch::on_capacity_change(
@@ -363,9 +362,9 @@ void ConservativeBackfillDispatch::on_capacity_change(
   const int down = profile_.total_nodes() - available_nodes;
   {
     sim::Profile::BulkUpdate bulk(profile_);
-    for (const auto& [id, start] : reserved_) {
+    for (const auto& [id, r] : reserved_) {
       const Job& j = store_->get(id);
-      profile_.release(start, j.estimate, j.nodes);
+      profile_.release(r.start, j.estimate, j.nodes);
     }
     if (down > down_nodes_) {
       profile_.allocate(now, kTimeInfinity, down - down_nodes_);
@@ -388,6 +387,7 @@ void ConservativeBackfillDispatch::on_capacity_change(
   compression_debt_ = false;
   growth_.clear();
   screen_all_ = true;  // placements outside replan(): no certificates
+  mark_unreserved_stale();  // another reserved set, another parked set
 }
 
 void ConservativeBackfillDispatch::adopt(
@@ -417,25 +417,42 @@ void ConservativeBackfillDispatch::adopt(
   compression_debt_ = false;  // fresh plan: fully compressed by construction
   growth_.clear();
   screen_all_ = true;  // placements outside replan(): no certificates
+  mark_unreserved_stale();  // another queue and reserved set
+}
+
+void ConservativeBackfillDispatch::mark_unreserved_stale() {
+  unreserved_.clear();
+  unreserved_stale_ = true;
 }
 
 void ConservativeBackfillDispatch::promote(const std::vector<JobId>& order,
                                            Time now) {
-  if (reserved_.size() >= params_.reservation_depth ||
-      reserved_.size() >= order.size()) {
-    return;
-  }
-  for (JobId id : order) {
-    if (reserved_.size() >= params_.reservation_depth) break;
-    if (!reserved_.contains(id) && reservable(id)) {
-      reserve(id, now);
-      // The promoted job may rank anywhere in the current order (e.g. a
-      // SMART arrival folded in by a reorder before it was ever enqueued
-      // here), but earliest-fit placed it behind every existing
-      // reservation — the plan is no longer the fixed point of a replay
-      // in queue order, so compression has real work again.
-      compression_debt_ = true;
+  if (reserved_.size() >= params_.reservation_depth) return;
+  if (unreserved_stale_) {
+    // Every queued job holds a reservation when the reserved set is as
+    // large as the queue; otherwise read the queue once.
+    if (reserved_.size() < order.size()) {
+      for (JobId id : order) {
+        if (!reserved_.contains(id) && reservable(id)) {
+          unreserved_.push_back(id);
+        }
+      }
+      stats_.promote_examined += order.size();
     }
+    unreserved_stale_ = false;
+  }
+  while (!unreserved_.empty() &&
+         reserved_.size() < params_.reservation_depth) {
+    reserve(unreserved_.front(), now);
+    unreserved_.pop_front();
+    ++stats_.promoted;
+    ++stats_.promote_examined;
+    // The promoted job may rank anywhere in the current order (e.g. a
+    // SMART arrival folded in by a reorder before it was ever enqueued
+    // here), but earliest-fit placed it behind every existing
+    // reservation — the plan is no longer the fixed point of a replay in
+    // queue order, so compression has real work again.
+    compression_debt_ = true;
   }
 }
 
@@ -477,7 +494,7 @@ Time ConservativeBackfillDispatch::next_wakeup(Time) const {
 
 Time ConservativeBackfillDispatch::reservation_of(JobId id) const {
   auto it = reserved_.find(id);
-  return it == reserved_.end() ? kTimeInfinity : it->second;
+  return it == reserved_.end() ? kTimeInfinity : it->second.start;
 }
 
 }  // namespace jsched::core

@@ -20,6 +20,15 @@
 //    deeper queue positions wait FCFS behind the reserved set and are
 //    promoted as it drains. At realistic backlogs (hundreds of jobs) every
 //    job is reserved and behaviour is exact conservative backfilling.
+//    Promotion takes its jobs from the front of a list of the queued jobs
+//    that hold no reservation, in queue order, so a select reads only the
+//    jobs it reserves. An arrival joins the list's tail (the ordering
+//    appends it there) unless it is reserved directly; a reorder, a
+//    capacity change or an adoption marks the list stale, and the next
+//    promotion rebuilds it from the queue. A job parked by an outage
+//    (wider than the surviving nodes) stays queued but out of the list:
+//    only a capacity change can make it reservable again, and that
+//    rebuilds the list.
 //  * after each completion the first `replan_prefix` reservations are
 //    recomputed; deeper reservations refresh as they surface. Setting
 //    `full_compression` replans the whole reserved set instead (exact
@@ -37,24 +46,29 @@
 //      - a replan resolves every window position in queue order against
 //        the live profile plus a capacity overlay standing in for the
 //        positions a scratch replan would not have placed yet. A job whose
-//        fit equals its reservation stays live in the profile; a job that
-//        moves is moved in place: its old slot is released, every later
-//        position whose slot the new span overlaps is *detached* (lifted
-//        from profile and overlay alike, re-placed when its own position
-//        resolves), then the new span is allocated — so the profile is a
-//        valid allocation after every mutation;
-//      - a member of the previous window holds a "no earlier fit"
-//        certificate that only capacity growth since that replan can
-//        break (early releases, normalizations, window entrants, and the
-//        slots this replan's movers vacated), so its earliest earlier fit
-//        is searched only around instants where growth lifted capacity
-//        across its width (Profile::earliest_fit_in_growth), never from
-//        now. Scratch re-placement of the rest of the window remains as
-//        the fallback for an overdue reservation or an exhausted step
-//        budget.
+//        fit equals its reservation stays live in the profile and is
+//        retired from the overlay by the breakpoint indices the overlay's
+//        build reported for it; a job that moves is moved in place: its
+//        old slot is released, every later position whose slot the new
+//        span overlaps is *detached* (lifted from profile and overlay
+//        alike, re-placed when its own position resolves), then the new
+//        span is allocated — so the profile is a valid allocation after
+//        every mutation;
+//      - every reservation is stamped with the epoch of the last replan
+//        that screened it. One stamped by the previous replan holds a "no
+//        earlier fit" certificate that only capacity growth since that
+//        replan can break (early releases, normalizations, window
+//        entrants, and the slots this replan's movers vacated), so its
+//        earliest earlier fit is searched only around instants where
+//        growth lifted capacity across its width
+//        (Profile::earliest_fit_in_growth), never from now. Scratch
+//        re-placement of the rest of the window remains as the fallback
+//        for an overdue reservation or an exhausted step budget.
 #pragma once
 
 #include <cstddef>
+#include <cstdint>
+#include <deque>
 #include <set>
 #include <unordered_map>
 #include <utility>
@@ -121,6 +135,10 @@ class ConservativeBackfillDispatch final : public Dispatcher {
     std::uint64_t detached = 0;         ///< slots lifted under a mover
     std::uint64_t fallbacks = 0;        ///< screens ended by replace_from
     std::uint64_t cursor_restarts = 0;  ///< screen queries that re-anchored
+    std::uint64_t promoted = 0;         ///< reservations made by promotion
+    /// Queue entries promotion read: list entries it reserved, plus every
+    /// entry of the queue read when a stale list was rebuilt.
+    std::uint64_t promote_examined = 0;
   };
 
   /// Introspection for tests.
@@ -130,6 +148,13 @@ class ConservativeBackfillDispatch final : public Dispatcher {
   const ReplanStats& replan_stats() const noexcept { return stats_; }
 
  private:
+  /// A queued job's reserved start, stamped with the epoch of the last
+  /// replan that screened it (0: none since the reservation was made).
+  struct Reservation {
+    Time start;
+    std::uint64_t screened = 0;
+  };
+
   /// One entry of the re-planned window: a reserved job with its
   /// reservation from before the replan, in queue order.
   struct PlannedJob {
@@ -137,6 +162,9 @@ class ConservativeBackfillDispatch final : public Dispatcher {
     Time start;
     Duration estimate;
     int nodes;
+    /// Screened by the previous replan, with no wholesale rebuild since:
+    /// holds its "no earlier fit" certificate.
+    bool screened;
     /// Lifted out of the profile (and the overlay) because an earlier
     /// position moved onto its slot; re-placed when its position resolves.
     bool detached;
@@ -158,7 +186,12 @@ class ConservativeBackfillDispatch final : public Dispatcher {
   /// them in queue order from `now` — the scratch reference, and the
   /// incremental path's fallback.
   void replace_from(std::size_t from, Time now);
+  /// Reserve jobs from the front of unreserved_ (rebuilt first when
+  /// stale) until reservation_depth jobs hold a reservation.
   void promote(const std::vector<JobId>& order, Time now);
+  /// The queue or the capacity changed beyond appends and starts: drop
+  /// unreserved_ until the next promotion rebuilds it.
+  void mark_unreserved_stale();
   /// False for jobs wider than the machine's surviving capacity: reserving
   /// one would send earliest_fit hunting for a window that cannot exist
   /// while nodes are down. Such jobs stay parked (no reservation) until a
@@ -175,15 +208,22 @@ class ConservativeBackfillDispatch final : public Dispatcher {
   /// reservations never assume a repair time — and exact again the moment
   /// on_capacity_change re-plans at the recovered capacity.
   int down_nodes_ = 0;
-  std::unordered_map<JobId, Time> reserved_;  // queued job -> reserved start
+  std::unordered_map<JobId, Reservation> reserved_;  // queued job -> slot
   // Every reservation as (start, id), updated with reserved_: the earliest
   // is the next wakeup, and due ones start in (start, id) order.
   std::set<std::pair<Time, JobId>> wakeups_;
+  // The queued jobs promotion may reserve, in queue order: no reservation,
+  // and reservable at the current capacity. When unreserved_stale_, the
+  // list is rebuilt from the queue at the next promotion.
+  std::deque<JobId> unreserved_;
+  bool unreserved_stale_ = false;
   ReplanStats stats_;
   // Per-replan scratch storage, members to keep the hot path allocation-free.
   std::vector<PlannedJob> planned_;
   std::vector<sim::CapacitySpan> spans_;
   sim::CapacityOverlay overlay_;
+  // overlay_'s breakpoints under each planned_ position, as built.
+  std::vector<sim::CapacityOverlay::SpanIndex> span_index_;
   sim::Profile::Cursor cursor_;
   // Cross-replan screening certificates. After every replan the plan is a
   // compressed fixed point: no planned reservation has an earlier fit.
@@ -193,12 +233,12 @@ class ConservativeBackfillDispatch final : public Dispatcher {
   // searched by Profile::earliest_fit_in_growth together with the window
   // entrants and the slots vacated by movers during the replan
   // (growth_overlay_). Jobs newly entering the replan window carry no
-  // verdict and are walked from now (prev_window_ remembers the previous
-  // membership); events that rebuild the plan wholesale set screen_all_
-  // instead of enumerating growth.
+  // verdict (their stamp is not the previous replan's epoch_) and are
+  // walked from now; events that rebuild the plan wholesale set
+  // screen_all_ instead of enumerating growth.
   std::vector<sim::CapacitySpan> growth_;
   sim::CapacityOverlay growth_overlay_;
-  std::vector<JobId> prev_window_;  // sorted ids of the last planned window
+  std::uint64_t epoch_ = 0;  // replans since reset(): the last one's stamp
   bool screen_all_ = true;
   // True when the plan may no longer be the fixed point of a replay in
   // queue order: capacity was freed (early completion, normalization) or a

@@ -36,19 +36,6 @@ std::size_t ShardPlan::shard_of(std::uint64_t key) const {
   return static_cast<std::size_t>(it - sorted_.begin()) % count_;
 }
 
-std::vector<std::uint64_t> ShardPlan::keys_of(std::size_t shard) const {
-  if (shard >= count_) {
-    throw std::out_of_range("ShardPlan: shard " + std::to_string(shard) +
-                            " of " + std::to_string(count_));
-  }
-  std::vector<std::uint64_t> out;
-  out.reserve(sorted_.size() / count_ + 1);
-  for (std::size_t rank = shard; rank < sorted_.size(); rank += count_) {
-    out.push_back(sorted_[rank]);
-  }
-  return out;
-}
-
 std::vector<SweepCell> sweep_cells(std::uint64_t workload_fnv,
                                    int machine_nodes, std::uint64_t salt) {
   std::vector<SweepCell> cells;

@@ -48,9 +48,6 @@ class ShardPlan {
   /// of this sweep.
   std::size_t shard_of(std::uint64_t key) const;
 
-  /// All keys assigned to `shard`, in ascending key order.
-  std::vector<std::uint64_t> keys_of(std::size_t shard) const;
-
  private:
   std::vector<std::uint64_t> sorted_;
   std::size_t count_;

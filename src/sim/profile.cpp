@@ -10,46 +10,64 @@ namespace jsched::sim {
 
 // --- CapacityOverlay --------------------------------------------------------
 
-void CapacityOverlay::build(const std::vector<CapacitySpan>& spans) {
+void CapacityOverlay::build(const std::vector<CapacitySpan>& spans,
+                            std::vector<SpanIndex>* index) {
   clear();
-  // Sweep over sorted edge events: +nodes at start, -nodes at end. Every
-  // edge becomes a breakpoint (even when the running sum does not change),
-  // so subtract() can later adjust any span without inserting.
-  std::vector<std::pair<Time, int>> edges;
+  // Sweep over edge events sorted by time: +nodes at start, -nodes at end.
+  // Every edge becomes a breakpoint (even when the running sum does not
+  // change), so retire() can later adjust any span without inserting.
+  // Each edge carries 2 * span + (1 for an end) so the sweep can report
+  // the breakpoint it landed on.
+  struct Edge {
+    Time t;
+    int delta;
+    std::uint32_t slot;
+  };
+  constexpr std::size_t kOpen = static_cast<std::size_t>(-1);
+  std::vector<Edge> edges;
   edges.reserve(2 * spans.size());
-  for (const CapacitySpan& s : spans) {
+  if (index != nullptr) index->assign(spans.size(), SpanIndex{0, 0});
+  for (std::size_t k = 0; k < spans.size(); ++k) {
+    const CapacitySpan& s = spans[k];
     if (s.start >= s.end || s.nodes == 0) continue;
-    edges.emplace_back(s.start, s.nodes);
-    if (s.end != kTimeInfinity) edges.emplace_back(s.end, -s.nodes);
+    const auto slot = static_cast<std::uint32_t>(2 * k);
+    edges.push_back({s.start, s.nodes, slot});
+    if (s.end != kTimeInfinity) {
+      edges.push_back({s.end, -s.nodes, slot + 1});
+    } else if (index != nullptr) {
+      (*index)[k].hi = kOpen;  // reaches the last breakpoint, set below
+    }
   }
   if (edges.empty()) return;
-  std::sort(edges.begin(), edges.end());
+  // The running sum after all edges at one instant does not depend on
+  // their order, so only time is compared.
+  std::sort(edges.begin(), edges.end(),
+            [](const Edge& a, const Edge& b) { return a.t < b.t; });
   t_.reserve(edges.size());
   add_.reserve(edges.size());
   int running = 0;
-  for (const auto& [t, delta] : edges) {
-    running += delta;
-    if (!t_.empty() && t_.back() == t) {
+  for (const Edge& e : edges) {
+    running += e.delta;
+    if (!t_.empty() && t_.back() == e.t) {
       add_.back() = running;
     } else {
-      t_.push_back(t);
+      t_.push_back(e.t);
       add_.push_back(running);
     }
+    if (index != nullptr) {
+      SpanIndex& span = (*index)[e.slot / 2];
+      (e.slot % 2 == 0 ? span.lo : span.hi) = t_.size() - 1;
+    }
+  }
+  if (index == nullptr) return;
+  for (SpanIndex& s : *index) {
+    if (s.hi == kOpen) s.hi = t_.size();
   }
 }
 
-void CapacityOverlay::subtract(Time start, Time end, int nodes) {
-  if (start >= end || nodes == 0) return;
-  const auto lo_it = std::lower_bound(t_.begin(), t_.end(), start);
-  assert(lo_it != t_.end() && *lo_it == start);  // boundary from build()
-  const std::size_t lo = static_cast<std::size_t>(lo_it - t_.begin());
-  std::size_t hi = t_.size();
-  if (end != kTimeInfinity) {
-    const auto hi_it = std::lower_bound(t_.begin(), t_.end(), end);
-    assert(hi_it != t_.end() && *hi_it == end);
-    hi = static_cast<std::size_t>(hi_it - t_.begin());
-  }
-  for (std::size_t i = lo; i < hi; ++i) {
+void CapacityOverlay::retire(SpanIndex span, int nodes) {
+  assert(span.lo <= span.hi && span.hi <= t_.size());
+  for (std::size_t i = span.lo; i < span.hi; ++i) {
     add_[i] -= nodes;
     assert(add_[i] >= 0);
   }

@@ -31,23 +31,35 @@ struct CapacitySpan {
 /// `profile + overlay` is exactly the profile the scratch procedure would
 /// query — without mutating the profile at all.
 ///
-/// Built once from a batch of spans (O(n log n)), then spans are retired
-/// one at a time with subtract() as the screen walks the queue. subtract()
-/// never inserts breakpoints — every span boundary was materialized by
-/// build() — so a retire is two binary searches plus a linear range add.
-/// add() grows the overlay by a span that need not align with existing
-/// breakpoints (it inserts the missing boundaries, O(breakpoints)); the
-/// screen uses it to grow its certificate growth set by the slots that
-/// movers vacate.
+/// Built once from a batch of spans (O(n log n)), which reports where each
+/// span's boundaries landed; spans are then retired one at a time by those
+/// indices as the screen walks the queue, each retire a linear range add
+/// with no search. add() grows the overlay by a span that need not align
+/// with existing breakpoints (it inserts the missing boundaries,
+/// O(breakpoints), and so shifts the indices build() reported); the
+/// screen uses it only on its certificate growth set, to add the slots
+/// that movers vacate.
 class CapacityOverlay {
  public:
-  /// Replace the overlay with the sum of `spans` (empty spans are ignored).
-  void build(const std::vector<CapacitySpan>& spans);
+  /// Where one span of a built batch lies: it covers breakpoints
+  /// [lo, hi), so breakpoint(lo) is its start and breakpoint(hi) its end,
+  /// or hi == breakpoints() when it is open-ended. An empty span reports
+  /// lo == hi.
+  struct SpanIndex {
+    std::size_t lo;
+    std::size_t hi;
+  };
 
-  /// Remove one span previously included in build(). Precondition: the
-  /// span was part of the built batch (its boundaries exist and its
-  /// capacity is still present); asserted in debug builds.
-  void subtract(Time start, Time end, int nodes);
+  /// Replace the overlay with the sum of `spans` (empty spans are ignored).
+  /// When `index` is given, it is resized to spans.size() and receives
+  /// each span's breakpoint indices.
+  void build(const std::vector<CapacitySpan>& spans,
+             std::vector<SpanIndex>* index = nullptr);
+
+  /// Remove `nodes` over one span of the built batch, by the index build()
+  /// reported. Preconditions: no add() since build(), and the span's
+  /// capacity is still present (asserted in debug builds).
+  void retire(SpanIndex span, int nodes);
 
   /// Add `nodes` extra free nodes over [start, end).
   void add(Time start, Time end, int nodes);
@@ -58,6 +70,8 @@ class CapacityOverlay {
   }
   bool empty() const noexcept { return t_.empty(); }
   std::size_t breakpoints() const noexcept { return t_.size(); }
+  /// Time of breakpoint `i` < breakpoints().
+  Time breakpoint(std::size_t i) const { return t_[i]; }
 
   /// Extra free nodes at time `t` (0 before the first breakpoint).
   int at(Time t) const;
@@ -69,9 +83,9 @@ class CapacityOverlay {
   std::size_t materialize(Time t);
 
   // Parallel arrays: add_[i] applies on [t_[i], t_[i+1]), and 0 outside.
-  // Adjacent equal values are not merged — subtract() relies on every
-  // boundary build() or add() made staying present, and the merged walks
-  // in Profile tolerate redundant breakpoints.
+  // Adjacent equal values are not merged — retire() relies on every
+  // boundary build() made staying present, and the merged walks in
+  // Profile tolerate redundant breakpoints.
   std::vector<Time> t_;
   std::vector<int> add_;
 };

@@ -2,10 +2,16 @@
 
 #include <gtest/gtest.h>
 
+#include <string>
+#include <vector>
+
 #include "core/factory.h"
 #include "core/list_scheduler.h"
+#include "fault/fault.h"
 #include "sim/simulator.h"
 #include "test_support.h"
+#include "workload/ctc_model.h"
+#include "workload/transforms.h"
 
 namespace jsched::core {
 namespace {
@@ -213,6 +219,105 @@ TEST(ConservativeBackfill, HandlesMixedWorkloadValidly) {
   // End-to-end validity is asserted inside test::run (validate = true).
   const auto s = test::run(cons(), test::small_mixed_workload(), 16);
   SUCCEED();
+}
+
+// --- promotion beyond the reserved set ---------------------------------------
+
+TEST(ConservativeBackfill, PromotionReadsOnlyTheJobsItReserves) {
+  // An FCFS backlog of 1,000 jobs at depth 8: arrivals every 5 s, each
+  // job 1-8 nodes wide for 100-400 s on 8 nodes, so the queue grows
+  // hundreds deep and most jobs are reserved by promotion. With no reorder
+  // and no outage the list of unreserved jobs never goes stale, so
+  // promotion reads exactly the entries it reserves. (A scan from the
+  // queue head read the 8 or so reserved entries first on every select.)
+  std::vector<Job> jobs;
+  for (int i = 0; i < 1000; ++i) {
+    const Duration runtime = 100 + 100 * (i % 4);
+    jobs.push_back(make_job(5 * i, 1 + (i * 3) % 8, runtime, 2 * runtime));
+  }
+  const workload::Workload w = test::make_workload(std::move(jobs));
+  ConservativeParams params;
+  params.reservation_depth = 8;
+  auto dispatch = std::make_unique<ConservativeBackfillDispatch>(params);
+  const auto* d = dispatch.get();
+  ListScheduler sched(std::make_unique<FcfsOrder>(), std::move(dispatch));
+  sim::Machine m;
+  m.nodes = 8;
+  (void)sim::simulate(m, sched, w);
+  const auto& st = d->replan_stats();
+  EXPECT_GT(st.promoted, 900u);
+  EXPECT_EQ(st.promote_examined, st.promoted);
+}
+
+TEST(ConservativeBackfill, PromotionPinnedAcrossDepthsOrdersAndOutages) {
+  // The differential suite cannot see promotion (the incremental and the
+  // scratch replan share it), so its schedules are pinned here. 600
+  // CTC-model jobs on 64 nodes keep the queue hundreds deep: every depth
+  // binds and promotion reserves most jobs. The outage takes 24 nodes down
+  // for 12 hours; a 60-node job submitted just after it starts is parked
+  // (wider than the 40 surviving nodes) until the nodes return.
+  constexpr int kNodes = 64;
+  constexpr int kDown = 24;
+  workload::CtcModelParams params;
+  params.job_count = 600;
+  const workload::Workload ctc = workload::trim_to_machine(
+      workload::generate_ctc(params, 27), kNodes);
+  std::vector<Job> jobs(ctc.begin(), ctc.end());
+  const Time outage = jobs[jobs.size() / 2].submit;
+  const Time repair = outage + 12 * kHour;
+  jobs.push_back(make_job(outage + 1, 60, 3601, 7200));
+  const workload::Workload w = test::make_workload(std::move(jobs));
+  JobId wide = 0;
+  while (w[wide].nodes != 60 || w[wide].runtime != 3601) ++wide;
+  const fault::FailureTrace trace =
+      fault::make_failure_trace({{outage, -kDown}, {repair, +kDown}}, kNodes);
+
+  struct Pin {
+    OrderKind order;
+    std::size_t depth;
+    bool outage;
+    std::uint64_t fnv;
+  };
+  // Recorded before promotion kept its own list of unreserved jobs.
+  constexpr Pin kPins[] = {
+      {OrderKind::kFcfs, 1, false, 0x2b24bfdd2afa6f22ull},
+      {OrderKind::kFcfs, 1, true, 0x97ee04e3e6c1ac32ull},
+      {OrderKind::kFcfs, 8, false, 0x40398c019fd07fd6ull},
+      {OrderKind::kFcfs, 8, true, 0x3c8351ffe6de1c8cull},
+      {OrderKind::kFcfs, 64, false, 0x048ceff79ba9c4b3ull},
+      {OrderKind::kFcfs, 64, true, 0x352cd327d4748194ull},
+      {OrderKind::kSmartFfia, 1, false, 0x469ac4e9c32d1d2dull},
+      {OrderKind::kSmartFfia, 1, true, 0x8472799aa4469fc4ull},
+      {OrderKind::kSmartFfia, 8, false, 0x46f0ed6c61f346bfull},
+      {OrderKind::kSmartFfia, 8, true, 0x9ed230df1522673full},
+      {OrderKind::kSmartFfia, 64, false, 0xc8105b92ff7d0413ull},
+      {OrderKind::kSmartFfia, 64, true, 0x58f04a93ec631c7bull},
+      {OrderKind::kPsrs, 1, false, 0xe946d77a53b640caull},
+      {OrderKind::kPsrs, 1, true, 0x1f4d72e5551d6158ull},
+      {OrderKind::kPsrs, 8, false, 0xb367b03a66c99165ull},
+      {OrderKind::kPsrs, 8, true, 0x5b07eba3583540f9ull},
+      {OrderKind::kPsrs, 64, false, 0xeb4c4e1a0ac86214ull},
+      {OrderKind::kPsrs, 64, true, 0x997b6de535c04f25ull},
+  };
+  sim::Machine m;
+  m.nodes = kNodes;
+  for (const Pin& pin : kPins) {
+    AlgorithmSpec spec = cons();
+    spec.order = pin.order;
+    spec.conservative.reservation_depth = pin.depth;
+    sim::SimOptions options;
+    if (pin.outage) options.faults.trace = &trace;
+    const auto scheduler = make_scheduler(spec);
+    const sim::Schedule s = sim::simulate(m, *scheduler, w, options);
+    const std::string label = spec.display_name() + " depth " +
+                              std::to_string(pin.depth) +
+                              (pin.outage ? " outage" : "");
+    if (pin.outage) {
+      EXPECT_GE(s[wide].start, repair) << label;
+    }
+    const std::uint64_t fnv = sim::schedule_fingerprint(s);
+    EXPECT_EQ(fnv, pin.fnv) << label << ": 0x" << std::hex << fnv;
+  }
 }
 
 }  // namespace

@@ -425,8 +425,9 @@ struct MergedView {
 /// `profile + overlay`, takes a job's earliest fit there as its certified
 /// start (the "no earlier fit" certificate the growth query relies on),
 /// then perturbs the view with random growth — releases in the profile,
-/// spans added to the overlay — and shrinks — new allocations, spans
-/// retired from the overlay — recording the growth in its own overlay.
+/// spans added to the overlay — and shrinks — new allocations, built spans
+/// retired from the overlay by the indices build() reported — recording
+/// the growth in its own overlay.
 void run_growth_fit_fuzz(std::uint64_t seed, std::size_t trials) {
   constexpr int kTotal = 32;
   constexpr std::size_t kUnbounded = static_cast<std::size_t>(-1);
@@ -448,7 +449,8 @@ void run_growth_fit_fuzz(std::uint64_t seed, std::size_t trials) {
         allocated.push_back(s);
       }
     }
-    // The overlay lifts some allocations, as a replan window would.
+    // The overlay lifts some allocations, as a replan window would, and
+    // sometimes adds capacity that never ends.
     MergedView view{&profile, {}};
     for (std::size_t k = 0; k < allocated.size();) {
       if (rng.bernoulli(0.4)) {
@@ -458,8 +460,27 @@ void run_growth_fit_fuzz(std::uint64_t seed, std::size_t trials) {
         ++k;
       }
     }
+    if (rng.bernoulli(0.2)) {
+      view.spans.push_back({rng.uniform_int(0, 3000), kTimeInfinity,
+                            static_cast<int>(rng.uniform_int(1, 4))});
+    }
+    const std::vector<CapacitySpan> built = view.spans;
     CapacityOverlay extra;
-    extra.build(view.spans);
+    std::vector<CapacityOverlay::SpanIndex> index;
+    extra.build(built, &index);
+    // Each reported index holds the span's start and end, and an
+    // open-ended span reaches past the last breakpoint.
+    ASSERT_EQ(index.size(), built.size());
+    for (std::size_t k = 0; k < built.size(); ++k) {
+      ASSERT_LT(index[k].lo, extra.breakpoints()) << "trial " << trial;
+      EXPECT_EQ(extra.breakpoint(index[k].lo), built[k].start);
+      if (built[k].end == kTimeInfinity) {
+        EXPECT_EQ(index[k].hi, extra.breakpoints()) << "trial " << trial;
+      } else {
+        ASSERT_LT(index[k].hi, extra.breakpoints()) << "trial " << trial;
+        EXPECT_EQ(extra.breakpoint(index[k].hi), built[k].end);
+      }
+    }
 
     const Time from = rng.uniform_int(0, 1500);
     const Duration d = rng.uniform_int(1, 500);
@@ -472,6 +493,12 @@ void run_growth_fit_fuzz(std::uint64_t seed, std::size_t trials) {
         << "trial " << trial;
 
     std::vector<CapacitySpan> growth;
+    // Built spans still in the overlay, and spans to add once the changes
+    // are drawn: add() inserts breakpoints, which shifts the indices
+    // build() reported, so every retire comes first.
+    std::vector<std::size_t> live(built.size());
+    for (std::size_t k = 0; k < live.size(); ++k) live[k] = k;
+    std::vector<CapacitySpan> added;
     const std::int64_t changes = rng.uniform_int(1, 8);
     for (std::int64_t k = 0; k < changes; ++k) {
       const std::int64_t dice = rng.uniform_int(0, 5);
@@ -486,8 +513,7 @@ void run_growth_fit_fuzz(std::uint64_t seed, std::size_t trials) {
         growth.push_back({tail, a.end, a.nodes});
       } else if (dice <= 3) {
         const CapacitySpan s = random_span(0);
-        extra.add(s.start, s.end, s.nodes);
-        view.spans.push_back(s);
+        added.push_back(s);
         growth.push_back(s);
       } else if (dice == 4) {
         const CapacitySpan s = random_span(0);
@@ -495,11 +521,18 @@ void run_growth_fit_fuzz(std::uint64_t seed, std::size_t trials) {
           profile.allocate(s.start, s.end - s.start, s.nodes);
           allocated.push_back(s);
         }
-      } else if (!view.spans.empty()) {
-        const CapacitySpan s = view.spans.back();
-        extra.subtract(s.start, s.end, s.nodes);
-        view.spans.pop_back();
+      } else if (!live.empty()) {
+        const std::size_t pick = static_cast<std::size_t>(rng.uniform_int(
+            0, static_cast<std::int64_t>(live.size()) - 1));
+        extra.retire(index[live[pick]], built[live[pick]].nodes);
+        live.erase(live.begin() + static_cast<std::ptrdiff_t>(pick));
       }
+    }
+    view.spans.clear();
+    for (std::size_t k : live) view.spans.push_back(built[k]);
+    for (const CapacitySpan& s : added) {
+      extra.add(s.start, s.end, s.nodes);
+      view.spans.push_back(s);
     }
     // Growth overlays reach the query built in one batch or grown span by
     // span (add() inserts the breakpoints build() would have made).

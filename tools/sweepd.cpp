@@ -167,6 +167,11 @@ eval::ExperimentOptions options_from_env(const SweepSetup& s) {
 }
 
 int run_worker(const Cli& cli) {
+  // A shard launched by hand may name a journal in a directory that does
+  // not exist yet, as `run` may name a --journal-dir.
+  const std::filesystem::path parent =
+      std::filesystem::path(cli.journal).parent_path();
+  if (!parent.empty()) std::filesystem::create_directories(parent);
   const SweepSetup s = setup_from_env();
   eval::ShardWorkerConfig config;
   config.machine = s.machine;
