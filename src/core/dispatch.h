@@ -108,6 +108,7 @@ class HeadOnlyDispatch final : public Dispatcher {
 struct SelectStats {
   std::uint64_t selects = 0;         ///< select() calls
   std::uint64_t shadows = 0;         ///< EASY shadow-time computations
+  std::uint64_t tie_sorts = 0;       ///< shadows left to EASY's sorted copy
   std::uint64_t slots_examined = 0;  ///< queue slots and index nodes read
 };
 

@@ -437,6 +437,122 @@ TEST(QueueIndexDifferential, ShadowTieOfUnequalWidthsIsPinned) {
   }
 }
 
+/// Submits on a ten-minute grid with estimates of one to six grid steps,
+/// so the jobs that start together share estimated ends; mostly 1-4 node
+/// jobs (dozens run at once on kNodes nodes) and some wide ones that block
+/// the head. Half the jobs end early, off the grid. With `distinct_ends`
+/// every runtime is a whole number of grid steps instead, so every event
+/// lands on the grid, and job i's estimate is i + 1 seconds past its
+/// runtime: for fewer than 600 jobs no two estimated ends ever meet.
+workload::Workload shared_ends_workload(std::uint64_t seed, std::size_t jobs,
+                                        bool distinct_ends = false) {
+  constexpr Duration kStep = 600;
+  std::mt19937_64 rng(seed);
+  std::uniform_real_distribution<double> uni(0.0, 1.0);
+  std::vector<Job> js;
+  js.reserve(jobs);
+  Time t = 0;
+  for (std::size_t i = 0; i < jobs; ++i) {
+    if (uni(rng) < 0.25) t += kStep;
+    const int nodes = uni(rng) < 0.08 ? 16 + static_cast<int>(uni(rng) * 48)
+                                      : 1 + static_cast<int>(uni(rng) * 4);
+    const auto steps = 1 + static_cast<Duration>(uni(rng) * 6);
+    Duration runtime = steps * kStep;
+    Duration estimate = runtime;
+    if (distinct_ends) {
+      estimate += static_cast<Duration>(i) + 1;  // below kStep
+    } else if (uni(rng) < 0.5) {
+      runtime = 1 + static_cast<Duration>(uni(rng) *
+                                            static_cast<double>(runtime - 1));
+    }
+    js.push_back(make_job(t, nodes, runtime, estimate));
+  }
+  return test::make_workload(std::move(js));
+}
+
+TEST(QueueIndexDifferential, ShadowTiesPastSixteenRunning) {
+  // Past 16 elements std::sort partitions instead of running a stable
+  // insertion sort, so jobs ending together no longer stay in start order.
+  // The ordered running set must hand every tie whose extra nodes depend
+  // on that order to the sorted copy of the same sequence, through every
+  // path that feeds it: plain starts, adoption at a phase flip, greedy
+  // starts vetoed before on_start, and kills.
+  const auto w = shared_ends_workload(29, 1500);
+  {
+    const auto indexed = list_of<FcfsOrder>(Pick::kEasy, false);
+    const auto linear = list_of<FcfsOrder>(Pick::kEasy, true);
+    const auto run =
+        expect_same_selection(*indexed, *linear, w, kNodes, "FCFS+EASY");
+    EXPECT_GT(stats_of(indexed->dispatcher()).tie_sorts, 0u);
+    std::size_t peak = 0;  // most jobs running at once
+    for (const auto& r : run.schedule.records()) {
+      std::size_t running = 0;
+      for (const auto& q : run.schedule.records()) {
+        running += q.start <= r.start && r.start < q.end ? 1 : 0;
+      }
+      peak = std::max(peak, running);
+    }
+    EXPECT_GT(peak, 16u);
+  }
+  {
+    // Night (FCFS+FF) runs at t=0, so EASY first runs the day by adopt.
+    const PhaseWindow day{7 * kHour, 20 * kHour, true};
+    auto easy = std::make_unique<EasyBackfillDispatch>();
+    const EasyBackfillDispatch& adopted = *easy;
+    PhasedScheduler indexed(day, std::make_unique<FcfsOrder>(),
+                            std::move(easy), std::make_unique<FcfsOrder>(),
+                            make_dispatch(Pick::kFirstFit, false));
+    PhasedScheduler linear(day, std::make_unique<FcfsOrder>(),
+                           make_dispatch(Pick::kEasy, true),
+                           std::make_unique<FcfsOrder>(),
+                           make_dispatch(Pick::kFirstFit, true));
+    expect_same_selection(indexed, linear, w, kNodes,
+                          "day[FCFS+EASY]/night[FCFS+FF]");
+    EXPECT_GT(indexed.phase_flips(), 4u);
+    EXPECT_GT(adopted.select_stats().tie_sorts, 0u);
+  }
+  {
+    const PhaseWindow course{10 * kHour, 11 * kHour, true};
+    auto easy = std::make_unique<EasyBackfillDispatch>();
+    const EasyBackfillDispatch& inner = *easy;
+    auto drain = std::make_unique<DrainWindowDispatch>(std::move(easy), course);
+    const DrainWindowDispatch& vetoes = *drain;
+    ListScheduler indexed(std::make_unique<FcfsOrder>(), std::move(drain));
+    ListScheduler linear(std::make_unique<FcfsOrder>(),
+                         std::make_unique<DrainWindowDispatch>(
+                             make_dispatch(Pick::kEasy, true), course));
+    expect_same_selection(indexed, linear, w, kNodes, "FCFS+EASY+DRAIN");
+    EXPECT_GT(vetoes.vetoed(), 0u);
+    EXPECT_GT(inner.select_stats().tie_sorts, 0u);
+  }
+  {
+    fault::FailureModelParams params;
+    params.nodes = kNodes;
+    params.horizon = 4 * kDay;
+    params.mtbf = static_cast<double>(kDay);
+    const fault::FailureTrace trace = fault::generate_failures(params, 31);
+    sim::SimOptions options;
+    options.faults.trace = &trace;
+    const auto indexed = list_of<FcfsOrder>(Pick::kEasy, false);
+    const auto linear = list_of<FcfsOrder>(Pick::kEasy, true);
+    const auto run = expect_same_selection(*indexed, *linear, w, kNodes,
+                                           "faulty FCFS+EASY", options);
+    EXPECT_GT(run.schedule.attempts.size(), 10u) << "kills re-submit jobs";
+    EXPECT_GT(stats_of(indexed->dispatcher()).tie_sorts, 0u);
+  }
+  {
+    // Without shared ends every shadow comes from the ordered set alone.
+    const auto distinct = shared_ends_workload(29, 599, true);
+    const auto indexed = list_of<FcfsOrder>(Pick::kEasy, false);
+    const auto linear = list_of<FcfsOrder>(Pick::kEasy, true);
+    expect_same_selection(*indexed, *linear, distinct, kNodes,
+                          "FCFS+EASY, distinct ends");
+    const SelectStats& stats = stats_of(indexed->dispatcher());
+    EXPECT_GT(stats.shadows, 40u);
+    EXPECT_EQ(stats.tie_sorts, 0u);
+  }
+}
+
 TEST(QueueIndexDifferential, SelectStatsCountTheSearch) {
   // The deterministic gate for the index: the same rounds and shadow
   // computations only where a job behind the blocked head fits, at a
@@ -462,6 +578,7 @@ TEST(QueueIndexDifferential, SelectStatsCountTheSearch) {
     if (pick == Pick::kEasy) {
       EXPECT_EQ(indexed.selects, 10297u);
       EXPECT_EQ(indexed.shadows, 4257u);  // a job fit behind the head
+      EXPECT_EQ(indexed.tie_sorts, 0u);   // no tie the walk left to a sort
       EXPECT_EQ(linear.shadows, 10290u);  // the head was blocked
     } else {
       EXPECT_EQ(indexed.selects, 10644u);
