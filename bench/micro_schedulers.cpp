@@ -97,21 +97,6 @@ BENCHMARK_TEMPLATE(BM_ProfileEarliestFit, sim::ReferenceProfile)
     ->RangeMultiplier(4)->Range(16, 8192)->Complexity();
 
 template <class P>
-void BM_ProfileFits(benchmark::State& state) {
-  const auto packed =
-      packed_profile<P>(static_cast<std::size_t>(state.range(0)));
-  const Time mid = packed.horizon / 2;
-  for (auto _ : state) {
-    benchmark::DoNotOptimize(packed.profile.fits(mid, 3600, 64));
-  }
-  state.SetComplexityN(state.range(0));
-}
-BENCHMARK_TEMPLATE(BM_ProfileFits, sim::Profile)
-    ->RangeMultiplier(4)->Range(16, 8192)->Complexity();
-BENCHMARK_TEMPLATE(BM_ProfileFits, sim::ReferenceProfile)
-    ->RangeMultiplier(4)->Range(16, 8192)->Complexity();
-
-template <class P>
 void BM_ProfileAllocateRelease(benchmark::State& state) {
   auto packed = packed_profile<P>(static_cast<std::size_t>(state.range(0)));
   // Reserve where a backfiller actually would (guaranteed to fit), then

@@ -32,11 +32,9 @@ int main() {
       bench::run_grid_verbose(machine, core::WeightKind::kUnit, w);
   const auto weighted =
       bench::run_grid_verbose(machine, core::WeightKind::kEstimatedArea, w);
-  // The comparison baseline: the same grid with user estimates.
+  // The comparison baseline: the unweighted grid with user estimates.
   const auto noisy_unweighted =
       bench::run_grid_verbose(machine, core::WeightKind::kUnit, noisy);
-  const auto noisy_weighted =
-      bench::run_grid_verbose(machine, core::WeightKind::kEstimatedArea, noisy);
 
   std::printf("%s\n",
               eval::response_time_table(

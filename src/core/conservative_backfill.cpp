@@ -325,28 +325,12 @@ void ConservativeBackfillDispatch::replace_from(std::size_t from, Time now) {
 void ConservativeBackfillDispatch::on_reorder(const std::vector<JobId>& order,
                                               Time now) {
   // A new priority order invalidates every reservation: lift all of them
-  // and re-place in the new order.
+  // and re-place the same reserved set in the new order.
   {
     sim::Profile::BulkUpdate bulk(profile_);
-    for (const auto& [id, r] : reserved_) {
-      const Job& j = store_->get(id);
-      profile_.release(r.start, j.estimate, j.nodes);
-    }
+    lift_reservations();
   }
-  const std::size_t count = reserved_.size();
-  std::size_t planned = 0;
-  for (JobId id : order) {
-    if (planned >= count) break;
-    if (!reserved_.contains(id)) continue;
-    reserve(id, now);
-    ++planned;
-  }
-  // Every reservation was just re-placed from `now`: the plan is fully
-  // compressed, so the next on-time completion has nothing to replan.
-  compression_debt_ = false;
-  growth_.clear();
-  screen_all_ = true;  // placements outside replan(): no certificates
-  mark_unreserved_stale();  // the unreserved jobs changed relative order
+  reserve_afresh(order, now, /*keep_reserved_set=*/true);
 }
 
 void ConservativeBackfillDispatch::on_capacity_change(
@@ -362,10 +346,7 @@ void ConservativeBackfillDispatch::on_capacity_change(
   const int down = profile_.total_nodes() - available_nodes;
   {
     sim::Profile::BulkUpdate bulk(profile_);
-    for (const auto& [id, r] : reserved_) {
-      const Job& j = store_->get(id);
-      profile_.release(r.start, j.estimate, j.nodes);
-    }
+    lift_reservations();
     if (down > down_nodes_) {
       profile_.allocate(now, kTimeInfinity, down - down_nodes_);
     } else if (down < down_nodes_) {
@@ -373,35 +354,19 @@ void ConservativeBackfillDispatch::on_capacity_change(
     }
   }
   down_nodes_ = down;
-  reserved_.clear();
-  wakeups_.clear();
-  std::size_t planned = 0;
-  for (JobId id : order) {
-    if (planned >= params_.reservation_depth) break;
-    if (!reservable(id)) continue;  // parked until capacity recovers
-    reserve(id, now);
-    ++planned;
-  }
-  // The whole reserved set was just re-placed from `now`: fully
-  // compressed by construction.
-  compression_debt_ = false;
-  growth_.clear();
-  screen_all_ = true;  // placements outside replan(): no certificates
-  mark_unreserved_stale();  // another reserved set, another parked set
+  reserve_afresh(order, now, /*keep_reserved_set=*/false);
 }
 
 void ConservativeBackfillDispatch::adopt(
     Time now, const std::vector<JobId>& order,
     const std::vector<RunningJob>& running) {
   // Rebuild the profile from scratch: running jobs occupy capacity until
-  // their estimated ends, then every queued job gets a fresh reservation
-  // in the adopted order. The rebuild assumes full capacity; when nodes
-  // are down the owner (PhasedScheduler) re-delivers on_capacity_change
-  // right after adopting, restoring the outage allocation.
+  // their estimated ends, then queued jobs get fresh reservations in the
+  // adopted order. The rebuild assumes full capacity; when nodes are down
+  // the owner (PhasedScheduler) re-delivers on_capacity_change right after
+  // adopting, restoring the outage allocation.
   profile_ = sim::Profile(profile_.total_nodes());
   down_nodes_ = 0;
-  reserved_.clear();
-  wakeups_.clear();
   {
     sim::Profile::BulkUpdate bulk(profile_);
     for (const RunningJob& r : running) {
@@ -410,14 +375,41 @@ void ConservativeBackfillDispatch::adopt(
       }
     }
   }
-  for (JobId id : order) {
-    if (reserved_.size() >= params_.reservation_depth) break;
-    reserve(id, now);
+  reserve_afresh(order, now, /*keep_reserved_set=*/false);
+}
+
+void ConservativeBackfillDispatch::lift_reservations() {
+  for (const auto& [id, r] : reserved_) {
+    const Job& j = store_->get(id);
+    profile_.release(r.start, j.estimate, j.nodes);
   }
-  compression_debt_ = false;  // fresh plan: fully compressed by construction
+}
+
+void ConservativeBackfillDispatch::reserve_afresh(
+    const std::vector<JobId>& order, Time now, bool keep_reserved_set) {
+  // The profile holds no reservation now: re-reserve from `now` in queue
+  // order, either the jobs reserved before or the first reservation_depth
+  // reservable ones.
+  wakeups_.clear();
+  if (!keep_reserved_set) reserved_.clear();
+  const std::size_t count =
+      keep_reserved_set ? reserved_.size() : params_.reservation_depth;
+  std::size_t planned = 0;
+  for (JobId id : order) {
+    if (planned >= count) break;
+    if (keep_reserved_set ? !reserved_.contains(id) : !reservable(id)) {
+      continue;  // beyond the depth, or parked until capacity recovers
+    }
+    reserve(id, now);
+    ++planned;
+  }
+  // Every reservation was just placed from `now` in queue order: the plan
+  // is fully compressed, so the next on-time completion has nothing to
+  // replan.
+  compression_debt_ = false;
   growth_.clear();
   screen_all_ = true;  // placements outside replan(): no certificates
-  mark_unreserved_stale();  // another queue and reserved set
+  mark_unreserved_stale();  // another order, reserved set or parked set
 }
 
 void ConservativeBackfillDispatch::mark_unreserved_stale() {

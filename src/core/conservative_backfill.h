@@ -171,6 +171,16 @@ class ConservativeBackfillDispatch final : public Dispatcher {
   };
 
   void reserve(JobId id, Time from);
+  /// Release every reservation's allocation from the profile, keeping
+  /// reserved_ (callers batch it inside a BulkUpdate).
+  void lift_reservations();
+  /// The wholesale re-plan of a reorder, a capacity change or an adoption.
+  /// With no reservation left in the profile, reserve from `now` in queue
+  /// order the jobs reserved_ holds (`keep_reserved_set`) or the first
+  /// reservation_depth reservable jobs, then reset the plan state: no
+  /// compression debt, no growth, no certificates, a stale promotion list.
+  void reserve_afresh(const std::vector<JobId>& order, Time now,
+                      bool keep_reserved_set);
   /// Record `start` as the reservation of `id` (new or moved), keeping
   /// wakeups_ in step with reserved_.
   void set_reservation(JobId id, Time start);

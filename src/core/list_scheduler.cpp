@@ -1,6 +1,7 @@
 #include "core/list_scheduler.h"
 
 #include <algorithm>
+#include <cassert>
 #include <stdexcept>
 
 namespace jsched::core {
@@ -28,21 +29,12 @@ void ListScheduler::reset(const sim::Machine& machine) {
   running_.clear();
   ordering_->reset(machine, store_);
   dispatcher_->reset(machine, store_);
-  seen_version_ = ordering_->version();
 }
 
 void ListScheduler::swap_pair(std::unique_ptr<OrderingPolicy>& ordering,
                               std::unique_ptr<Dispatcher>& dispatcher) noexcept {
   ordering_.swap(ordering);
   dispatcher_.swap(dispatcher);
-  seen_version_ = ordering_->version();
-}
-
-void ListScheduler::sync_order_version(Time now) {
-  if (ordering_->version() != seen_version_) {
-    seen_version_ = ordering_->version();
-    dispatcher_->on_reorder(ordering_->order(), now);
-  }
 }
 
 void ListScheduler::on_submit(const Submission& job, Time now) {
@@ -51,7 +43,6 @@ void ListScheduler::on_submit(const Submission& job, Time now) {
   ordering_->on_submit(job.id, now);
   if (ordering_->version() != before) {
     // The new job is covered by the reorder notification.
-    seen_version_ = ordering_->version();
     dispatcher_->on_reorder(ordering_->order(), now);
   } else {
     dispatcher_->on_enqueue(job.id, now);
@@ -67,7 +58,6 @@ void ListScheduler::on_complete(JobId id, Time now) {
   const Time estimated_end = it->estimated_end;
   running_.erase(it);
   dispatcher_->on_complete(id, now, estimated_end, ordering_->order());
-  sync_order_version(now);
   // The job is finished: no component may consult it again (a fault
   // re-submission re-puts the id). Freeing the entry is what keeps the
   // store O(live jobs) in streaming runs.
@@ -82,13 +72,18 @@ void ListScheduler::on_capacity_change(Time now, int available_nodes) {
 void ListScheduler::select_starts(Time now, int free_nodes,
                                   std::vector<JobId>& starts) {
   dispatcher_->select(now, free_nodes, ordering_->order(), running_, starts);
+#ifndef NDEBUG
+  const std::uint64_t version = ordering_->version();
+#endif
   for (JobId id : starts) {
     ordering_->on_remove(id, now);
     dispatcher_->on_start(id, now);
     const Job& j = store_.get(id);
     running_.push_back({id, now, now + j.estimate, j.nodes});
   }
-  sync_order_version(now);
+  // Only on_submit may reorder (OrderingPolicy's contract): a reorder
+  // here would reach no dispatcher.
+  assert(ordering_->version() == version);
 }
 
 Time ListScheduler::next_wakeup(Time now) const {

@@ -2,9 +2,9 @@
 // scheduler — the paper's architecture in one class: every evaluated
 // algorithm is "a job order" (FCFS / SMART / PSRS) "plus a greedy list
 // dispatch" (head-only, Garey&Graham first fit, EASY or conservative
-// backfilling). It owns everything the pair shares: the job store, the
-// running set and the reorder-version sync. PhasedScheduler (§7) is this
-// class with a second pair swapped in at phase boundaries.
+// backfilling). It owns everything the pair shares: the job store and the
+// running set. PhasedScheduler (§7) is this class with a second pair
+// swapped in at phase boundaries.
 #pragma once
 
 #include <memory>
@@ -45,21 +45,17 @@ class ListScheduler : public sim::Scheduler {
 
   const JobStore& store() const { return store_; }
 
-  /// Exchange the active (ordering, dispatcher) pair with the given one and
-  /// take the incoming ordering's version as seen. The caller hands the
-  /// wait queue to the incoming ordering first and has the incoming
-  /// dispatcher adopt the machine.
+  /// Exchange the active (ordering, dispatcher) pair with the given one.
+  /// The caller hands the wait queue to the incoming ordering first and
+  /// has the incoming dispatcher adopt the machine.
   void swap_pair(std::unique_ptr<OrderingPolicy>& ordering,
                  std::unique_ptr<Dispatcher>& dispatcher) noexcept;
 
  private:
-  void sync_order_version(Time now);
-
   std::unique_ptr<OrderingPolicy> ordering_;
   std::unique_ptr<Dispatcher> dispatcher_;
   JobStore store_;
   std::vector<RunningJob> running_;
-  std::uint64_t seen_version_ = 0;
 };
 
 }  // namespace jsched::core

@@ -26,12 +26,16 @@ namespace jsched::core {
 ///
 /// Dispatchers that keep their own copy of the queue (EASY and first fit
 /// search a QueueIndex) follow order() through the notifications alone, so
-/// every policy keeps two rules:
+/// every policy keeps three rules:
 ///  * an on_submit that leaves version() unchanged appends the job at the
 ///    tail of order();
 ///  * otherwise order() changes only by losing the jobs passed to
-///    on_remove, the rest keeping their relative order.
-/// Anything else, such as inserting mid-queue or replanning, bumps version().
+///    on_remove, the rest keeping their relative order;
+///  * a reorder (inserting mid-queue, replanning) happens only inside
+///    on_submit, and bumps version() there.
+/// ListScheduler reads version() only around on_submit and delivers the
+/// reorder to its dispatcher then; debug builds assert that on_remove
+/// leaves version() unchanged.
 class OrderingPolicy {
  public:
   virtual ~OrderingPolicy() = default;
@@ -53,8 +57,9 @@ class OrderingPolicy {
   virtual const std::vector<JobId>& order() const = 0;
 
   /// Increments whenever the *relative order* of already-queued jobs may
-  /// have changed (appends and removals do not count). Conservative
-  /// backfilling replans its reservations when this moves.
+  /// have changed (appends and removals do not count), which only
+  /// on_submit may do. Conservative backfilling replans its reservations
+  /// when this moves.
   virtual std::uint64_t version() const noexcept = 0;
 };
 

@@ -19,30 +19,23 @@ bool PhaseWindow::contains(Time t) const noexcept {
 }
 
 Time PhaseWindow::next_boundary(Time t) const noexcept {
-  // Coarse scan (hours) for the first phase change within a week, then a
-  // binary search down to the second. A week always contains a boundary
-  // unless the window covers everything or nothing.
+  // contains() changes only at a midnight (the weekday rule), at
+  // start_second or at end_second, so the boundary is the first of these
+  // instants after t whose membership differs from t's. The pattern
+  // repeats weekly: eight days of candidates from t's midnight cover
+  // (t, t + 1 week], and a window with no boundary there has none at all.
   const bool here = contains(t);
-  Time hi = t;
-  bool found = false;
-  for (int h = 1; h <= 24 * 7 + 1; ++h) {
-    hi = t + h * kHour;
-    if (contains(hi) != here) {
-      found = true;
-      break;
+  const Time midnight = t / kDay * kDay;
+  for (int d = 0; d < 8; ++d) {
+    const Time day = midnight + d * kDay;
+    Time first = kTimeInfinity;
+    for (const Duration offset : {Duration{0}, start_second, end_second}) {
+      const Time c = day + offset;
+      if (c > t && c < first && contains(c) != here) first = c;
     }
+    if (first != kTimeInfinity) return first;
   }
-  if (!found) return kTimeInfinity;
-  Time lo = hi - kHour;
-  while (lo + 1 < hi) {
-    const Time mid = lo + (hi - lo) / 2;
-    if (contains(mid) != here) {
-      hi = mid;
-    } else {
-      lo = mid;
-    }
-  }
-  return hi;
+  return kTimeInfinity;
 }
 
 PhasedScheduler::PhasedScheduler(PhaseWindow window,
@@ -78,7 +71,7 @@ void PhasedScheduler::reset(const sim::Machine& machine) {
   idle_dispatch_->reset(machine, store());
   flips_ = 0;
   last_sync_ = -1;
-  machine_nodes_ = machine.nodes;
+  machine_ = machine;
   capacity_ = machine.nodes;
 }
 
@@ -99,8 +92,8 @@ void PhasedScheduler::sync_phase(Time now) {
   swap_pair(idle_order_, idle_dispatch_);
   // The outgoing policy sits idle until the next flip hands it the queue
   // again, so it must not keep the jobs it held.
-  for (JobId id : queued) idle_order_->on_remove(id, now);
-  if (capacity_ != machine_nodes_) {
+  idle_order_->reset(machine_, store());
+  if (capacity_ != machine_.nodes) {
     // adopt() rebuilt the incoming dispatcher's state at full capacity;
     // replay the outage so its plan respects the surviving nodes.
     ListScheduler::on_capacity_change(now, capacity_);

@@ -9,10 +9,11 @@
 // holds a second (ordering, dispatcher) pair and swaps it in between the
 // policy's day and night phases.
 //
-// On a phase flip the queue is re-ordered under the incoming policy and
-// the incoming dispatcher adopts the machine state (running jobs and the
-// new order); phase boundaries are surfaced through next_wakeup so flips
-// happen on time even in event gaps.
+// On a phase flip the queue is re-ordered under the incoming policy, the
+// incoming dispatcher adopts the machine state (running jobs and the new
+// order) and the outgoing policy is reset, so the idle pair's ordering
+// holds no jobs; phase boundaries are surfaced through next_wakeup so
+// flips happen on time even in event gaps.
 #pragma once
 
 #include <memory>
@@ -36,7 +37,9 @@ struct PhaseWindow {
   /// True when t falls inside the window (day 0 is a Monday).
   bool contains(Time t) const noexcept;
 
-  /// Earliest boundary strictly after t (entering or leaving the window).
+  /// Earliest boundary strictly after t (entering or leaving the window),
+  /// exact for windows and gaps of any length; kTimeInfinity when
+  /// contains() never changes.
   Time next_boundary(Time t) const noexcept;
 };
 
@@ -72,10 +75,12 @@ class PhasedScheduler final : public ListScheduler {
   bool day_active_ = true;
   std::size_t flips_ = 0;
   Time last_sync_ = -1;
-  /// Machine size and last advertised capacity (fault injection). adopt()
-  /// rebuilds the incoming dispatcher at full capacity, so a phase flip
-  /// during an outage re-delivers on_capacity_change right after adopting.
-  int machine_nodes_ = 0;
+  /// The machine of the last reset(), which a flip resets the outgoing
+  /// ordering against, and the last advertised capacity (fault injection).
+  /// adopt() rebuilds the incoming dispatcher at full capacity, so a phase
+  /// flip during an outage re-delivers on_capacity_change right after
+  /// adopting.
+  sim::Machine machine_;
   int capacity_ = 0;
 };
 

@@ -10,11 +10,13 @@
 #include <cerrno>
 #include <cinttypes>
 #include <cstdio>
-#include <cstdlib>
 #include <cstring>
 #include <stdexcept>
+#include <string_view>
 #include <thread>
 #include <utility>
+
+#include "util/number.h"
 
 namespace jsched::serve {
 
@@ -32,16 +34,6 @@ std::vector<std::string> tokenize(const std::string& line) {
     i = j;
   }
   return tokens;
-}
-
-bool to_i64(const std::string& s, std::int64_t& out) {
-  if (s.empty()) return false;
-  char* end = nullptr;
-  errno = 0;
-  const long long v = std::strtoll(s.c_str(), &end, 10);
-  if (errno != 0 || end != s.c_str() + s.size()) return false;
-  out = v;
-  return true;
 }
 
 ParseResult fail(std::string* error, const std::string& why) {
@@ -81,8 +73,9 @@ ParseResult parse_submit_line(const std::string& line, SubmitRecord& out,
   std::int64_t value[5] = {0, 0, 0, 0, 0};
   for (std::size_t i = 0; i < tokens.size(); ++i) {
     const std::size_t field = i + 1 - k;
-    const std::string& text = field == 0 ? tokens[i].substr(1) : tokens[i];
-    if (!to_i64(text, value[field])) return bad(field);
+    const std::string_view text =
+        std::string_view(tokens[i]).substr(field == 0 ? 1 : 0);
+    if (!util::parse_number(text, value[field])) return bad(field);
   }
   if (const auto field =
           invalid_job_field(value[0], value[1], value[2], value[3], value[4])) {

@@ -91,12 +91,6 @@ void CapacityOverlay::add(Time start, Time end, int nodes) {
   for (std::size_t i = lo; i < hi; ++i) add_[i] += nodes;
 }
 
-int CapacityOverlay::at(Time t) const {
-  const auto it = std::upper_bound(t_.begin(), t_.end(), t);
-  if (it == t_.begin()) return 0;
-  return add_[static_cast<std::size_t>(it - t_.begin()) - 1];
-}
-
 Profile::Profile(int total_nodes) : total_(total_nodes) {
   if (total_nodes < 1) throw std::invalid_argument("Profile: total_nodes < 1");
   pts_.push_back({Time{0}, total_});
@@ -180,23 +174,6 @@ void Profile::ensure_tree() const {
   dirty_from_ = kClean;
 }
 
-void Profile::ensure_tree_to(std::size_t hi) const {
-  if (dirty_from_ >= hi) return;  // clean (kClean) or already valid there
-  const std::size_t n = pts_.size();
-  if (leaf_cap_ < n || hi >= n) {
-    // Tree must be (re)grown, or the repair reaches the end anyway — the
-    // full rebuild also handles shrink sentinels and filled_.
-    ensure_tree();
-    return;
-  }
-  // Repair only [dirty_from_, hi): ancestors recomputed from still-stale
-  // right siblings remain ancestors of leaves >= hi, so the class
-  // invariant holds with dirty_from_ advanced to hi. Bottom-up range
-  // queries bounded by hi never read such nodes.
-  repair_range(dirty_from_, hi);
-  dirty_from_ = hi;
-}
-
 std::size_t Profile::first_below(std::size_t from, int nodes) const {
   const std::size_t n = pts_.size();
   if (from >= n) return n;
@@ -242,29 +219,7 @@ std::size_t Profile::first_at_least(std::size_t from, int nodes) const {
   return idx < n ? idx : n;
 }
 
-int Profile::range_min(std::size_t lo, std::size_t hi) const {
-  int res = INT_MAX;
-  for (std::size_t l = leaf_cap_ + lo, r = leaf_cap_ + hi; l < r;
-       l >>= 1, r >>= 1) {
-    if (l & 1) res = std::min(res, tmin_[l++]);
-    if (r & 1) res = std::min(res, tmin_[--r]);
-  }
-  return res;
-}
-
 // --- queries ----------------------------------------------------------------
-
-bool Profile::fits(Time start, Duration duration, int nodes) const {
-  assert(duration > 0);
-  const Time end =
-      start > kTimeInfinity - duration ? kTimeInfinity : start + duration;
-  const std::size_t lo = segment_at(start);
-  const std::size_t hi = lower_bound(end);
-  // The bottom-up range query only reads nodes entirely inside [lo, hi),
-  // so repairing the tree up to hi suffices.
-  ensure_tree_to(hi);
-  return range_min(lo, hi) >= nodes;
-}
 
 Time Profile::earliest_fit(Time from, Duration duration, int nodes) const {
   assert(duration > 0);

@@ -73,9 +73,6 @@ class CapacityOverlay {
   /// Time of breakpoint `i` < breakpoints().
   Time breakpoint(std::size_t i) const { return t_[i]; }
 
-  /// Extra free nodes at time `t` (0 before the first breakpoint).
-  int at(Time t) const;
-
  private:
   friend class Profile;
   /// Index of the breakpoint at `t`, inserted (carrying the value in
@@ -101,9 +98,8 @@ class CapacityOverlay {
 /// erased only once the dead prefix dominates (amortized O(1) per call).
 ///
 /// The breakpoints are augmented with an implicit segment tree over the
-/// free-capacity values (range-min for fits(), plus range-max to jump
-/// between candidate windows), so
-///   * fits() is one range-min query                       — O(log n),
+/// free-capacity values (range-min to find the next blocking breakpoint,
+/// range-max to jump to the next candidate window), so
 ///   * earliest_fit() is a descent over candidate windows  — O(log n) per
 ///     window inspected, and each under-capacity run is inspected at most
 ///     once per query (no restart scans over breakpoints),
@@ -112,9 +108,9 @@ class CapacityOverlay {
 ///     touched leaf span immediately — O(touched + log n) — and leave any
 ///     pending suffix dirtiness untouched,
 ///   * structural allocate()/release() (edge inserted or merged away) mark
-///     the tree dirty from the first shifted leaf; queries repair lazily —
-///     fits() only up to its own right boundary, earliest_fit() fully
-///     (its descents may inspect any suffix node).
+///     the tree dirty from the first shifted leaf; earliest_fit() repairs
+///     the whole dirty suffix lazily (its descents may inspect any suffix
+///     node).
 ///
 /// A BulkUpdate scope defers even the in-place repairs, so a burst of
 /// mutations (a replan lifting k reservations) pays one combined repair at
@@ -131,12 +127,9 @@ class Profile {
   /// Free nodes at time t.
   int capacity_at(Time t) const;
 
-  /// True if `nodes` are free throughout [start, start + duration).
-  bool fits(Time start, Duration duration, int nodes) const;
-
   /// Earliest t >= from such that `nodes` are free throughout
   /// [t, t + duration). Always exists (the profile eventually returns to
-  /// full capacity).
+  /// full capacity). `nodes` fit at `from` exactly when it returns `from`.
   Time earliest_fit(Time from, Duration duration, int nodes) const;
 
   /// Resumable scan state for batched earliest-fit queries. A cursor
@@ -200,7 +193,8 @@ class Profile {
                               Time before, Duration duration, int nodes,
                               std::size_t max_steps) const;
 
-  /// Subtract `nodes` over [start, start + duration). Precondition: fits().
+  /// Subtract `nodes` over [start, start + duration). Precondition: the
+  /// nodes are free there (earliest_fit(start, duration, nodes) == start).
   void allocate(Time start, Duration duration, int nodes);
 
   /// Add `nodes` back over [start, start + duration). Inverse of allocate;
@@ -265,20 +259,14 @@ class Profile {
   // [dirty_from_, max(filled_, n)) agrees with pts_. In-place mutations
   // preserve it by repairing their touched span immediately; structural
   // mutations preserve it by lowering dirty_from_ to the first shifted
-  // leaf. ensure_tree() restores it everywhere; ensure_tree_to(hi)
-  // restores it for [0, hi) and advances dirty_from_ to hi, which is
-  // enough for bottom-up range queries whose nodes lie entirely inside
-  // [0, hi).
+  // leaf. ensure_tree() restores it everywhere.
   void ensure_tree() const;
-  void ensure_tree_to(std::size_t hi) const;
   /// Write leaves [lo, hi) from pts_ and recompute their ancestors.
   void repair_range(std::size_t lo, std::size_t hi) const;
   /// First index >= from with free < nodes (pts_.size() when none).
   std::size_t first_below(std::size_t from, int nodes) const;
   /// First index >= from with free >= nodes (pts_.size() when none).
   std::size_t first_at_least(std::size_t from, int nodes) const;
-  /// Min free over segment indices [lo, hi).
-  int range_min(std::size_t lo, std::size_t hi) const;
 
   static constexpr std::size_t kClean = static_cast<std::size_t>(-1);
 

@@ -5,6 +5,8 @@
 #include <cstdlib>
 #include <stdexcept>
 
+#include "util/number.h"
+
 namespace jsched::util {
 
 std::optional<std::string> env_string(const std::string& name) {
@@ -16,9 +18,8 @@ std::optional<std::string> env_string(const std::string& name) {
 std::int64_t env_int(const std::string& name, std::int64_t fallback) {
   auto v = env_string(name);
   if (!v) return fallback;
-  std::size_t pos = 0;
-  const std::int64_t parsed = std::stoll(*v, &pos);
-  if (pos != v->size()) {
+  std::int64_t parsed = 0;
+  if (!parse_number(*v, parsed)) {
     throw std::invalid_argument(name + ": not an integer: " + *v);
   }
   return parsed;
@@ -27,9 +28,8 @@ std::int64_t env_int(const std::string& name, std::int64_t fallback) {
 double env_double(const std::string& name, double fallback) {
   auto v = env_string(name);
   if (!v) return fallback;
-  std::size_t pos = 0;
-  const double parsed = std::stod(*v, &pos);
-  if (pos != v->size()) {
+  double parsed = 0.0;
+  if (!parse_number(*v, parsed)) {
     throw std::invalid_argument(name + ": not a number: " + *v);
   }
   return parsed;

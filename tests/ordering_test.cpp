@@ -273,18 +273,22 @@ TEST(WeightKindTest, SchedulingWeights) {
 }
 
 TEST(IndexedRemoval, MatchesLinearScanReference) {
-  // Every policy finds a started job by scanning its queue. Drive all four
-  // with a random submit/remove mix (removals from head, middle and tail
-  // alike) and check, after every operation, the contract documented on
-  // OrderingPolicy that the dispatchers' queue index relies on: a submit
-  // that leaves version() unchanged appends at the tail, and a removal
-  // drops exactly the removed job. FCFS must also match a plain vector
-  // doing the scan-and-erase.
+  // Every policy finds a started job by scanning its queue. Drive every
+  // in-tree policy with a random submit/remove mix (removals from head,
+  // middle and tail alike) and check, after every operation, the contract
+  // documented on OrderingPolicy that the dispatchers' queue index and
+  // ListScheduler rely on: a submit that leaves version() unchanged
+  // appends at the tail, and a removal drops exactly the removed job and
+  // never changes version(). FCFS must also match a plain vector doing
+  // the scan-and-erase.
   const auto policies = [] {
     std::vector<std::unique_ptr<OrderingPolicy>> v;
     v.push_back(std::make_unique<FcfsOrder>());
     v.push_back(std::make_unique<PriorityFcfsOrder>());
     v.push_back(std::make_unique<SmartOrder>(SmartParams{}));
+    SmartParams nfiw;
+    nfiw.variant = SmartVariant::kNfiw;
+    v.push_back(std::make_unique<SmartOrder>(nfiw));
     v.push_back(std::make_unique<PsrsOrder>(PsrsParams{}));
     return v;
   }();
@@ -312,6 +316,8 @@ TEST(IndexedRemoval, MatchesLinearScanReference) {
         const JobId victim = reference[pick];
         reference.erase(reference.begin() + static_cast<std::ptrdiff_t>(pick));
         order->on_remove(victim, op);
+        // Only on_submit may reorder.
+        ASSERT_EQ(order->version(), version) << "op " << op;
         // Removing again must throw: the job left the queue.
         if (op % 97 == 0) {
           EXPECT_THROW(order->on_remove(victim, op), std::logic_error);

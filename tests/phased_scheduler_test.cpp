@@ -41,6 +41,37 @@ TEST(PhaseWindow, NextBoundaryExact) {
   EXPECT_EQ(w.next_boundary(4 * kDay + 20 * kHour), 7 * kDay + 7 * kHour);
 }
 
+TEST(PhaseWindow, NextBoundaryFindsSubHourWindows) {
+  // A window or gap shorter than an hour must not be stepped over.
+  EXPECT_EQ((PhaseWindow{10 * kHour, 10 * kHour + 30 * kMinute, false})
+                .next_boundary(9 * kHour + 45 * kMinute),
+            10 * kHour);
+  EXPECT_EQ((PhaseWindow{10 * kHour, 10 * kHour + 59 * kMinute, true})
+                .next_boundary(8 * kHour + 59 * kMinute + 30),
+            10 * kHour);
+  // Wrapping window with a 30-minute gap [10:00, 10:30) each day.
+  const PhaseWindow gap{10 * kHour + 30 * kMinute, 10 * kHour, false};
+  EXPECT_EQ(gap.next_boundary(9 * kHour + 45 * kMinute), 10 * kHour);
+  EXPECT_EQ(gap.next_boundary(10 * kHour), 10 * kHour + 30 * kMinute);
+  EXPECT_EQ(gap.next_boundary(10 * kHour + 30 * kMinute),
+            kDay + 10 * kHour);
+}
+
+TEST(PhaseWindow, NextBoundaryCrossesTheWeekend) {
+  // Friday's sub-hour window closes; the next one opens on Monday.
+  const PhaseWindow brief{10 * kHour, 10 * kHour + 30 * kMinute, true};
+  EXPECT_EQ(brief.next_boundary(4 * kDay + 10 * kHour),
+            4 * kDay + 10 * kHour + 30 * kMinute);
+  EXPECT_EQ(brief.next_boundary(4 * kDay + 10 * kHour + 30 * kMinute),
+            7 * kDay + 10 * kHour);
+  EXPECT_EQ(brief.next_boundary(5 * kDay + 10 * kHour + 15 * kMinute),
+            7 * kDay + 10 * kHour);
+  // A whole-day weekday window changes only at the weekend's midnights.
+  const PhaseWindow weekdays{0, kDay, true};
+  EXPECT_EQ(weekdays.next_boundary(2 * kDay + 5), 5 * kDay);
+  EXPECT_EQ(weekdays.next_boundary(5 * kDay), 7 * kDay);
+}
+
 TEST(PhaseWindow, DegenerateWindowHasNoBoundary) {
   const PhaseWindow all{0, kDay, false};
   EXPECT_EQ(all.next_boundary(123), kTimeInfinity);

@@ -48,7 +48,8 @@ class Differ {
   void expect_queries_agree(std::size_t op, Time from, Duration dur,
                             int nodes) const {
     ASSERT_EQ(fast_.capacity_at(from), ref_.capacity_at(from)) << "op " << op;
-    ASSERT_EQ(fast_.fits(from, dur, nodes), ref_.fits(from, dur, nodes))
+    ASSERT_EQ(fast_.earliest_fit(from, dur, nodes) == from,
+              ref_.fits(from, dur, nodes))
         << "op " << op;
     ASSERT_EQ(fast_.earliest_fit(from, dur, nodes),
               ref_.earliest_fit(from, dur, nodes))
@@ -154,7 +155,7 @@ void run_in_place_fuzz(std::uint64_t seed, std::size_t ops) {
       const Duration dur = aligned ? rng.uniform_int(1, 10) * kStep
                                    : rng.uniform_int(1, 10 * kStep);
       const int nodes = static_cast<int>(rng.uniform_int(1, 8));
-      const bool fits = d.fast().fits(start, dur, nodes);
+      const bool fits = d.fast().earliest_fit(start, dur, nodes) == start;
       ASSERT_EQ(fits, d.ref().fits(start, dur, nodes)) << "op " << op;
       if (fits) {
         d.fast().allocate(start, dur, nodes);
@@ -444,7 +445,7 @@ void run_growth_fit_fuzz(std::uint64_t seed, std::size_t trials) {
     const std::int64_t allocations = rng.uniform_int(20, 80);
     for (std::int64_t k = 0; k < allocations; ++k) {
       const CapacitySpan s = random_span(0);
-      if (profile.fits(s.start, s.end - s.start, s.nodes)) {
+      if (profile.earliest_fit(s.start, s.end - s.start, s.nodes) == s.start) {
         profile.allocate(s.start, s.end - s.start, s.nodes);
         allocated.push_back(s);
       }
@@ -517,7 +518,8 @@ void run_growth_fit_fuzz(std::uint64_t seed, std::size_t trials) {
         growth.push_back(s);
       } else if (dice == 4) {
         const CapacitySpan s = random_span(0);
-        if (profile.fits(s.start, s.end - s.start, s.nodes)) {
+        if (profile.earliest_fit(s.start, s.end - s.start, s.nodes) ==
+            s.start) {
           profile.allocate(s.start, s.end - s.start, s.nodes);
           allocated.push_back(s);
         }

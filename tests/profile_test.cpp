@@ -55,12 +55,14 @@ TEST(Profile, PartialReleaseForEarlyCompletion) {
 }
 
 TEST(Profile, FitsChecksWholeWindow) {
+  // A window fits at its start exactly when the earliest fit from there
+  // is that start.
   Profile p(10);
   p.allocate(50, 50, 8);
-  EXPECT_TRUE(p.fits(0, 50, 10));    // ends exactly at the allocation
-  EXPECT_FALSE(p.fits(0, 51, 3));    // leaks one second into it
-  EXPECT_TRUE(p.fits(0, 51, 2));     // narrow enough to coexist
-  EXPECT_TRUE(p.fits(100, 1000, 10));
+  EXPECT_EQ(p.earliest_fit(0, 50, 10), 0);     // ends exactly at the allocation
+  EXPECT_NE(p.earliest_fit(0, 51, 3), 0);      // leaks one second into it
+  EXPECT_EQ(p.earliest_fit(0, 51, 2), 0);      // narrow enough to coexist
+  EXPECT_EQ(p.earliest_fit(100, 1000, 10), 100);
 }
 
 TEST(Profile, EarliestFitImmediate) {
@@ -187,12 +189,10 @@ TEST(Profile, InfiniteDurationAllocationSaturates) {
   EXPECT_EQ(p.capacity_at(kTimeInfinity - 1), 3);
   EXPECT_EQ(p.breakpoints(), 2u);  // no breakpoint materialized at infinity
   // A window ending exactly at the open-ended range still fits...
-  EXPECT_TRUE(p.fits(0, 100, 8));
   EXPECT_EQ(p.earliest_fit(0, 100, 8), 0);
   // ...and jobs within the remaining capacity run anywhere...
   EXPECT_EQ(p.earliest_fit(0, 1000, 3), 0);
   // ...but a wide job can never run once capacity is held forever.
-  EXPECT_FALSE(p.fits(0, 101, 4));
   EXPECT_THROW(p.earliest_fit(0, 101, 4), std::logic_error);
   // Releasing the open-ended range restores the flat line.
   p.release(100, kTimeInfinity, 5);
@@ -218,8 +218,8 @@ TEST(Profile, EarliestFitWindowReachingInfinitySaturates) {
   Profile p(8);
   p.allocate(0, 100, 8);
   EXPECT_EQ(p.earliest_fit(0, kTimeInfinity, 8), 100);
-  EXPECT_TRUE(p.fits(100, kTimeInfinity, 8));
-  EXPECT_FALSE(p.fits(99, kTimeInfinity, 1));
+  EXPECT_EQ(p.earliest_fit(100, kTimeInfinity, 8), 100);
+  EXPECT_NE(p.earliest_fit(99, kTimeInfinity, 1), 99);
 }
 
 }  // namespace

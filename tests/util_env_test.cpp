@@ -43,6 +43,8 @@ TEST_F(EnvTest, IntParses) {
 TEST_F(EnvTest, IntRejectsGarbage) {
   SetEnv("JSCHED_TEST_INT", "12abc");
   EXPECT_THROW(env_int("JSCHED_TEST_INT", 0), std::invalid_argument);
+  SetEnv("JSCHED_TEST_INT", "9223372036854775808");
+  EXPECT_THROW(env_int("JSCHED_TEST_INT", 0), std::invalid_argument);
 }
 
 TEST_F(EnvTest, DoubleParses) {

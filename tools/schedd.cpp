@@ -46,11 +46,13 @@
 // SIGINT/SIGTERM: first signal drains (stop intake, finish admitted jobs,
 // write the summary), second aborts. The summary JSON is always written,
 // drained or not. Exit codes: 0 clean, 1 verify mismatch / abort, 2 usage.
+#include <cstdint>
 #include <cstdio>
 #include <cstdlib>
 #include <fcntl.h>
 #include <optional>
 #include <string>
+#include <string_view>
 #include <vector>
 
 #include <unistd.h>
@@ -64,6 +66,7 @@
 #include "serve/loadgen.h"
 #include "serve/report.h"
 #include "sim/streaming.h"
+#include "util/number.h"
 #include "util/signals.h"
 #include "workload/ctc_model.h"
 #include "workload/job_source.h"
@@ -124,8 +127,18 @@ struct Cli {
   std::string recovery = "requeue";
   Time checkpoint_interval = kHour;
   Time restart_overhead = 0;
-  int connect_port = 0;  // loadgen: feed a remote daemon instead of serving
+  std::uint16_t connect_port = 0;  // loadgen: feed a remote daemon instead
 };
+
+/// The port of a `tcp:PORT` feed; nullopt for another feed or a bad port.
+std::optional<std::uint16_t> tcp_port(const std::string& feed) {
+  std::uint16_t port = 0;
+  if (feed.rfind("tcp:", 0) != 0 ||
+      !util::parse_number(std::string_view(feed).substr(4), port)) {
+    return std::nullopt;
+  }
+  return port;
+}
 
 std::optional<Cli> parse(const std::vector<std::string>& args) {
   if (args.empty()) return std::nullopt;
@@ -142,58 +155,61 @@ std::optional<Cli> parse(const std::vector<std::string>& args) {
     }
     if (i + 1 >= args.size()) return std::nullopt;
     const std::string& value = args[++i];
+    bool ok = true;  // false: a numeric value that does not parse
     if (flag == "--spec") {
       cli.spec = value;
     } else if (flag == "--feed") {
       cli.feed = value;
+      ok = value.rfind("tcp:", 0) != 0 || tcp_port(value).has_value();
     } else if (flag == "--machine") {
-      cli.machine = std::stoi(value);
+      ok = util::parse_number(value, cli.machine);
     } else if (flag == "--speed") {
-      cli.speed = std::stod(value);
+      ok = util::parse_number(value, cli.speed);
       cli.speed_set = true;
     } else if (flag == "--queue") {
-      cli.queue = std::stoull(value);
+      ok = util::parse_number(value, cli.queue);
     } else if (flag == "--overload") {
       if (value != "block" && value != "shed") return std::nullopt;
       cli.overload = value;
     } else if (flag == "--max-backlog") {
-      cli.max_backlog = std::stoull(value);
+      ok = util::parse_number(value, cli.max_backlog);
     } else if (flag == "--jobs") {
-      cli.jobs = std::stoull(value);
+      ok = util::parse_number(value, cli.jobs);
     } else if (flag == "--seed") {
-      cli.seed = std::stoull(value);
+      ok = util::parse_number(value, cli.seed);
     } else if (flag == "--rate") {
-      cli.rate = std::stod(value);
+      ok = util::parse_number(value, cli.rate);
     } else if (flag == "--horizon") {
-      cli.horizon = static_cast<Time>(std::stoll(value));
+      ok = util::parse_number(value, cli.horizon);
     } else if (flag == "--count") {
-      cli.count = std::stoull(value);
+      ok = util::parse_number(value, cli.count);
     } else if (flag == "--report-interval-ms") {
-      cli.report_interval_ms = std::stol(value);
+      ok = util::parse_number(value, cli.report_interval_ms);
     } else if (flag == "--summary") {
       cli.summary = value;
     } else if (flag == "--journal") {
       cli.journal = value;
     } else if (flag == "--mtbf") {
-      cli.mtbf = std::stod(value);
+      ok = util::parse_number(value, cli.mtbf);
     } else if (flag == "--mttr") {
-      cli.mttr = std::stod(value);
+      ok = util::parse_number(value, cli.mttr);
     } else if (flag == "--fault-seed") {
-      cli.fault_seed = std::stoull(value);
+      ok = util::parse_number(value, cli.fault_seed);
     } else if (flag == "--fault-horizon") {
-      cli.fault_horizon = static_cast<Time>(std::stoll(value));
+      ok = util::parse_number(value, cli.fault_horizon);
     } else if (flag == "--recovery") {
       if (value != "requeue" && value != "checkpoint") return std::nullopt;
       cli.recovery = value;
     } else if (flag == "--checkpoint-interval") {
-      cli.checkpoint_interval = static_cast<Time>(std::stoll(value));
+      ok = util::parse_number(value, cli.checkpoint_interval);
     } else if (flag == "--restart-overhead") {
-      cli.restart_overhead = static_cast<Time>(std::stoll(value));
+      ok = util::parse_number(value, cli.restart_overhead);
     } else if (flag == "--connect") {
-      cli.connect_port = std::stoi(value);
+      ok = util::parse_number(value, cli.connect_port);
     } else {
       return std::nullopt;
     }
+    if (!ok) return std::nullopt;
   }
   return cli;
 }
@@ -316,9 +332,8 @@ int run_serve(const Cli& cli) {
     feed = std::make_unique<serve::FdLineFeed>(fd, /*tail=*/true,
                                                /*close_fd=*/true);
     source_name = cli.feed;
-  } else if (cli.feed.rfind("tcp:", 0) == 0) {
-    const int port = std::stoi(cli.feed.substr(4));
-    auto tcp = std::make_unique<serve::TcpFeed>(static_cast<std::uint16_t>(port));
+  } else if (const std::optional<std::uint16_t> port = tcp_port(cli.feed)) {
+    auto tcp = std::make_unique<serve::TcpFeed>(*port);
     std::fprintf(stderr, "[schedd] listening on 127.0.0.1:%u\n",
                  static_cast<unsigned>(tcp->port()));
     source_name = "tcp:" + std::to_string(tcp->port());
@@ -397,8 +412,7 @@ int run_loadgen(const Cli& cli) {
     // Client mode: stream the generated jobs to a daemon already listening
     // on tcp:PORT, through the reconnect-with-backoff submit client — a
     // daemon restart mid-stream costs retries, not records.
-    serve::TcpSubmitClient client(
-        static_cast<std::uint16_t>(cli.connect_port));
+    serve::TcpSubmitClient client(cli.connect_port);
     std::vector<serve::SubmitRecord> batch;
     std::size_t sent = 0;
     while (true) {

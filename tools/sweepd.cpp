@@ -47,6 +47,7 @@
 #include "eval/shard_driver.h"
 #include "sim/machine.h"
 #include "util/env.h"
+#include "util/number.h"
 #include "util/signals.h"
 #include "util/subprocess.h"
 #include "workload/ctc_model.h"
@@ -93,10 +94,11 @@ std::optional<Cli> parse(const std::vector<std::string>& args) {
     if (i + 1 >= args.size()) return std::nullopt;
     const std::string& flag = args[i];
     const std::string& value = args[i + 1];
+    bool ok = true;  // false: a numeric value that does not parse
     if (flag == "--shards") {
-      cli.shards = static_cast<std::size_t>(std::stoull(value));
+      ok = util::parse_number(value, cli.shards);
     } else if (flag == "--shard-index") {
-      cli.shard_index = static_cast<std::size_t>(std::stoull(value));
+      ok = util::parse_number(value, cli.shard_index);
     } else if (flag == "--journal") {
       cli.journal = value;
     } else if (flag == "--journal-dir") {
@@ -106,14 +108,15 @@ std::optional<Cli> parse(const std::vector<std::string>& args) {
     } else if (flag == "--out") {
       cli.out_json = value;
     } else if (flag == "--restarts") {
-      cli.restarts = static_cast<std::size_t>(std::stoull(value));
+      ok = util::parse_number(value, cli.restarts);
     } else if (flag == "--chaos-shard") {
-      cli.chaos_shard = static_cast<std::size_t>(std::stoull(value));
+      ok = util::parse_number(value, cli.chaos_shard);
     } else if (flag == "--chaos-after") {
-      cli.chaos_after = static_cast<std::size_t>(std::stoull(value));
+      ok = util::parse_number(value, cli.chaos_after);
     } else {
       return std::nullopt;
     }
+    if (!ok) return std::nullopt;
   }
   const bool needs_dir = cli.mode == "run" || cli.mode == "merge";
   if (needs_dir && cli.journal_dir.empty()) return std::nullopt;

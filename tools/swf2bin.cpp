@@ -16,6 +16,7 @@
 #include <string>
 #include <vector>
 
+#include "util/number.h"
 #include "workload/binary.h"
 #include "workload/ctc_model.h"
 #include "workload/swf.h"
@@ -63,8 +64,11 @@ int main(int argc, char** argv) {
 
     if (args.size() == 4 && args[0] == "--ctc") {
       jsched::workload::CtcModelParams params;
-      params.job_count = std::stoull(args[1]);
-      const auto seed = static_cast<std::uint64_t>(std::stoull(args[2]));
+      std::uint64_t seed = 0;
+      if (!jsched::util::parse_number(args[1], params.job_count) ||
+          !jsched::util::parse_number(args[2], seed)) {
+        return usage();
+      }
       jsched::workload::CtcJobSource source(params, seed);
       const std::uint64_t n = convert(source, args[3]);
       std::cout << args[3] << ": " << n << " jobs\n";
