@@ -10,12 +10,14 @@
 //                                               the §6.1 machine trim
 //
 // Any SWF trace from the Parallel Workloads Archive (e.g. the real
-// CTC SP2 trace the paper uses) can be dropped in.
+// CTC SP2 trace the paper uses) can be dropped in. A count or seed that is
+// not wholly a number in range prints the usage and exits 2.
 #include <algorithm>
+#include <cstdint>
 #include <cstdio>
-#include <cstdlib>
 #include <string>
 
+#include "util/number.h"
 #include "util/table.h"
 #include "workload/ctc_model.h"
 #include "workload/stats_model.h"
@@ -41,7 +43,7 @@ int usage() {
 int cmd_gen_ctc(int argc, char** argv) {
   if (argc < 3) return usage();
   workload::CtcModelParams p;
-  if (argc > 3) p.job_count = static_cast<std::size_t>(std::atoll(argv[3]));
+  if (argc > 3 && !util::parse_number(argv[3], p.job_count)) return usage();
   const auto w = workload::generate_ctc(p, 19990412);
   workload::write_swf_file(argv[2], w);
   std::printf("wrote %zu jobs to %s\n", w.size(), argv[2]);
@@ -84,11 +86,13 @@ int cmd_fit(int argc, char** argv) {
 }
 
 int cmd_resample(int argc, char** argv) {
-  if (argc < 5) return usage();
+  std::size_t jobs = 0;
+  std::uint64_t seed = 1;
+  if (argc < 5 || !util::parse_number(argv[4], jobs) ||
+      (argc > 5 && !util::parse_number(argv[5], seed))) {
+    return usage();
+  }
   const auto source = workload::read_swf_file(argv[2]);
-  const auto jobs = static_cast<std::size_t>(std::atoll(argv[4]));
-  const auto seed =
-      argc > 5 ? static_cast<std::uint64_t>(std::atoll(argv[5])) : 1u;
   const auto sampled = workload::generate_probabilistic(source, jobs, seed);
   workload::write_swf_file(argv[3], sampled);
   std::printf("resampled %zu jobs from %s into %s\n", sampled.size(), argv[2],
@@ -97,10 +101,11 @@ int cmd_resample(int argc, char** argv) {
 }
 
 int cmd_trim(int argc, char** argv) {
-  if (argc < 5) return usage();
+  int nodes = 0;
+  if (argc < 5 || !util::parse_number(argv[4], nodes)) return usage();
   const auto w = workload::read_swf_file(argv[2]);
   std::size_t dropped = 0;
-  const auto trimmed = workload::trim_to_machine(w, std::atoi(argv[4]), &dropped);
+  const auto trimmed = workload::trim_to_machine(w, nodes, &dropped);
   workload::write_swf_file(argv[3], trimmed);
   std::printf("dropped %zu of %zu jobs wider than %s nodes; wrote %s\n",
               dropped, w.size(), argv[4], argv[3]);

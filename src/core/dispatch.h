@@ -6,7 +6,10 @@
 //  * FirstFitDispatch — the classical Garey&Graham list scheduling (§5.3):
 //    "always starts the next job for which enough resources are
 //    available"; backfilling is a no-op on top of this by construction.
-//    It searches its wait queue through a QueueIndex, like EASY.
+//    It searches its wait queue through a QueueIndex, like EASY, and
+//    resumes at the last select's frontier while the free nodes are
+//    those it left: a job it passed over needed more, whatever completed
+//    since.
 //  * EasyBackfillDispatch / ConservativeBackfillDispatch — §5.2, in their
 //    own headers.
 #pragma once
@@ -107,6 +110,7 @@ class HeadOnlyDispatch final : public Dispatcher {
 /// library's op counts.
 struct SelectStats {
   std::uint64_t selects = 0;         ///< select() calls
+  std::uint64_t settled = 0;         ///< selects resumed at a frontier
   std::uint64_t shadows = 0;         ///< EASY shadow-time computations
   std::uint64_t tie_sorts = 0;       ///< shadows left to EASY's sorted copy
   std::uint64_t slots_examined = 0;  ///< queue slots and index nodes read
@@ -133,9 +137,16 @@ class FirstFitDispatch final : public Dispatcher {
   const SelectStats& select_stats() const noexcept { return stats_; }
 
  private:
+  /// Append to `picked` every slot at or after `from` that fits, in queue
+  /// order, each with the nodes the ones before it left; returns the free
+  /// nodes left after them.
+  int search(std::size_t from, int free_nodes, std::uint64_t& examined,
+             std::vector<std::size_t>& picked) const;
+
   const JobStore* store_ = nullptr;
   QueueIndex queue_;
   SelectStats stats_;
+  std::vector<std::size_t> picked_;  // scratch: this select's slots
 };
 
 }  // namespace jsched::core

@@ -21,11 +21,14 @@ void insert_sorted(std::vector<End>& ends, End e) {
 
 }  // namespace
 
-void EasyBackfillDispatch::reset(const sim::Machine&, const JobStore& store) {
+void EasyBackfillDispatch::reset(const sim::Machine& machine,
+                                 const JobStore& store) {
   store_ = &store;
   queue_.clear();
   stats_ = {};
   running_ends_.clear();
+  // Every pick takes a node: no select grows the buffer after this.
+  picked_.reserve(static_cast<std::size_t>(machine.nodes));
 }
 
 void EasyBackfillDispatch::on_start(JobId id, Time now) {
@@ -47,6 +50,7 @@ void EasyBackfillDispatch::on_complete(JobId id, Time, Time estimated_end,
         "EasyBackfillDispatch: completion for job not started");
   }
   running_ends_.erase(it);
+  queue_.unsettle();
 }
 
 void EasyBackfillDispatch::adopt(Time now, const std::vector<JobId>& order,
@@ -101,13 +105,13 @@ EasyBackfillDispatch::ordered_shadow(Time now, int free_nodes,
 
 EasyBackfillDispatch::Shadow EasyBackfillDispatch::sorted_shadow(
     Time now, int free_nodes, int need, const std::vector<RunningJob>& running,
-    const std::vector<JobId>& starts) {
+    const std::vector<std::size_t>& greedy) {
   // Running jobs, then this round's greedy starts, in that order: where
   // the unstable sort leaves tied jobs depends on this exact sequence.
   active_.assign(running.begin(), running.end());
-  for (JobId id : starts) {
-    const Job& j = store_->get(id);
-    active_.push_back({id, now, now + j.estimate, j.nodes});
+  for (std::size_t p : greedy) {
+    const QueueIndex::Slot& j = queue_.slot(p);
+    active_.push_back({j.id, now, now + j.estimate, j.nodes});
   }
   std::sort(active_.begin(), active_.end(),
             [](const RunningJob& a, const RunningJob& b) {
@@ -123,6 +127,84 @@ EasyBackfillDispatch::Shadow EasyBackfillDispatch::sorted_shadow(
   return Shadow{shadow, avail - need};
 }
 
+EasyBackfillDispatch::Outcome EasyBackfillDispatch::search(
+    Time now, int free_nodes, std::size_t from, const Shadow& settled,
+    const std::vector<RunningJob>& running, SelectStats& stats,
+    std::vector<std::size_t>& picked) {
+  std::uint64_t& examined = stats.slots_examined;
+
+  // Greedy phase: start head jobs while they fit. At a frontier the head
+  // is the one the settling select left blocked, and it still is.
+  std::size_t head = queue_.next_live(0, examined);
+  while (head != QueueIndex::npos && queue_.slot(head).nodes <= free_nodes) {
+    free_nodes -= queue_.slot(head).nodes;
+    picked.push_back(head);
+    head = queue_.next_live(head + 1, examined);
+  }
+  if (head == QueueIndex::npos) return {free_nodes, std::nullopt, false};
+  // Without a job behind the blocked head that fits the free nodes there
+  // is nothing to backfill, and the reservation would go unused. Behind
+  // the frontier every job was passed over.
+  std::size_t p = queue_.find(std::max(head + 1, from), free_nodes,
+                              QueueIndex::kAnyEstimate, 0, examined);
+  if (p == QueueIndex::npos) {
+    if (from == 0) return {free_nodes, std::nullopt, false};
+    return {free_nodes, settled, true};  // the reservation stands
+  }
+  Shadow shadow = settled;
+  bool settles = true;
+  if (from == 0) {
+    // Reservation for the head: walk the estimated ends of the running
+    // jobs and this round's greedy starts until enough nodes accumulate.
+    ++stats.shadows;
+    start_ends_.clear();
+    for (std::size_t g : picked) {
+      const QueueIndex::Slot& j = queue_.slot(g);
+      insert_sorted(start_ends_, End{now + j.estimate, j.nodes});
+    }
+    const int head_nodes = queue_.slot(head).nodes;
+    const std::optional<Shadow> ordered =
+        ordered_shadow(now, free_nodes, head_nodes);
+#ifndef NDEBUG
+    if (ordered) {  // wherever the walk answers, the sort agrees
+      const Shadow sorted =
+          sorted_shadow(now, free_nodes, head_nodes, running, picked);
+      assert(*ordered == sorted);
+    }
+#endif
+    if (ordered) {
+      shadow = *ordered;
+    } else {
+      ++stats.tie_sorts;
+      settles = false;
+      shadow = sorted_shadow(now, free_nodes, head_nodes, running, picked);
+    }
+  }
+  // Whatever the head does not need may be held past the shadow time by
+  // backfilled jobs.
+  const Duration window = shadow.time - now;
+
+  // Backfill phase: any later job may start now if it fits and does not
+  // disturb the head's reservation. Free and extra nodes only fall, so
+  // each search resumes behind the previous start.
+  for (p = queue_.find(p, free_nodes, window, shadow.extra, examined);
+       p != QueueIndex::npos;
+       p = queue_.find(p + 1, free_nodes, window, shadow.extra, examined)) {
+    const QueueIndex::Slot& j = queue_.slot(p);
+    free_nodes -= j.nodes;
+    if (j.estimate > window) {
+      shadow.extra -= j.nodes;  // held past the shadow
+    } else if (j.estimate == window) {
+      // It joins the jobs ending at the shadow time, and the extra nodes
+      // the next walk finds there could depend on their order.
+      settles = false;
+    }
+    picked.push_back(p);
+    if (free_nodes == 0) break;
+  }
+  return {free_nodes, shadow, settles};
+}
+
 void EasyBackfillDispatch::select(
     Time now, int free_nodes, [[maybe_unused]] const std::vector<JobId>& order,
     const std::vector<RunningJob>& running, std::vector<JobId>& starts) {
@@ -131,59 +213,29 @@ void EasyBackfillDispatch::select(
   assert(queue_.lists(order));
   assert(running_ends_.size() == running.size());
   ++stats_.selects;
-  std::uint64_t& examined = stats_.slots_examined;
-
-  // Greedy phase: start head jobs while they fit.
-  std::size_t head = queue_.next_live(0, examined);
-  while (head != QueueIndex::npos && queue_.slot(head).nodes <= free_nodes) {
-    free_nodes -= queue_.slot(head).nodes;
-    starts.push_back(queue_.take(head));
-    head = queue_.next_live(head + 1, examined);
-  }
-  if (head == QueueIndex::npos) return;
-  // Without a job behind the blocked head that fits the free nodes there
-  // is nothing to backfill, and the reservation would go unused.
-  std::size_t p = queue_.find(head + 1, free_nodes, QueueIndex::kAnyEstimate,
-                              0, examined);
-  if (p == QueueIndex::npos) return;
-
-  // Reservation for the head: walk the estimated ends of the running jobs
-  // and this round's greedy starts until enough nodes accumulate.
-  ++stats_.shadows;
-  start_ends_.clear();
-  for (JobId id : starts) {
-    const Job& j = store_->get(id);
-    insert_sorted(start_ends_, End{now + j.estimate, j.nodes});
-  }
-  const int head_nodes = queue_.slot(head).nodes;
-  std::optional<Shadow> shadow = ordered_shadow(now, free_nodes, head_nodes);
+  // Resume at the frontier while its shadow time lies ahead.
+  std::size_t from = queue_.frontier(free_nodes);
+  if (from != 0 && settled_.time <= now) from = 0;
+  if (from != 0) ++stats_.settled;
+  picked_.clear();
+  const Outcome out =
+      search(now, free_nodes, from, settled_, running, stats_, picked_);
 #ifndef NDEBUG
-  if (shadow) {  // wherever the walk answers, the sort agrees
-    const Shadow sorted =
-        sorted_shadow(now, free_nodes, head_nodes, running, starts);
-    assert(*shadow == sorted);
+  if (from != 0) {  // the full search, with a fresh shadow, agrees
+    SelectStats unused;
+    std::vector<std::size_t> full;
+    const Outcome fresh =
+        search(now, free_nodes, 0, settled_, running, unused, full);
+    assert(full == picked_);
+    assert(!fresh.shadow || fresh.shadow == out.shadow);
   }
 #endif
-  if (!shadow) {
-    ++stats_.tie_sorts;
-    shadow = sorted_shadow(now, free_nodes, head_nodes, running, starts);
-  }
-  // Whatever the head does not need may be held past the shadow time by
-  // backfilled jobs.
-  int extra = shadow->extra;
-  const Duration window = shadow->time - now;
-
-  // Backfill phase: any later job may start now if it fits and does not
-  // disturb the head's reservation. Free and extra nodes only fall, so
-  // each search resumes behind the previous start.
-  for (p = queue_.find(p, free_nodes, window, extra, examined);
-       p != QueueIndex::npos;
-       p = queue_.find(p + 1, free_nodes, window, extra, examined)) {
-    const QueueIndex::Slot& j = queue_.slot(p);
-    free_nodes -= j.nodes;
-    if (j.estimate > window) extra -= j.nodes;  // held past the shadow
-    starts.push_back(queue_.take(p));
-    if (free_nodes == 0) break;
+  for (std::size_t p : picked_) starts.push_back(queue_.take(p));
+  if (out.settles) {
+    settled_ = *out.shadow;
+    queue_.settle(out.free_nodes);
+  } else {
+    queue_.unsettle();
   }
 }
 

@@ -28,6 +28,14 @@
 // the answer can depend on where that unstable sort put them. The walk
 // answers every tie whose answer is the same in any order; for the others
 // select() sorts a copy of that sequence.
+//
+// A passed-over job can start only once the free nodes, the shadow time or
+// the extra nodes change, and none of them changes until a job completes
+// or the capacity changes. So a select settles a frontier at the end of
+// the queue with the reservation it left, and the next select, if it sees
+// the same free nodes with no completion or reorder between, searches only
+// the jobs queued since against that reservation. DESIGN §5 item 2 gives
+// the argument and the conditions.
 #pragma once
 
 #include <optional>
@@ -76,20 +84,43 @@ class EasyBackfillDispatch final : public Dispatcher {
   /// time leaves the extra nodes to the order of the sort.
   std::optional<Shadow> ordered_shadow(Time now, int free_nodes,
                                        int need) const;
-  /// The same reservation by copying `running` + `starts` and sorting the
-  /// copy with std::sort: the rule the order-sensitive ties follow.
+  /// The same reservation by copying `running` + the greedy starts
+  /// `greedy` and sorting the copy with std::sort: the rule the
+  /// order-sensitive ties follow.
   [[gnu::cold]] Shadow sorted_shadow(Time now, int free_nodes, int need,
                                      const std::vector<RunningJob>& running,
-                                     const std::vector<JobId>& starts);
+                                     const std::vector<std::size_t>& greedy);
+
+  /// How a search ended: the free nodes its picks left and, when it
+  /// backfilled behind a blocked head, the head's reservation with the
+  /// extra nodes the picks left.
+  struct Outcome {
+    int free_nodes;
+    std::optional<Shadow> shadow;
+    /// The next select may resume at this frontier: the shadow came from
+    /// the order-free walk and no backfill ends at its time.
+    bool settles;
+  };
+  /// The one search a select makes, appending the slots to start to
+  /// `picked`: greedy starts from the head, then backfills behind it. With
+  /// `from` 0 it computes the head's reservation; otherwise it resumes at
+  /// the frontier `from` with the reservation `settled`.
+  Outcome search(Time now, int free_nodes, std::size_t from,
+                 const Shadow& settled,
+                 const std::vector<RunningJob>& running, SelectStats& stats,
+                 std::vector<std::size_t>& picked);
 
   const JobStore* store_ = nullptr;
   QueueIndex queue_;
   SelectStats stats_;
   // The running set, sorted by estimated end (ties in no set order).
   std::vector<End> running_ends_;
+  // The reservation the queue's settled frontier was left with.
+  Shadow settled_{};
   // Scratch, kept as members so the per-event hot path reuses their
-  // capacity: this round's greedy starts sorted by estimated end, and the
-  // copy the sorted fallback sorts.
+  // capacity: this select's slots, its greedy starts sorted by estimated
+  // end, and the copy the sorted fallback sorts.
+  std::vector<std::size_t> picked_;
   std::vector<End> start_ends_;
   std::vector<RunningJob> active_;
 };

@@ -85,8 +85,10 @@ void QueueIndex::push_back(const Job& job) {
 }
 
 void QueueIndex::begin_round() {
+  settled_ = settled_ && erased_ == taken_.size();
   taken_.clear();
   next_taken_ = 0;
+  erased_ = 0;
   if (end_ - live_ > live_) {
     gather_live();
     rebuild(scratch_);
@@ -108,6 +110,7 @@ void QueueIndex::erase(JobId id) {
       const Slot gone = s;
       s = Slot{};
       --live_;
+      ++erased_;
       repair_up(taken_[i], gone);
       while (front_ < end_ && slots_[front_].nodes == kTombstone) ++front_;
       next_taken_ = i + 1;
@@ -179,6 +182,8 @@ void QueueIndex::rebuild(const std::vector<Slot>& live) {
   front_ = 0;
   taken_.clear();
   next_taken_ = 0;
+  erased_ = 0;
+  settled_ = false;
 }
 
 void QueueIndex::gather_live() {

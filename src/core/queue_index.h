@@ -29,6 +29,12 @@
 // and relies on the ordering contract documented on OrderingPolicy:
 // between reorders, a submitted job joins at the tail and a job leaves
 // only when it starts.
+//
+// A round can also leave a settled frontier: the end of the slots it
+// searched and the free nodes it left. Until the index is rebuilt, a taken
+// job fails to start, the free nodes change or the dispatcher drops the
+// frontier, every live slot behind it still fails the round's test, so the
+// next round need search only the slots appended since.
 #pragma once
 
 #include <array>
@@ -66,8 +72,25 @@ class QueueIndex {
 
   /// Start a selection round: forget the previous round's taken slots and
   /// compact the tombstones if they outnumber the live slots (slot
-  /// positions from before the call are then stale).
+  /// positions from before the call are then stale, and the frontier is
+  /// dropped). A job the previous round took that did not start also
+  /// drops the frontier.
   void begin_round();
+  /// Where this round may resume its search, when `free_nodes` are free:
+  /// the frontier of the last settle(), if it still stands and left
+  /// exactly `free_nodes`; 0, the front, otherwise.
+  std::size_t frontier(int free_nodes) const {
+    return settled_ && free_nodes == settled_free_ ? frontier_ : 0;
+  }
+  /// End the round at a frontier: every live slot it did not take failed
+  /// its test with `free_nodes` (or more) free, and it leaves `free_nodes`.
+  void settle(int free_nodes) {
+    frontier_ = end_;
+    settled_free_ = free_nodes;
+    settled_ = true;
+  }
+  /// Drop the frontier: the round's test may pass slots it failed.
+  void unsettle() { settled_ = false; }
   /// Record live slot `p` as selected in this round and return its job.
   /// The slot stays live until erase() reports the job started.
   JobId take(std::size_t p);
@@ -137,7 +160,13 @@ class QueueIndex {
   /// Slots taken by the current round, in the order taken.
   std::vector<std::size_t> taken_;
   std::size_t next_taken_ = 0;  // where erase() looks first
+  std::size_t erased_ = 0;      // taken slots erase() has tombstoned
   std::vector<Slot> scratch_;
+  // The settled frontier: slots [0, frontier_) were searched with
+  // settled_free_ nodes free.
+  std::size_t frontier_ = 0;
+  int settled_free_ = 0;
+  bool settled_ = false;
 };
 
 }  // namespace jsched::core

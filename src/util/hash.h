@@ -4,6 +4,8 @@
 // disk, so the constants and the byte order never change.
 #pragma once
 
+#include <array>
+#include <cstddef>
 #include <cstdint>
 #include <string_view>
 
@@ -22,15 +24,29 @@ constexpr std::uint64_t fnv1a(std::string_view data) noexcept {
   return h;
 }
 
+/// kFnvPrime^k mod 2^64 at index k: k zero bytes folded in at once.
+inline constexpr std::array<std::uint64_t, 9> kFnvPrimePowers = [] {
+  std::array<std::uint64_t, 9> powers{};
+  powers[0] = 1;
+  for (std::size_t k = 1; k < powers.size(); ++k) {
+    powers[k] = powers[k - 1] * kFnvPrime;
+  }
+  return powers;
+}();
+
 /// `h` with the 8 bytes of `v` folded in, least significant byte first:
 /// the step every fingerprint takes per 64-bit field. Inline because the
 /// streaming paths mix about a dozen words per job.
 constexpr std::uint64_t fnv1a_mix(std::uint64_t h, std::uint64_t v) noexcept {
-  for (int byte = 0; byte < 8; ++byte) {
-    h ^= (v >> (8 * byte)) & 0xffu;
+  // Xor with a zero byte changes nothing, so once the rest of `v` is zero
+  // its k remaining bytes cost one multiply by kFnvPrime^k, not k serial
+  // multiplies. Fields are mostly small, so most of their bytes are zero.
+  std::size_t byte = 0;
+  for (; v != 0; ++byte, v >>= 8) {
+    h ^= v & 0xffu;
     h *= kFnvPrime;
   }
-  return h;
+  return h * kFnvPrimePowers[8 - byte];
 }
 
 }  // namespace jsched::util

@@ -547,16 +547,172 @@ TEST(QueueIndexDifferential, ShadowTiesPastSixteenRunning) {
     const auto linear = list_of<FcfsOrder>(Pick::kEasy, true);
     expect_same_selection(*indexed, *linear, distinct, kNodes,
                           "FCFS+EASY, distinct ends");
+    // Each select either walks to a fresh shadow or resumes at the last
+    // select's frontier with the shadow that walk found.
     const SelectStats& stats = stats_of(indexed->dispatcher());
-    EXPECT_GT(stats.shadows, 40u);
+    EXPECT_GT(stats.shadows + stats.settled, 40u);
     EXPECT_EQ(stats.tie_sorts, 0u);
+  }
+}
+
+TEST(QueueIndexDifferential, SettledFrontierHoldsOnlyWhileNothingMoves) {
+  // A select settles a frontier, and the next resumes there only while
+  // every job it picked started, the index was not rebuilt, the free nodes
+  // are the ones it left and, for EASY, no job completed. Arrivals and the
+  // select the kernel repeats at an instant after every round of starts
+  // keep the frontier. A drain-window veto, a reorder at an adoption, a
+  // kill, and an idle node failing or rejoining (which moves the free
+  // nodes with no completion) must each drop it.
+  const auto w = random_workload(37, 2000, kNodes, 40.0);
+  // Three nodes fail for twenty minutes every three hours: on a full
+  // machine that kills, with idle nodes it only shrinks the free nodes.
+  std::vector<fault::FailureEvent> events;
+  for (Time t = kHour; t < 4 * kDay; t += 3 * kHour) {
+    events.push_back({t, -3});
+    events.push_back({t + 20 * kMinute, 3});
+  }
+  const fault::FailureTrace trace = fault::make_failure_trace(events, kNodes);
+  sim::SimOptions faulty;
+  faulty.faults.trace = &trace;
+  const PhaseWindow course{10 * kHour, 11 * kHour, true};
+  for (Pick pick : {Pick::kEasy, Pick::kFirstFit}) {
+    const std::string label = std::string("FCFS+") + to_string(pick);
+    {
+      const auto indexed = list_of<FcfsOrder>(pick, false);
+      const auto linear = list_of<FcfsOrder>(pick, true);
+      const auto run =
+          expect_same_selection(*indexed, *linear, w, kNodes, label);
+      EXPECT_GT(stats_of(indexed->dispatcher()).settled, 0u) << label;
+      std::size_t repeats = 0;  // selects at the instant of the one before
+      for (std::size_t i = 1; i < run.rounds.size(); ++i) {
+        if (run.rounds[i].now == run.rounds[i - 1].now) ++repeats;
+      }
+      EXPECT_GT(repeats, 1000u) << label;
+    }
+    {
+      auto inner = make_dispatch(pick, false);
+      const Dispatcher& vetoed_inner = *inner;
+      auto drain = std::make_unique<DrainWindowDispatch>(std::move(inner),
+                                                         course);
+      const DrainWindowDispatch& vetoes = *drain;
+      ListScheduler indexed(std::make_unique<FcfsOrder>(), std::move(drain));
+      ListScheduler linear(std::make_unique<FcfsOrder>(),
+                           std::make_unique<DrainWindowDispatch>(
+                               make_dispatch(pick, true), course));
+      expect_same_selection(indexed, linear, w, kNodes, label + "+DRAIN");
+      EXPECT_GT(vetoes.vetoed(), 0u) << label;
+      EXPECT_GT(stats_of(vetoed_inner).settled, 0u) << label;
+    }
+    {
+      const auto indexed = list_of<FcfsOrder>(pick, false);
+      const auto linear = list_of<FcfsOrder>(pick, true);
+      const auto run = expect_same_selection(*indexed, *linear, w, kNodes,
+                                             "faulty " + label, faulty);
+      EXPECT_GT(stats_of(indexed->dispatcher()).settled, 0u) << label;
+      std::size_t quiet_drops = 0;  // failures that killed nothing
+      for (const fault::FailureEvent& e : trace.events) {
+        const bool killed = std::any_of(
+            run.schedule.attempts.begin(), run.schedule.attempts.end(),
+            [&](const sim::AttemptRecord& a) { return a.end == e.t; });
+        if (e.delta < 0 && !killed) ++quiet_drops;
+      }
+      EXPECT_GT(quiet_drops, 0u) << label;
+      EXPECT_FALSE(run.schedule.attempts.empty()) << label << " kills";
+    }
+  }
+  {
+    // Jobs that share estimated ends: a shadow left to the sorted copy, or
+    // joined by a backfill ending at the shadow time, must not settle.
+    const auto shared = shared_ends_workload(313, 1500);
+    const auto indexed = list_of<FcfsOrder>(Pick::kEasy, false);
+    const auto linear = list_of<FcfsOrder>(Pick::kEasy, true);
+    expect_same_selection(*indexed, *linear, shared, kNodes,
+                          "FCFS+EASY, shared ends");
+    const SelectStats& stats = stats_of(indexed->dispatcher());
+    EXPECT_GT(stats.tie_sorts, 0u);
+    EXPECT_GT(stats.settled, 0u);
+  }
+  // EASY by day and first fit by night: every flip adopts the queue.
+  auto easy = make_dispatch(Pick::kEasy, false);
+  auto first_fit = make_dispatch(Pick::kFirstFit, false);
+  const Dispatcher& day = *easy;
+  const Dispatcher& night = *first_fit;
+  const PhaseWindow daytime{7 * kHour, 20 * kHour, true};
+  PhasedScheduler indexed(daytime, std::make_unique<FcfsOrder>(),
+                          std::move(easy), std::make_unique<FcfsOrder>(),
+                          std::move(first_fit));
+  PhasedScheduler linear(daytime, std::make_unique<FcfsOrder>(),
+                         make_dispatch(Pick::kEasy, true),
+                         std::make_unique<FcfsOrder>(),
+                         make_dispatch(Pick::kFirstFit, true));
+  expect_same_selection(indexed, linear, w, kNodes,
+                        "day[FCFS+EASY]/night[FCFS+FF]");
+  EXPECT_GT(indexed.phase_flips(), 2u);
+  EXPECT_GT(stats_of(day).settled, 0u);
+  EXPECT_GT(stats_of(night).settled, 0u);
+}
+
+TEST(QueueIndexDifferential, SettledFrontierSeesWhatTheFreeNodesHide) {
+  // Idle nodes failing at the instant of a change can leave the free nodes
+  // where the last select left them. On 12 nodes:
+  //  * A completion: at t=50 job 0 ends early and 3 idle nodes fail. The
+  //    head (8 nodes) now has 2 free and 1 + 6 more by t=1000, so 1 extra
+  //    node, not the 4 it had: job 4 (2 nodes, past the shadow) must wait.
+  //  * A veto: at t=1 job 2 (2 nodes) fits but would run into the drain
+  //    window at t=72000, so it does not start; at t=5 2 idle nodes fail.
+  //    Job 2 still fits first, so job 3 (4 nodes) must wait.
+  const auto completion = test::make_workload({
+      make_job(0, 3, 50, 100),
+      make_job(0, 6, 1000, 1000),
+      make_job(1, 8, 10, 10),     // head: blocked until t=1000
+      make_job(1, 1, 500, 500),   // backfills before the shadow
+      make_job(50, 2, 100, 5000),
+  });
+  const fault::FailureTrace lost_three =
+      fault::make_failure_trace({{50, -3}, {5000, 3}}, 12);
+  const auto veto = test::make_workload({
+      make_job(0, 6, 70000, 70000),
+      make_job(1, 8, 10, 10),     // head: blocked until t=70000
+      make_job(1, 2, 100, 72000),
+      make_job(5, 4, 100, 100),
+  });
+  const fault::FailureTrace lost_two =
+      fault::make_failure_trace({{5, -2}, {100000, 2}}, 12);
+  const PhaseWindow drain{20 * kHour, 21 * kHour, false};
+  for (Pick pick : {Pick::kEasy, Pick::kFirstFit}) {
+    const std::string label = std::string("FCFS+") + to_string(pick);
+    sim::SimOptions options;
+    options.faults.trace = &lost_three;
+    {
+      const auto indexed = list_of<FcfsOrder>(pick, false);
+      const auto linear = list_of<FcfsOrder>(pick, true);
+      const auto run = expect_same_selection(
+          *indexed, *linear, completion, 12, label + ", completion", options);
+      EXPECT_TRUE(run.schedule.attempts.empty()) << label;
+      if (pick == Pick::kEasy) {
+        EXPECT_GT(run.schedule[4].start, 50) << label;
+      }
+    }
+    options.faults.trace = &lost_two;
+    ListScheduler indexed(std::make_unique<FcfsOrder>(),
+                          std::make_unique<DrainWindowDispatch>(
+                              make_dispatch(pick, false), drain));
+    ListScheduler linear(std::make_unique<FcfsOrder>(),
+                         std::make_unique<DrainWindowDispatch>(
+                             make_dispatch(pick, true), drain));
+    const auto run = expect_same_selection(indexed, linear, veto, 12,
+                                           label + "+DRAIN, veto", options);
+    EXPECT_TRUE(run.schedule.attempts.empty()) << label;
+    EXPECT_GT(run.schedule[2].start, 5) << label;
+    EXPECT_GT(run.schedule[3].start, 5) << label;
   }
 }
 
 TEST(QueueIndexDifferential, SelectStatsCountTheSearch) {
   // The deterministic gate for the index: the same rounds and shadow
-  // computations only where a job behind the blocked head fits, at a
-  // tenth of the slots the linear scans read.
+  // computations only where a job behind the blocked head fits and no
+  // frontier carries the last shadow over, at a tenth of the slots the
+  // linear scans read.
   const auto w = deep_backlog();
   for (Pick pick : {Pick::kEasy, Pick::kFirstFit}) {
     SelectStats stats[2];
@@ -577,11 +733,13 @@ TEST(QueueIndexDifferential, SelectStatsCountTheSearch) {
         << linear.slots_examined;
     if (pick == Pick::kEasy) {
       EXPECT_EQ(indexed.selects, 10297u);
-      EXPECT_EQ(indexed.shadows, 4257u);  // a job fit behind the head
+      EXPECT_EQ(indexed.shadows, 3552u);
+      EXPECT_EQ(indexed.settled, 5848u);
       EXPECT_EQ(indexed.tie_sorts, 0u);   // no tie the walk left to a sort
       EXPECT_EQ(linear.shadows, 10290u);  // the head was blocked
     } else {
       EXPECT_EQ(indexed.selects, 10644u);
+      EXPECT_EQ(indexed.settled, 6637u);
       EXPECT_EQ(indexed.shadows, 0u);
     }
   }

@@ -35,7 +35,7 @@
 // fingerprint — `replay --journal J --verify-offline` proves it against
 // the offline simulator. JSCHED_SERVE_CHAOS=N (requires --journal) kills
 // the process with SIGKILL after N journal appends: the crash drill the
-// CI serve-recovery job runs.
+// CI serve-recovery job runs. An N that is not wholly a count exits 2.
 //
 // Faults: --mtbf S (per-node mean seconds between failures; 0 = off)
 // generates a deterministic failure trace (--mttr, --fault-seed,
@@ -214,6 +214,17 @@ std::optional<Cli> parse(const std::vector<std::string>& args) {
   return cli;
 }
 
+/// JSCHED_SERVE_CHAOS: the journal appends after which the daemon kills
+/// itself, 0 (never) when unset; nullopt when it is not wholly a count.
+std::optional<std::size_t> chaos_kill_after() {
+  std::size_t appends = 0;
+  const char* chaos = std::getenv("JSCHED_SERVE_CHAOS");
+  if (chaos != nullptr && !util::parse_number(chaos, appends)) {
+    return std::nullopt;
+  }
+  return appends;
+}
+
 serve::ServeOptions serve_options(const Cli& cli) {
   serve::ServeOptions options;
   options.machine.nodes = cli.machine;
@@ -228,9 +239,7 @@ serve::ServeOptions serve_options(const Cli& cli) {
     std::fprintf(stderr, "[schedd] %s\n", line.c_str());
   };
   options.poll_signal = [] { return util::SignalDrain::count(); };
-  if (const char* chaos = std::getenv("JSCHED_SERVE_CHAOS")) {
-    options.chaos_kill_after_appends = std::strtoull(chaos, nullptr, 10);
-  }
+  options.chaos_kill_after_appends = chaos_kill_after().value_or(0);
   return options;
 }
 
@@ -451,6 +460,11 @@ int main(int argc, char** argv) {
   const std::vector<std::string> args(argv + 1, argv + argc);
   const std::optional<Cli> cli = parse(args);
   if (!cli.has_value()) return usage();
+  if (!chaos_kill_after().has_value()) {
+    std::fprintf(stderr, "schedd: JSCHED_SERVE_CHAOS is not a count: %s\n",
+                 std::getenv("JSCHED_SERVE_CHAOS"));
+    return 2;
+  }
   util::SignalDrain drain;
   try {
     if (cli->mode == "serve") return run_serve(*cli);
