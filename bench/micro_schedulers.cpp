@@ -283,6 +283,7 @@ void BM_ConservativeIncrementalReplan(benchmark::State& state) {
 
   const core::ConservativeParams params;  // defaults: screened prefix replan
   core::ConservativeBackfillDispatch::ReplanStats total;
+  sim::Profile::Upkeep upkeep;
   for (auto _ : state) {
     state.PauseTiming();
     auto dispatch =
@@ -301,6 +302,8 @@ void BM_ConservativeIncrementalReplan(benchmark::State& state) {
     total.certified += st.certified;
     total.moved += st.moved;
     total.cursor_restarts += st.cursor_restarts;
+    upkeep.slots_moved += d->profile().upkeep().slots_moved;
+    upkeep.leaves_rewritten += d->profile().upkeep().leaves_rewritten;
     state.ResumeTiming();
   }
   const auto per_iter = [&](std::uint64_t v) {
@@ -314,6 +317,10 @@ void BM_ConservativeIncrementalReplan(benchmark::State& state) {
   state.counters["certified"] = per_iter(total.certified);
   state.counters["moved"] = per_iter(total.moved);
   state.counters["cursor_restarts"] = per_iter(total.cursor_restarts);
+  // The profile's upkeep: breakpoint slots its edits shifted and tree
+  // leaves its repairs rewrote.
+  state.counters["slots_moved"] = per_iter(upkeep.slots_moved);
+  state.counters["leaves_rewritten"] = per_iter(upkeep.leaves_rewritten);
   state.SetComplexityN(state.range(0));
 }
 BENCHMARK(BM_ConservativeIncrementalReplan)

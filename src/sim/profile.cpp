@@ -2,8 +2,8 @@
 
 #include <algorithm>
 #include <cassert>
+#include <charconv>
 #include <climits>
-#include <sstream>
 #include <stdexcept>
 
 namespace jsched::sim {
@@ -16,37 +16,29 @@ void CapacityOverlay::build(const std::vector<CapacitySpan>& spans,
   // Sweep over edge events sorted by time: +nodes at start, -nodes at end.
   // Every edge becomes a breakpoint (even when the running sum does not
   // change), so retire() can later adjust any span without inserting.
-  // Each edge carries 2 * span + (1 for an end) so the sweep can report
-  // the breakpoint it landed on.
-  struct Edge {
-    Time t;
-    int delta;
-    std::uint32_t slot;
-  };
   constexpr std::size_t kOpen = static_cast<std::size_t>(-1);
-  std::vector<Edge> edges;
-  edges.reserve(2 * spans.size());
+  edges_.clear();
   if (index != nullptr) index->assign(spans.size(), SpanIndex{0, 0});
   for (std::size_t k = 0; k < spans.size(); ++k) {
     const CapacitySpan& s = spans[k];
     if (s.start >= s.end || s.nodes == 0) continue;
     const auto slot = static_cast<std::uint32_t>(2 * k);
-    edges.push_back({s.start, s.nodes, slot});
+    edges_.push_back({s.start, s.nodes, slot});
     if (s.end != kTimeInfinity) {
-      edges.push_back({s.end, -s.nodes, slot + 1});
+      edges_.push_back({s.end, -s.nodes, slot + 1});
     } else if (index != nullptr) {
       (*index)[k].hi = kOpen;  // reaches the last breakpoint, set below
     }
   }
-  if (edges.empty()) return;
+  if (edges_.empty()) return;
   // The running sum after all edges at one instant does not depend on
   // their order, so only time is compared.
-  std::sort(edges.begin(), edges.end(),
+  std::sort(edges_.begin(), edges_.end(),
             [](const Edge& a, const Edge& b) { return a.t < b.t; });
-  t_.reserve(edges.size());
-  add_.reserve(edges.size());
+  t_.reserve(edges_.size());
+  add_.reserve(edges_.size());
   int running = 0;
-  for (const Edge& e : edges) {
+  for (const Edge& e : edges_) {
     running += e.delta;
     if (!t_.empty() && t_.back() == e.t) {
       add_.back() = running;
@@ -120,6 +112,7 @@ int Profile::capacity_at(Time t) const { return pts_[segment_at(t)].free; }
 
 void Profile::repair_range(std::size_t lo, std::size_t hi) const {
   assert(lo < hi && hi <= leaf_cap_);
+  upkeep_.leaves_rewritten += hi - lo;
   for (std::size_t i = lo; i < hi; ++i) {
     tmin_[leaf_cap_ + i] = tmax_[leaf_cap_ + i] = pts_[i].free;
   }
@@ -135,12 +128,54 @@ void Profile::repair_range(std::size_t lo, std::size_t hi) const {
   }
 }
 
+void Profile::mark_stale(std::size_t lo, std::size_t hi) {
+  hi = std::min(hi, dirty_from_);  // the suffix repair covers the rest
+  if (lo >= hi) return;
+  LeafRange* r = stale_.data();
+  std::size_t n = stale_count_;
+  std::size_t at = n;
+  for (; at > 0 && r[at - 1].lo > lo; --at) r[at] = r[at - 1];
+  r[at] = {lo, hi};
+  ++n;
+  // Join the ranges that now overlap or touch.
+  std::size_t w = 0;
+  for (std::size_t j = 1; j < n; ++j) {
+    if (r[j].lo <= r[w].hi) {
+      r[w].hi = std::max(r[w].hi, r[j].hi);
+    } else {
+      r[++w] = r[j];
+    }
+  }
+  n = w + 1;
+  if (n > kStaleRanges) {
+    std::size_t best = 0;
+    for (std::size_t j = 1; j + 1 < n; ++j) {
+      if (r[j + 1].lo - r[j].hi < r[best + 1].lo - r[best].hi) best = j;
+    }
+    r[best].hi = r[best + 1].hi;
+    for (std::size_t j = best + 1; j + 1 < n; ++j) r[j] = r[j + 1];
+    --n;
+  }
+  stale_count_ = n;
+}
+
+void Profile::mark_suffix(std::size_t k) {
+  dirty_from_ = std::min(dirty_from_, k);
+  while (stale_count_ > 0 && stale_[stale_count_ - 1].lo >= dirty_from_) {
+    --stale_count_;
+  }
+  if (stale_count_ > 0) {
+    LeafRange& last = stale_[stale_count_ - 1];
+    last.hi = std::min(last.hi, dirty_from_);
+  }
+}
+
 void Profile::ensure_tree() const {
-  if (dirty_from_ == kClean) return;
+  if (dirty_from_ == kClean && stale_count_ == 0) return;
   const std::size_t n = pts_.size();
   std::size_t cap = leaf_cap_ ? leaf_cap_ : 1;
   while (cap < n) cap <<= 1;
-  std::size_t from = dirty_from_;
+  std::size_t from = std::min(dirty_from_, n);
   if (cap != leaf_cap_) {
     leaf_cap_ = cap;
     tmin_.assign(2 * cap, INT_MAX);
@@ -148,7 +183,14 @@ void Profile::ensure_tree() const {
     filled_ = 0;
     from = 0;
   }
-  from = std::min(from, n);
+  // The stale ranges below the suffix, then the suffix: each repair
+  // recomputes the ancestors it shares with a later one, which the later
+  // one recomputes again from fresh children.
+  for (std::size_t j = 0; j < stale_count_; ++j) {
+    const std::size_t hi = std::min(stale_[j].hi, from);
+    if (stale_[j].lo < hi) repair_range(stale_[j].lo, hi);
+  }
+  stale_count_ = 0;
   // Leaves past the new size (after a shrink) revert to sentinels.
   for (std::size_t i = n; i < filled_; ++i) {
     tmin_[cap + i] = INT_MAX;
@@ -157,6 +199,7 @@ void Profile::ensure_tree() const {
   const std::size_t touched_end = std::max(filled_, n);
   filled_ = n;
   if (from < touched_end) {
+    upkeep_.leaves_rewritten += touched_end - from;
     for (std::size_t i = from; i < n; ++i) {
       tmin_[cap + i] = tmax_[cap + i] = pts_[i].free;
     }
@@ -424,28 +467,64 @@ Time Profile::earliest_fit_in_growth(const CapacityOverlay& extra,
 
 // --- mutations --------------------------------------------------------------
 
+std::size_t Profile::insert_at(std::size_t k, Breakpoint b) {
+  assert(k > front_ && k <= pts_.size());
+  ++upkeep_.structural_edits;
+  if (front_ > 0 && k - front_ < pts_.size() - k) {
+    // Slide [front_, k) one slot left, into the dead prefix.
+    const auto head = pts_.begin() + static_cast<std::ptrdiff_t>(front_);
+    std::move(head, pts_.begin() + static_cast<std::ptrdiff_t>(k), head - 1);
+    upkeep_.slots_moved += k - front_;
+    --front_;
+    pts_[k - 1] = b;
+    mark_stale(front_, k);
+    return k - 1;
+  }
+  upkeep_.slots_moved += pts_.size() - k;
+  pts_.insert(pts_.begin() + static_cast<std::ptrdiff_t>(k), b);
+  mark_suffix(k);
+  return k;
+}
+
+std::size_t Profile::erase_at(std::size_t k) {
+  assert(k > front_ && k < pts_.size());
+  ++upkeep_.structural_edits;
+  if (k - front_ < pts_.size() - 1 - k) {
+    // Slide [front_, k) one slot right, over the erased breakpoint.
+    const auto head = pts_.begin() + static_cast<std::ptrdiff_t>(front_);
+    std::move_backward(head, pts_.begin() + static_cast<std::ptrdiff_t>(k),
+                       pts_.begin() + static_cast<std::ptrdiff_t>(k + 1));
+    upkeep_.slots_moved += k - front_;
+    ++front_;
+    mark_stale(front_, k + 1);
+    return 1;
+  }
+  upkeep_.slots_moved += pts_.size() - 1 - k;
+  pts_.erase(pts_.begin() + static_cast<std::ptrdiff_t>(k));
+  mark_suffix(k);
+  return 0;
+}
+
 void Profile::add_over_range(Time start, Time end, int delta) {
   if (start >= end || delta == 0) return;
   ++version_;  // any cursor anchored before this mutation must re-search
 
   // Materialize breakpoints at the range edges. Structural edits (insert
-  // or merge-erase) shift leaf indices and force the lazy suffix repair;
-  // pure value updates keep the tree geometry and are repaired in place.
+  // or merge-erase) shift leaf indices and defer the tree repair; pure
+  // value updates keep the tree geometry and are repaired in place.
   bool structural = false;
   std::size_t lo = lower_bound(start);
   if (lo == pts_.size() || pts_[lo].t != start) {
-    assert(lo > front_);
-    pts_.insert(pts_.begin() + static_cast<std::ptrdiff_t>(lo),
-                {start, pts_[lo - 1].free});
+    lo = insert_at(lo, {start, pts_[lo - 1].free});
     structural = true;
   }
   std::size_t hi = pts_.size();
   if (end != kTimeInfinity) {
     hi = lower_bound(end);
     if (hi == pts_.size() || pts_[hi].t != end) {
-      assert(hi > front_);
-      pts_.insert(pts_.begin() + static_cast<std::ptrdiff_t>(hi),
-                  {end, pts_[hi - 1].free});
+      const std::size_t at = insert_at(hi, {end, pts_[hi - 1].free});
+      lo -= hi - at;  // a head shift moved `lo` along with it
+      hi = at;
       structural = true;
     }
   }
@@ -457,23 +536,27 @@ void Profile::add_over_range(Time start, Time end, int delta) {
 
   // A uniform add preserves all differences inside (lo, hi); only the two
   // edges can newly equal their predecessors. Merge them away to keep the
-  // representation canonical (erase `hi` first so `lo` stays valid).
+  // representation canonical (erase `hi` first; a head shift there moves
+  // `lo` up one).
   if (hi < pts_.size() && pts_[hi].free == pts_[hi - 1].free) {
-    pts_.erase(pts_.begin() + static_cast<std::ptrdiff_t>(hi));
+    lo += erase_at(hi);
     structural = true;
   }
   if (lo > front_ && pts_[lo].free == pts_[lo - 1].free) {
-    pts_.erase(pts_.begin() + static_cast<std::ptrdiff_t>(lo));
+    erase_at(lo);
     structural = true;
   }
 
   if (!structural && bulk_depth_ == 0 && leaf_cap_ >= pts_.size()) {
     // Leaf indices did not shift: write the touched leaves and recompute
-    // their ancestors — O(touched + log n) — instead of dirtying the whole
-    // suffix. Any pending dirtiness elsewhere stays tracked by dirty_from_.
+    // their ancestors — O(touched + log n) — instead of deferring. Stale
+    // leaves elsewhere stay tracked.
     repair_range(lo, hi);
   } else {
-    dirty_from_ = std::min(dirty_from_, lo);
+    // The rewritten values, in today's indices or covered by what the
+    // erases marked: a head shift at k marks [front_, k + 1), a suffix
+    // shift everything from k.
+    mark_stale(lo, hi);
   }
 }
 
@@ -505,19 +588,27 @@ void Profile::compact(Time now) {
   pts_[front_].t = now;
   // Splice the dead prefix out only once it dominates the storage, making
   // the O(n) erase + full-suffix tree repair amortized O(1) per compact.
-  if (front_ >= 64 && 2 * front_ >= pts_.size()) {
-    pts_.erase(pts_.begin(), pts_.begin() + static_cast<std::ptrdiff_t>(front_));
-    front_ = 0;
-    dirty_from_ = 0;
+  // kHeadroom dead slots stay, for inserts near the front to shift into.
+  if (front_ >= 2 * kHeadroom && 2 * front_ >= pts_.size()) {
+    upkeep_.slots_moved += pts_.size() - front_;
+    pts_.erase(pts_.begin(),
+               pts_.begin() + static_cast<std::ptrdiff_t>(front_ - kHeadroom));
+    front_ = kHeadroom;
+    dirty_from_ = front_;
+    stale_count_ = 0;
   }
 }
 
 std::string Profile::dump() const {
-  std::ostringstream os;
+  std::string out;
+  char buf[24];  // any 64-bit integer in decimal, sign included
   for (std::size_t i = front_; i < pts_.size(); ++i) {
-    os << pts_[i].t << ':' << pts_[i].free << ' ';
+    out.append(buf, std::to_chars(buf, buf + sizeof buf, pts_[i].t).ptr);
+    out.push_back(':');
+    out.append(buf, std::to_chars(buf, buf + sizeof buf, pts_[i].free).ptr);
+    out.push_back(' ');
   }
-  return os.str();
+  return out;
 }
 
 }  // namespace jsched::sim

@@ -7,6 +7,7 @@
 // before its estimate.
 #pragma once
 
+#include <array>
 #include <cstddef>
 #include <cstdint>
 #include <string>
@@ -79,12 +80,24 @@ class CapacityOverlay {
   /// effect at `t`) when absent.
   std::size_t materialize(Time t);
 
+  // One span boundary for build()'s sweep: +nodes at a start, -nodes at
+  // an end, tagged 2 * span + (1 for an end) so the sweep can report the
+  // breakpoint it landed on.
+  struct Edge {
+    Time t;
+    int delta;
+    std::uint32_t slot;
+  };
+
   // Parallel arrays: add_[i] applies on [t_[i], t_[i+1]), and 0 outside.
   // Adjacent equal values are not merged — retire() relies on every
   // boundary build() made staying present, and the merged walks in
   // Profile tolerate redundant breakpoints.
   std::vector<Time> t_;
   std::vector<int> add_;
+  // build()'s sweep buffer, kept between calls so a rebuild allocates
+  // nothing once it has grown to the largest batch.
+  std::vector<Edge> edges_;
 };
 
 /// Piecewise-constant free-capacity timeline.
@@ -95,7 +108,15 @@ class CapacityOverlay {
 /// (the initial one sits at time 0, or at the `now` passed to compact()).
 /// The vector may carry a dead prefix of [0, front_) retired breakpoints:
 /// compact() advances the offset in O(1) and the storage is physically
-/// erased only once the dead prefix dominates (amortized O(1) per call).
+/// erased only once the dead prefix dominates (amortized O(1) per call),
+/// keeping kHeadroom dead slots in front of the live range.
+///
+/// A structural edit (a breakpoint inserted, or merged away) shifts
+/// whichever side of the live range is shorter. Near the front — where a
+/// replan edits, close to `now` — the breakpoints before the edit slide
+/// one slot into the dead prefix (an insert needs one dead slot; without
+/// one the suffix shifts); otherwise the suffix shifts, as in a vector
+/// insert or erase.
 ///
 /// The breakpoints are augmented with an implicit segment tree over the
 /// free-capacity values (range-min to find the next blocking breakpoint,
@@ -106,11 +127,13 @@ class CapacityOverlay {
 ///   * allocate()/release() that only modify breakpoint values in place
 ///     (no insert/erase, the steady-state case) repair the tree over the
 ///     touched leaf span immediately — O(touched + log n) — and leave any
-///     pending suffix dirtiness untouched,
-///   * structural allocate()/release() (edge inserted or merged away) mark
-///     the tree dirty from the first shifted leaf; earliest_fit() repairs
-///     the whole dirty suffix lazily (its descents may inspect any suffix
-///     node).
+///     pending stale leaves untouched,
+///   * structural allocate()/release() leave their leaves stale: the
+///     shifted head and the rewritten values as up to two ranges, and the
+///     shifted suffix. earliest_fit() repairs them lazily (its descents may
+///     inspect any node right of the query): each range leaf by leaf with
+///     its ancestors, then the suffix wholesale, so an edit near the front
+///     costs the leaves it moved, not every leaf after it.
 ///
 /// A BulkUpdate scope defers even the in-place repairs, so a burst of
 /// mutations (a replan lifting k reservations) pays one combined repair at
@@ -231,6 +254,17 @@ class Profile {
   /// Number of stored (live) breakpoints (for tests/benchmarks).
   std::size_t breakpoints() const noexcept { return pts_.size() - front_; }
 
+  /// What mutations cost since construction, in breakpoint slots and tree
+  /// leaves (for tests and benchmarks).
+  struct Upkeep {
+    std::uint64_t structural_edits = 0;  ///< breakpoints inserted or erased
+    /// Breakpoint slots shifted by those edits and by compact()'s splice.
+    std::uint64_t slots_moved = 0;
+    /// Segment-tree leaves written by the in-place and the lazy repairs.
+    std::uint64_t leaves_rewritten = 0;
+  };
+  const Upkeep& upkeep() const noexcept { return upkeep_; }
+
   /// Debug rendering "t0:c0 t1:c1 ...".
   std::string dump() const;
 
@@ -241,6 +275,16 @@ class Profile {
   };
 
   void add_over_range(Time start, Time end, int delta);
+  /// Insert `b` before live index k > front_, shifting the shorter side.
+  /// Returns b's index: k - 1 when the head slid into the dead prefix.
+  std::size_t insert_at(std::size_t k, Breakpoint b);
+  /// Erase live index k > front_, shifting the shorter side. Returns how
+  /// far the breakpoints before k moved: 1 when the head shifted, else 0.
+  std::size_t erase_at(std::size_t k);
+  /// Add leaves [lo, hi) to the stale ranges (below the dirty suffix).
+  void mark_stale(std::size_t lo, std::size_t hi);
+  /// Every leaf from k on is stale: lower dirty_from_, trim the ranges.
+  void mark_suffix(std::size_t k);
 
   /// Index of the segment containing t (pts_[i].t <= t < pts_[i+1].t).
   std::size_t segment_at(Time t) const;
@@ -255,11 +299,15 @@ class Profile {
   // index and only ever moves right), padded with sentinels; internal
   // node i covers children 2i and 2i+1.
   //
-  // Invariant: every tree node that is not an ancestor of a leaf in
-  // [dirty_from_, max(filled_, n)) agrees with pts_. In-place mutations
-  // preserve it by repairing their touched span immediately; structural
-  // mutations preserve it by lowering dirty_from_ to the first shifted
-  // leaf. ensure_tree() restores it everywhere.
+  // Invariant: every tree node over live leaves only that is not an
+  // ancestor of a leaf in a stale range or in [dirty_from_,
+  // max(filled_, n)) agrees with pts_ (a node over a dead leaf is never
+  // read). In-place mutations preserve it by repairing their touched span
+  // immediately; a head shift at k marks [front_, k) (or [front_, k + 1)
+  // for an erase), which absorbs every range the shift moved and covers a
+  // leaf the shift made live; a deferred value update marks the leaves it
+  // rewrote; a suffix shift lowers dirty_from_ to the first shifted leaf.
+  // ensure_tree() restores it everywhere.
   void ensure_tree() const;
   /// Write leaves [lo, hi) from pts_ and recompute their ancestors.
   void repair_range(std::size_t lo, std::size_t hi) const;
@@ -269,6 +317,9 @@ class Profile {
   std::size_t first_at_least(std::size_t from, int nodes) const;
 
   static constexpr std::size_t kClean = static_cast<std::size_t>(-1);
+  /// Dead slots compact()'s splice leaves in front of the live range, so
+  /// inserts near the front can still shift the head.
+  static constexpr std::size_t kHeadroom = 64;
 
   int total_;
   int bulk_depth_ = 0;
@@ -282,6 +333,16 @@ class Profile {
   mutable std::size_t leaf_cap_ = 0;
   mutable std::size_t filled_ = 0;      // leaves holding real values
   mutable std::size_t dirty_from_ = 0;  // first stale leaf; kClean if none
+  // Stale leaves below dirty_from_: sorted, disjoint, non-adjacent ranges.
+  // Past kStaleRanges, the two with the narrowest gap are joined.
+  struct LeafRange {
+    std::size_t lo;
+    std::size_t hi;
+  };
+  static constexpr std::size_t kStaleRanges = 2;
+  mutable std::array<LeafRange, kStaleRanges + 1> stale_{};
+  mutable std::size_t stale_count_ = 0;
+  mutable Upkeep upkeep_;
 };
 
 }  // namespace jsched::sim

@@ -369,6 +369,166 @@ void run_capacity_fuzz(std::uint64_t seed, std::size_t ops) {
   }
 }
 
+// Deep-replan mode, shaped like conservative backfilling behind a deep
+// queue: a backlog of short windows, one every kGap from just past the
+// near ones, holds the profile above 2,000 live breakpoints, and most
+// edits land among the first ~64, near `now`, where a structural edit
+// shifts the head into the dead prefix instead of shifting the backlog.
+// As time advances the backlog's front windows are retired and new ones
+// join its tail, so the dead prefix grows until compact() splices it out,
+// several times per run. Some steps move a window (release, then allocate
+// at a fit found beforehand, with no query between), some lift and
+// re-place a burst under BulkUpdate, and some edit deep in the backlog, so
+// head shifts, rewritten values and a shifted suffix meet in one repair.
+// dump() is compared after every mutation, and every step ends with an
+// earliest_fit against the reference: a leaf the repair missed shows as a
+// wrong fit.
+void run_deep_replan_fuzz(std::uint64_t seed, std::size_t ops) {
+  constexpr int kTotal = 64;
+  constexpr Time kGap = 40;  // backlog windows are [t, t + 5), one per kGap
+  constexpr std::size_t kDepth = 2100;  // live breakpoints the backlog keeps
+  Differ d(kTotal);
+  util::Rng rng(seed);
+  std::size_t op = 0;
+  const auto allocate = [&](Time start, Duration dur, int nodes) {
+    d.fast().allocate(start, dur, nodes);
+    d.ref().allocate(start, dur, nodes);
+    d.expect_identical(op);
+  };
+  const auto release = [&](Time start, Duration dur, int nodes) {
+    d.fast().release(start, dur, nodes);
+    d.ref().release(start, dur, nodes);
+    d.expect_identical(op);
+  };
+  Time now = 0;
+  Time tail = 1'000;  // start of the next backlog window
+  const auto grow_backlog = [&] {
+    while (d.fast().breakpoints() < kDepth) {
+      allocate(tail, 5, static_cast<int>(rng.uniform_int(1, kTotal / 2)));
+      tail += kGap;
+    }
+  };
+  grow_backlog();
+
+  std::vector<ActiveAllocation> near;  // windows near `now`
+  std::vector<ActiveAllocation> deep;  // slices between backlog windows
+  // The unused rest of an allocation, returned as an early completion
+  // returns it.
+  const auto lift = [&](const ActiveAllocation& a) {
+    const Time from = std::max(a.start, now);
+    if (a.end() > from) release(from, a.end() - from, a.nodes);
+    return ActiveAllocation{from, a.end() - from, a.nodes};
+  };
+  const auto take = [&](std::vector<ActiveAllocation>& from) {
+    const std::size_t pick = static_cast<std::size_t>(
+        rng.uniform_int(0, static_cast<std::int64_t>(from.size()) - 1));
+    const ActiveAllocation a = from[pick];
+    from.erase(from.begin() + static_cast<std::ptrdiff_t>(pick));
+    return a;
+  };
+  // Earliest fit from `from`, checked against the reference.
+  const auto fit = [&](Time from, Duration dur, int nodes) {
+    const Time at = d.fast().earliest_fit(from, dur, nodes);
+    EXPECT_EQ(at, d.ref().earliest_fit(from, dur, nodes)) << "op " << op;
+    return at;
+  };
+
+  std::size_t splices = 0;
+  const Profile::Upkeep first = d.fast().upkeep();
+  for (; op < ops; ++op) {
+    const std::int64_t dice = rng.uniform_int(0, 99);
+    if (dice < 30 && near.size() < 24) {
+      // Reserve near `now`.
+      const int nodes = static_cast<int>(rng.uniform_int(1, kTotal / 2));
+      const Duration dur = rng.uniform_int(1, 400);
+      const Time at = fit(now + rng.uniform_int(0, 300), dur, nodes);
+      allocate(at, dur, nodes);
+      near.push_back({at, dur, nodes});
+    } else if (dice < 45 && !near.empty()) {
+      lift(take(near));  // early completion
+    } else if (dice < 60 && !near.empty()) {
+      // Move a window as a replan does: find its earliest fit from `now`
+      // while it is still allocated (so the fit holds without it), then
+      // release and allocate with no query between.
+      const ActiveAllocation a = take(near);
+      if (a.end() <= now) continue;
+      const Duration dur = a.end() - std::max(a.start, now);
+      const Time at = fit(now, dur, a.nodes);
+      lift(a);
+      allocate(at, dur, a.nodes);
+      near.push_back({at, dur, a.nodes});
+    } else if (dice < 66) {
+      // Lift a burst under BulkUpdate, mostly near, then re-place it.
+      std::vector<ActiveAllocation> lifted;
+      {
+        Profile::BulkUpdate bulk(d.fast());
+        const std::int64_t burst = rng.uniform_int(1, 6);
+        for (std::int64_t k = 0; k < burst; ++k) {
+          const bool from_deep =
+              !deep.empty() && (near.empty() || rng.bernoulli(0.2));
+          if (!from_deep && near.empty()) break;
+          const ActiveAllocation a = take(from_deep ? deep : near);
+          if (a.end() > now) lifted.push_back(lift(a));
+        }
+      }
+      for (const ActiveAllocation& a : lifted) {
+        const Time at = fit(now, a.duration, a.nodes);
+        allocate(at, a.duration, a.nodes);
+        near.push_back({at, a.duration, a.nodes});
+      }
+    } else if (dice < 72) {
+      // Edit deep in the backlog: a slice in the gap after a window of its
+      // back half, or the release of one made earlier.
+      if (!deep.empty() && rng.bernoulli(0.5)) {
+        lift(take(deep));
+      } else {
+        const Time w = tail - kGap * rng.uniform_int(1, kDepth / 4);
+        const ActiveAllocation a{w + 6, rng.uniform_int(1, 3),
+                                 static_cast<int>(rng.uniform_int(1, kTotal))};
+        if (fit(a.start, a.duration, a.nodes) == a.start) {
+          allocate(a.start, a.duration, a.nodes);
+          deep.push_back(a);
+        }
+      }
+    } else {
+      // Advance time: compact, forget windows wholly in the past, and
+      // refill the backlog's tail.
+      const std::uint64_t moved = d.fast().upkeep().slots_moved;
+      now += rng.uniform_int(0, 90);
+      d.fast().compact(now);
+      d.ref().compact(now);
+      d.expect_identical(op);
+      // Only a splice moves slots here: every live one at once.
+      if (d.fast().upkeep().slots_moved - moved >= d.fast().breakpoints()) {
+        ++splices;
+      }
+      const auto past = [&](const ActiveAllocation& a) {
+        return a.end() <= now;
+      };
+      std::erase_if(near, past);
+      std::erase_if(deep, past);
+      grow_backlog();
+    }
+    if (::testing::Test::HasFailure()) return;
+    // One query per step, mostly near `now`, sometimes deep in the
+    // backlog.
+    const Time from = now + (rng.bernoulli(0.1)
+                                 ? rng.uniform_int(0, tail - now)
+                                 : rng.uniform_int(0, 400));
+    d.expect_queries_agree(op, from, rng.uniform_int(1, 500),
+                           static_cast<int>(rng.uniform_int(1, kTotal)));
+    if (::testing::Test::HasFatalFailure()) return;
+  }
+  EXPECT_GE(splices, 2u);
+  // Most edits land near the front, so on average an edit moves a small
+  // fraction of what shifting the suffix would.
+  const Profile::Upkeep& last = d.fast().upkeep();
+  const std::uint64_t edits = last.structural_edits - first.structural_edits;
+  const std::uint64_t moved = last.slots_moved - first.slots_moved;
+  ASSERT_GT(edits, ops);
+  EXPECT_LT(moved, edits * (kDepth / 16));
+}
+
 // --- screening queries vs a brute-force scan --------------------------------
 
 /// Brute-force oracle for `profile + overlay`: the overlay is tracked as the
@@ -604,6 +764,13 @@ TEST(ProfileDifferential, CapacityShrinkGrowSeed21) {
 }
 TEST(ProfileDifferential, CapacityShrinkGrowSeed22) {
   run_capacity_fuzz(22, 10'000);
+}
+
+TEST(ProfileDifferential, DeepReplanNearFrontSeed41) {
+  run_deep_replan_fuzz(41, 10'000);
+}
+TEST(ProfileDifferential, DeepReplanNearFrontSeed42) {
+  run_deep_replan_fuzz(42, 10'000);
 }
 
 TEST(ProfileDifferential, DenseSmallMachineStressesMerging) {

@@ -2,6 +2,7 @@
 
 #include <gtest/gtest.h>
 
+#include <cstdint>
 #include <stdexcept>
 #include <string>
 
@@ -220,6 +221,46 @@ TEST(Profile, EarliestFitWindowReachingInfinitySaturates) {
   EXPECT_EQ(p.earliest_fit(0, kTimeInfinity, 8), 100);
   EXPECT_EQ(p.earliest_fit(100, kTimeInfinity, 8), 100);
   EXPECT_NE(p.earliest_fit(99, kTimeInfinity, 1), 99);
+}
+
+TEST(Profile, EditsNearTheFrontMoveOnlyTheHead) {
+  // A deep profile: 16 short windows near the front, then 2,040 disjoint
+  // far windows. Compacting past the first two windows leaves a few dead
+  // slots in front of the live range, which edits near the front shift
+  // into instead of shifting the ~4,000 breakpoints behind them.
+  Profile p(64);
+  for (Time t = 0; t < 160; t += 10) {
+    p.allocate(t, 5, 1 + static_cast<int>(t / 10 % 7));
+  }
+  for (Time i = 0; i < 2040; ++i) {
+    p.allocate(100'000 + 10 * i, 5, 1 + static_cast<int>(i % 7));
+  }
+  p.compact(20);
+  ASSERT_GE(p.breakpoints(), 4096u);
+  (void)p.earliest_fit(20, 1, 1);  // builds the tree once
+  const Profile::Upkeep before = p.upkeep();
+
+  // Allocate/release pairs within the first 16 breakpoints, each edit
+  // followed by a query: every allocate inserts two breakpoints and its
+  // release merges them away.
+  constexpr int kPairs = 1000;
+  for (int k = 0; k < kPairs; ++k) {
+    const Time start = 21 + 10 * (k % 6);
+    const int nodes = 1 + k % 8;
+    p.allocate(start, 3, nodes);
+    ASSERT_EQ(p.earliest_fit(20, 200, 64), 155);
+    p.release(start, 3, nodes);
+    ASSERT_EQ(p.earliest_fit(20, 200, 64), 155);
+  }
+  const Profile::Upkeep& after = p.upkeep();
+  const std::uint64_t edits = after.structural_edits - before.structural_edits;
+  const std::uint64_t moved = after.slots_moved - before.slots_moved;
+  const std::uint64_t leaves = after.leaves_rewritten - before.leaves_rewritten;
+  ASSERT_EQ(edits, 4u * kPairs);
+  // Shifting the tail instead would move ~4,000 slots per edit, and
+  // rebuild as many leaves per query.
+  EXPECT_LE(moved, 32u * edits);
+  EXPECT_LE(leaves, 2u * kPairs * 32);
 }
 
 }  // namespace
