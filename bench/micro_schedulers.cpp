@@ -146,12 +146,17 @@ void BM_PsrsPlan(benchmark::State& state) {
 }
 BENCHMARK(BM_PsrsPlan)->Range(64, 8192)->Complexity();
 
-// Replan-heavy hot path: conservative backfilling with full compression
-// over a deep backlog. A stream of early completions each lifts and
-// re-places the whole reserved set — the exact scenario the in-place
-// segment-tree updates, BulkUpdate batching and replan elisions target.
-// The range parameter is the backlog depth (reservations held while the
-// completions stream through); each iteration drains 32 completions.
+// Replan-heavy scratch path: conservative backfilling with full
+// compression over a deep backlog, fed a stream of early completions. The
+// loop never calls select, so at every completion the first reservation
+// is overdue (its start passed with no select at it), and each replan
+// hands the whole window to replace_from at position 0: it lifts and
+// re-places the whole reserved set from `now`. So this times the scratch
+// lift-and-re-place, not the incremental screen (that is
+// BM_ConservativeIncrementalReplan); the `replans` and `fallbacks`
+// counters show every replan handed off. The range parameter is the
+// backlog depth (reservations held while the completions stream through);
+// each iteration drains 32 completions.
 void BM_ConservativeReplanHeavy(benchmark::State& state) {
   const std::size_t depth = static_cast<std::size_t>(state.range(0));
   constexpr std::size_t kRunning = 32;
@@ -184,6 +189,8 @@ void BM_ConservativeReplanHeavy(benchmark::State& state) {
   core::ConservativeParams params;
   params.full_compression = true;
   params.compression_queue_limit = depth;  // never fall back to the prefix
+  std::uint64_t replans = 0;
+  std::uint64_t fallbacks = 0;
   for (auto _ : state) {
     state.PauseTiming();
     core::ConservativeBackfillDispatch d(params);
@@ -196,7 +203,13 @@ void BM_ConservativeReplanHeavy(benchmark::State& state) {
       d.on_complete(r.id, now, r.estimated_end, order);
     }
     benchmark::DoNotOptimize(d.reserved_count());
+    replans += d.replan_stats().replans;
+    fallbacks += d.replan_stats().fallbacks;
   }
+  state.counters["replans"] = benchmark::Counter(
+      static_cast<double>(replans), benchmark::Counter::kAvgIterations);
+  state.counters["fallbacks"] = benchmark::Counter(
+      static_cast<double>(fallbacks), benchmark::Counter::kAvgIterations);
   state.SetComplexityN(state.range(0));
 }
 BENCHMARK(BM_ConservativeReplanHeavy)

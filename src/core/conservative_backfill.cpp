@@ -8,16 +8,6 @@ namespace jsched::core {
 
 namespace {
 
-/// Merged breakpoints a single screening query may walk before giving up
-/// and handing the rest of the window to scratch re-placement (a cutoff
-/// at any position is exact — see replan_incremental). Most queries walk
-/// a few hundred breakpoints; the long ones are walks from `now` for
-/// window entrants planned deep behind a backlog. On the 4x-load
-/// FCFS+CONS serve workload (20k jobs, queue peaking near 10k) a budget
-/// of 2048 ended ~1.3k screens per run, each then paying tree-descent
-/// re-placements for the rest of the window; at 8192 none ended.
-constexpr std::size_t kScreenStepBudget = 8192;
-
 Time span_end(Time start, Duration duration) {
   return start > kTimeInfinity - duration ? kTimeInfinity : start + duration;
 }
@@ -55,7 +45,6 @@ void ConservativeBackfillDispatch::reset(const sim::Machine& machine,
   wakeups_.clear();
   compression_debt_ = false;
   stats_ = {};
-  cursor_ = {};  // anchored in the profile just replaced
   unreserved_.clear();
   unreserved_stale_ = false;
   growth_.clear();
@@ -204,16 +193,29 @@ void ConservativeBackfillDispatch::replan_incremental(Time now) {
   }
   overlay_.build(spans_, &span_index_);
   growth_overlay_.build(growth_);
-  const std::uint64_t restarts_before = cursor_.restarts();
+  // A walk of the merged view from `from`, bounded by `stop` when that is
+  // a known fit.
+  const auto walk = [&](const PlannedJob& p, Time from, Time stop) {
+    ++stats_.cursor_restarts;
+    return profile_.earliest_fit_with(overlay_, from, p.estimate, p.nodes,
+                                      stop);
+  };
   for (std::size_t k = 0; k < planned_.size(); ++k) {
     const PlannedJob& p = planned_[k];
-    Time fit;
-    bool certified = false;
     if (p.start < now) {
       // Overdue reservation whose wakeup has not been delivered yet: the
-      // scratch procedure re-places it from `now`. Rare — fall back.
-      fit = kTimeInfinity;
-    } else if (p.start == now || p.screened) {
+      // scratch procedure re-places it from `now`. Positions 0..k-1 are
+      // resolved and placed exactly, so scratch re-placement of the rest
+      // reproduces the scratch schedule. (A caller that skips instants is
+      // overdue early in every replan; there the tree re-placement of the
+      // rest costs less than walking each position from `now`.)
+      ++stats_.fallbacks;
+      replace_from(k, now);
+      break;
+    }
+    Time fit;
+    bool certified = false;
+    if (p.start == now || p.screened) {
       // Certificate. The previous replan proved no fit before this job's
       // start; since then the view it is resolved against differs from
       // the proven one only by shrinks (which cannot create fits) and by
@@ -225,32 +227,19 @@ void ConservativeBackfillDispatch::replan_incremental(Time now) {
       // instants — never the stretch from `now`. (A start at `now` needs
       // no proof.)
       fit = profile_.earliest_fit_in_growth(overlay_, growth_overlay_, now,
-                                            p.start, p.estimate, p.nodes,
-                                            kScreenStepBudget);
+                                            p.start, p.estimate, p.nodes);
       certified = fit == p.start;
       if (certified && p.detached) {
         // No earlier fit, but an earlier mover took part of the old slot:
         // the fit lies at or after it.
-        fit = profile_.earliest_fit_with(overlay_, cursor_, p.start,
-                                         p.estimate, p.nodes, kTimeInfinity,
-                                         kScreenStepBudget);
+        fit = walk(p, p.start, kTimeInfinity);
       }
     } else {
       // No certificate (new window member, or a wholesale rebuild since
       // the last replan): walk from `now`. An intact job's own slot is a
       // known fit in the merged view and bounds the walk; a detached
       // job's is not.
-      fit = profile_.earliest_fit_with(
-          overlay_, cursor_, now, p.estimate, p.nodes,
-          p.detached ? kTimeInfinity : p.start, kScreenStepBudget);
-    }
-    if (fit == kTimeInfinity) {
-      // Overdue or out of budget. Positions 0..k-1 are resolved and
-      // placed exactly, so scratch re-placement of the rest reproduces
-      // the scratch schedule.
-      ++stats_.fallbacks;
-      replace_from(k, now);
-      break;
+      fit = walk(p, now, p.detached ? kTimeInfinity : p.start);
     }
     if (fit == p.start && !p.detached) {
       overlay_.retire(span_index_[k], p.nodes);
@@ -260,7 +249,6 @@ void ConservativeBackfillDispatch::replan_incremental(Time now) {
       place(k, fit);
     }
   }
-  stats_.cursor_restarts += cursor_.restarts() - restarts_before;
 }
 
 void ConservativeBackfillDispatch::place(std::size_t k, Time start) {
@@ -300,15 +288,10 @@ void ConservativeBackfillDispatch::place(std::size_t k, Time start) {
 }
 
 void ConservativeBackfillDispatch::replace_from(std::size_t from, Time now) {
-  {
-    // A burst of releases with no interleaved queries: defer the
-    // profile's segment-tree maintenance to the first re-placement query.
-    sim::Profile::BulkUpdate bulk(profile_);
-    for (std::size_t k = from; k < planned_.size(); ++k) {
-      if (planned_[k].detached) continue;  // already out of the profile
-      profile_.release(planned_[k].start, planned_[k].estimate,
-                       planned_[k].nodes);
-    }
+  for (std::size_t k = from; k < planned_.size(); ++k) {
+    if (planned_[k].detached) continue;  // already out of the profile
+    profile_.release(planned_[k].start, planned_[k].estimate,
+                     planned_[k].nodes);
   }
   for (std::size_t k = from; k < planned_.size(); ++k) {
     const PlannedJob& p = planned_[k];
@@ -326,10 +309,7 @@ void ConservativeBackfillDispatch::on_reorder(const std::vector<JobId>& order,
                                               Time now) {
   // A new priority order invalidates every reservation: lift all of them
   // and re-place the same reserved set in the new order.
-  {
-    sim::Profile::BulkUpdate bulk(profile_);
-    lift_reservations();
-  }
+  lift_reservations();
   reserve_afresh(order, now, /*keep_reserved_set=*/true);
 }
 
@@ -344,14 +324,11 @@ void ConservativeBackfillDispatch::on_capacity_change(
   // lifted the profile has at least the extra outage free at every
   // instant. Growing releases the recovered slice of the outage.
   const int down = profile_.total_nodes() - available_nodes;
-  {
-    sim::Profile::BulkUpdate bulk(profile_);
-    lift_reservations();
-    if (down > down_nodes_) {
-      profile_.allocate(now, kTimeInfinity, down - down_nodes_);
-    } else if (down < down_nodes_) {
-      profile_.release(now, kTimeInfinity, down_nodes_ - down);
-    }
+  lift_reservations();
+  if (down > down_nodes_) {
+    profile_.allocate(now, kTimeInfinity, down - down_nodes_);
+  } else if (down < down_nodes_) {
+    profile_.release(now, kTimeInfinity, down_nodes_ - down);
   }
   down_nodes_ = down;
   reserve_afresh(order, now, /*keep_reserved_set=*/false);
@@ -367,12 +344,9 @@ void ConservativeBackfillDispatch::adopt(
   // adopting, restoring the outage allocation.
   profile_ = sim::Profile(profile_.total_nodes());
   down_nodes_ = 0;
-  {
-    sim::Profile::BulkUpdate bulk(profile_);
-    for (const RunningJob& r : running) {
-      if (r.estimated_end > now) {
-        profile_.allocate(now, r.estimated_end - now, r.nodes);
-      }
+  for (const RunningJob& r : running) {
+    if (r.estimated_end > now) {
+      profile_.allocate(now, r.estimated_end - now, r.nodes);
     }
   }
   reserve_afresh(order, now, /*keep_reserved_set=*/false);

@@ -62,8 +62,8 @@
 //        earliest earlier fit is searched only around instants where
 //        growth lifted capacity across its width
 //        (Profile::earliest_fit_in_growth), never from now. Scratch
-//        re-placement of the rest of the window remains as the fallback
-//        for an overdue reservation or an exhausted step budget.
+//        re-placement of the rest of the window remains only for an
+//        overdue reservation (its start passed with no select at it).
 #pragma once
 
 #include <cstddef>
@@ -133,8 +133,14 @@ class ConservativeBackfillDispatch final : public Dispatcher {
     std::uint64_t certified = 0;        ///< reused without a walk from now
     std::uint64_t moved = 0;            ///< re-placements that changed start
     std::uint64_t detached = 0;         ///< slots lifted under a mover
-    std::uint64_t fallbacks = 0;        ///< screens ended by replace_from
-    std::uint64_t cursor_restarts = 0;  ///< screen queries that re-anchored
+    /// Screens that handed the rest of the window to replace_from at an
+    /// overdue reservation.
+    std::uint64_t fallbacks = 0;
+    /// Screen walks from `now` or from a detached job's old start
+    /// (Profile::earliest_fit_with calls), each anchored with one binary
+    /// search. Named for what benchmarks publish it as
+    /// (`core.cons.cursor_restarts`).
+    std::uint64_t cursor_restarts = 0;
     std::uint64_t promoted = 0;         ///< reservations made by promotion
     /// Queue entries promotion read: list entries it reserved, plus every
     /// entry of the queue read when a stale list was rebuilt.
@@ -172,7 +178,7 @@ class ConservativeBackfillDispatch final : public Dispatcher {
 
   void reserve(JobId id, Time from);
   /// Release every reservation's allocation from the profile, keeping
-  /// reserved_ (callers batch it inside a BulkUpdate).
+  /// reserved_.
   void lift_reservations();
   /// The wholesale re-plan of a reorder, a capacity change or an adoption.
   /// With no reservation left in the profile, reserve from `now` in queue
@@ -194,7 +200,7 @@ class ConservativeBackfillDispatch final : public Dispatcher {
   void place(std::size_t k, Time start);
   /// Lift reservations planned_[from..] out of the profile and re-place
   /// them in queue order from `now` — the scratch reference, and the
-  /// incremental path's fallback.
+  /// incremental path's hand-off at an overdue reservation.
   void replace_from(std::size_t from, Time now);
   /// Reserve jobs from the front of unreserved_ (rebuilt first when
   /// stale) until reservation_depth jobs hold a reservation.
@@ -234,7 +240,6 @@ class ConservativeBackfillDispatch final : public Dispatcher {
   sim::CapacityOverlay overlay_;
   // overlay_'s breakpoints under each planned_ position, as built.
   std::vector<sim::CapacityOverlay::SpanIndex> span_index_;
-  sim::Profile::Cursor cursor_;
   // Cross-replan screening certificates. After every replan the plan is a
   // compressed fixed point: no planned reservation has an earlier fit.
   // That verdict stays exact while capacity only shrinks, so between

@@ -302,29 +302,12 @@ Time Profile::earliest_fit(Time from, Duration duration, int nodes) const {
   }
 }
 
-Time Profile::earliest_fit_with(const CapacityOverlay& extra, Cursor& cursor,
-                                Time from, Duration duration, int nodes,
-                                Time stop, std::size_t max_steps) const {
+Time Profile::earliest_fit_with(const CapacityOverlay& extra, Time from,
+                                Duration duration, int nodes,
+                                Time stop) const {
   assert(duration > 0);
   assert(stop >= from);
-
-  // Re-anchor the cursor: resume from its cached segment when it is still
-  // talking about this profile at this version and `from` has not moved
-  // backwards; otherwise one binary search.
-  std::size_t i;
-  if (cursor.owner_ == this && cursor.version_ == version_ &&
-      cursor.idx_ >= front_ && cursor.idx_ < pts_.size() &&
-      pts_[cursor.idx_].t <= from) {
-    i = cursor.idx_;
-    while (i + 1 < pts_.size() && pts_[i + 1].t <= from) ++i;
-  } else {
-    i = segment_at(from);
-    ++cursor.restarts_;
-  }
-  cursor.owner_ = this;
-  cursor.version_ = version_;
-  cursor.idx_ = i;
-
+  std::size_t i = segment_at(from);
   const std::size_t n = pts_.size();
   // Overlay position: index of the last overlay breakpoint at or before
   // the walk, or SIZE_MAX before the first.
@@ -338,7 +321,6 @@ Time Profile::earliest_fit_with(const CapacityOverlay& extra, Cursor& cursor,
   // >= nodes (kTimeInfinity = no open run).
   int combined = pts_[i].free + over;
   Time run = combined >= nodes ? from : kTimeInfinity;
-  std::size_t steps = 0;
   while (true) {
     const Time next_p = i + 1 < n ? pts_[i + 1].t : kTimeInfinity;
     const Time next_o = o < extra.t_.size() ? extra.t_[o] : kTimeInfinity;
@@ -358,7 +340,6 @@ Time Profile::earliest_fit_with(const CapacityOverlay& extra, Cursor& cursor,
       }
       return stop;
     }
-    if (++steps > max_steps) return kTimeInfinity;  // budget exhausted
     if (boundary == next_p) ++i;
     if (boundary == next_o) over = extra.add_[o++];
     combined = pts_[i].free + over;
@@ -373,7 +354,7 @@ Time Profile::earliest_fit_with(const CapacityOverlay& extra, Cursor& cursor,
 Time Profile::earliest_fit_in_growth(const CapacityOverlay& extra,
                                      const CapacityOverlay& growth, Time from,
                                      Time before, Duration duration,
-                                     int nodes, std::size_t max_steps) const {
+                                     int nodes) const {
   assert(duration > 0);
   assert(from >= pts_[front_].t);  // the left walk never leaves the live range
   if (before <= from) return before;
@@ -384,7 +365,6 @@ Time Profile::earliest_fit_in_growth(const CapacityOverlay& extra,
   const std::size_t n = pts_.size();
   const std::size_t on = extra.t_.size();
   const std::size_t gn = growth.t_.size();
-  std::size_t steps = 0;
 
   // Merged walk state over `*this + extra`: the piece containing instant
   // `t` is profile segment i combined with the overlay value left of
@@ -430,7 +410,6 @@ Time Profile::earliest_fit_in_growth(const CapacityOverlay& extra,
     while (t < hi) {
       const int c = combined();
       if (c < nodes || c - g >= nodes) {  // not a crossing
-        if (++steps > max_steps) return kTimeInfinity;
         advance();
         continue;
       }
@@ -443,7 +422,6 @@ Time Profile::earliest_fit_in_growth(const CapacityOverlay& extra,
         if (pts_[pi].t == a) --pi;
         if (oi > 0 && extra.t_[oi - 1] == a) --oi;
         if (pts_[pi].free + (oi == 0 ? 0 : extra.add_[oi - 1]) < nodes) break;
-        if (++steps > max_steps) return kTimeInfinity;
         Time piece_start = pts_[pi].t;
         if (oi > 0) piece_start = std::max(piece_start, extra.t_[oi - 1]);
         a = std::max(piece_start, scanned);
@@ -453,7 +431,6 @@ Time Profile::earliest_fit_in_growth(const CapacityOverlay& extra,
       while (true) {
         const Time b = piece_end();
         if (b - a >= duration) return a;
-        if (++steps > max_steps) return kTimeInfinity;
         advance();
         if (combined() < nodes) break;
       }
@@ -507,7 +484,6 @@ std::size_t Profile::erase_at(std::size_t k) {
 
 void Profile::add_over_range(Time start, Time end, int delta) {
   if (start >= end || delta == 0) return;
-  ++version_;  // any cursor anchored before this mutation must re-search
 
   // Materialize breakpoints at the range edges. Structural edits (insert
   // or merge-erase) shift leaf indices and defer the tree repair; pure
@@ -547,7 +523,7 @@ void Profile::add_over_range(Time start, Time end, int delta) {
     structural = true;
   }
 
-  if (!structural && bulk_depth_ == 0 && leaf_cap_ >= pts_.size()) {
+  if (!structural && leaf_cap_ >= pts_.size()) {
     // Leaf indices did not shift: write the touched leaves and recompute
     // their ancestors — O(touched + log n) — instead of deferring. Stale
     // leaves elsewhere stay tracked.
@@ -578,7 +554,6 @@ void Profile::compact(Time now) {
   assert(now >= pts_[front_].t);  // simulation time never flows backwards
   const std::size_t i = segment_at(now);
   if (i == front_) return;  // nothing before `now` to drop: no-op, no churn
-  ++version_;
   // Advance the live-range offset instead of splicing the vector: leaf
   // indices stay put, so the segment tree stays valid (it only ever stores
   // `free` values, and queries never look left of a live index).

@@ -135,10 +135,6 @@ class CapacityOverlay {
 ///     its ancestors, then the suffix wholesale, so an edit near the front
 ///     costs the leaves it moved, not every leaf after it.
 ///
-/// A BulkUpdate scope defers even the in-place repairs, so a burst of
-/// mutations (a replan lifting k reservations) pays one combined repair at
-/// the first query after the burst instead of k interleaved ones.
-///
 /// The adjacent-equal-value merge rule keeps the representation canonical:
 /// two profiles that agree as step functions store identical breakpoints.
 class Profile {
@@ -155,28 +151,6 @@ class Profile {
   /// full capacity). `nodes` fit at `from` exactly when it returns `from`.
   Time earliest_fit(Time from, Duration duration, int nodes) const;
 
-  /// Resumable scan state for batched earliest-fit queries. A cursor
-  /// remembers which segment contained the previous query's `from`, so a
-  /// run of queries anchored at the same (or advancing) instant skips the
-  /// per-query binary search and resumes walking the breakpoint vector
-  /// where it stood. The cursor revalidates itself against the owning
-  /// profile and its mutation counter: any profile mutation (or a different
-  /// profile) forces one fresh binary search, counted in restarts().
-  /// Stale cursors are therefore always safe, never wrong.
-  class Cursor {
-   public:
-    /// Queries that had to re-anchor with a binary search instead of
-    /// resuming (first use, profile mutated, or `from` moved backwards).
-    std::uint64_t restarts() const noexcept { return restarts_; }
-
-   private:
-    friend class Profile;
-    const Profile* owner_ = nullptr;
-    std::uint64_t version_ = 0;
-    std::size_t idx_ = 0;  // segment index of the previous query's `from`
-    std::uint64_t restarts_ = 0;
-  };
-
   /// Earliest fit of (duration, nodes) in the pointwise sum
   /// `*this + extra`, scanning merged breakpoints linearly from `from`,
   /// clamped at `stop`. Precondition: `stop` is itself a known fit — the
@@ -187,14 +161,11 @@ class Profile {
   /// an unbounded search. Under that guarantee the result is exact: the
   /// true earliest fit if it starts before `stop`, else `stop` — and the
   /// walk never advances past `stop`, which is what makes screening cheap
-  /// when reservations are close to now. Unlike earliest_fit() this never
-  /// touches the segment tree (and so never pays a deferred rebuild).
-  /// Returns kTimeInfinity when `max_steps` merged breakpoints were
-  /// consumed first ("unknown — caller falls back"); a real fit is always
-  /// finite.
-  Time earliest_fit_with(const CapacityOverlay& extra, Cursor& cursor,
-                         Time from, Duration duration, int nodes, Time stop,
-                         std::size_t max_steps) const;
+  /// when reservations are close to now. The walk anchors with one binary
+  /// search for `from`. Unlike earliest_fit() this never touches the
+  /// segment tree (and so never pays a deferred rebuild).
+  Time earliest_fit_with(const CapacityOverlay& extra, Time from,
+                         Duration duration, int nodes, Time stop) const;
 
   /// Growth-confined earliest fit: the earliest fit of (duration, nodes)
   /// in `*this + extra` that starts in [from, before), else `before`.
@@ -208,13 +179,11 @@ class Profile {
   /// each, the run of combined capacity >= nodes through it (left to where
   /// the run starts, right until it is `duration` long or ends); the
   /// stretch from `from` to the first crossing is never walked. Like
-  /// earliest_fit_with this never touches the segment tree. Returns
-  /// kTimeInfinity when `max_steps` merged breakpoints were consumed first
-  /// ("unknown — caller falls back").
+  /// earliest_fit_with this never touches the segment tree.
   Time earliest_fit_in_growth(const CapacityOverlay& extra,
                               const CapacityOverlay& growth, Time from,
-                              Time before, Duration duration, int nodes,
-                              std::size_t max_steps) const;
+                              Time before, Duration duration,
+                              int nodes) const;
 
   /// Subtract `nodes` over [start, start + duration). Precondition: the
   /// nodes are free there (earliest_fit(start, duration, nodes) == start).
@@ -232,24 +201,6 @@ class Profile {
   /// `now` is not earlier than the first breakpoint — time never flows
   /// backwards in the simulator.
   void compact(Time now);
-
-  /// Scoped batch-mutation mode: while at least one BulkUpdate is alive,
-  /// allocate()/release() defer all segment-tree maintenance (queries are
-  /// still valid — they repair on demand). Open one around a burst of
-  /// mutations with no interleaved queries, e.g. a replan lifting every
-  /// reservation, so the burst pays one combined repair at the next query
-  /// instead of one per mutation. Mutations and queries remain legal (and
-  /// byte-identical in effect) inside the scope; only their cost changes.
-  class BulkUpdate {
-   public:
-    explicit BulkUpdate(Profile& p) noexcept : p_(&p) { ++p.bulk_depth_; }
-    ~BulkUpdate() { --p_->bulk_depth_; }
-    BulkUpdate(const BulkUpdate&) = delete;
-    BulkUpdate& operator=(const BulkUpdate&) = delete;
-
-   private:
-    Profile* p_;
-  };
 
   /// Number of stored (live) breakpoints (for tests/benchmarks).
   std::size_t breakpoints() const noexcept { return pts_.size() - front_; }
@@ -322,13 +273,8 @@ class Profile {
   static constexpr std::size_t kHeadroom = 64;
 
   int total_;
-  int bulk_depth_ = 0;
   std::vector<Breakpoint> pts_;
   std::size_t front_ = 0;  // first live breakpoint (dead prefix before it)
-  // Bumped on every mutation that can move or revalue breakpoints
-  // (allocate/release/compact); lets a Cursor detect that its cached
-  // segment index may no longer be meaningful.
-  std::uint64_t version_ = 1;
   mutable std::vector<int> tmin_, tmax_;
   mutable std::size_t leaf_cap_ = 0;
   mutable std::size_t filled_ = 0;      // leaves holding real values

@@ -1,7 +1,7 @@
 #include "sim/reference_profile.h"
 
 #include <cassert>
-#include <sstream>
+#include <charconv>
 #include <stdexcept>
 
 namespace jsched::sim {
@@ -128,9 +128,15 @@ void ReferenceProfile::compact(Time now) {
 }
 
 std::string ReferenceProfile::dump() const {
-  std::ostringstream os;
-  for (const auto& [t, c] : cap_) os << t << ':' << c << ' ';
-  return os.str();
+  std::string out;
+  char buf[24];  // any 64-bit integer in decimal, sign included
+  for (const auto& [t, c] : cap_) {
+    out.append(buf, std::to_chars(buf, buf + sizeof buf, t).ptr);
+    out.push_back(':');
+    out.append(buf, std::to_chars(buf, buf + sizeof buf, c).ptr);
+    out.push_back(' ');
+  }
+  return out;
 }
 
 }  // namespace jsched::sim

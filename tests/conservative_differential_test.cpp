@@ -159,7 +159,7 @@ TEST(ConservativeDifferential, CertificatesActuallyEngage) {
   EXPECT_EQ(st.moved, run_stats(w, 16, scratch).moved);
 }
 
-// --- in-place moves: detach and fallback ------------------------------------
+// --- in-place moves, long walks and the overdue hand-off --------------------
 
 TEST(ConservativeDifferential, MoverLandingOnALaterSlotDetachesIt) {
   // Six nodes. X, R and A start at t=0; the queue plans W (full machine)
@@ -187,13 +187,13 @@ TEST(ConservativeDifferential, MoverLandingOnALaterSlotDetachesIt) {
   expect_matches_scratch(w, 6, p, "detach");
 }
 
-TEST(ConservativeDifferential, ExhaustedScreenFallsBackToScratch) {
+TEST(ConservativeDifferential, LongScreenWalkMatchesScratch) {
   // A staircase of one-node jobs ending one second apart fills the
   // machine, so the full-machine job W is planned behind thousands of
-  // breakpoints — more than a screen may walk. The first replan (job 0
-  // ends 500 s early) carries no certificates, so resolving W walks from
-  // `now` and runs out of budget: the rest of the window is re-placed from
-  // scratch, and the three one-node jobs behind W move into the hole.
+  // breakpoints. The first replan (job 0 ends 500 s early) carries no
+  // certificates, so resolving W walks from `now` across the whole
+  // staircase to W's own slot, and the three one-node jobs behind W move
+  // into the hole, all without handing the window to scratch re-placement.
   constexpr int kStairs = 9000;
   std::vector<Job> jobs;
   jobs.push_back(make_job(0, 1, 500, 1000));
@@ -203,9 +203,54 @@ TEST(ConservativeDifferential, ExhaustedScreenFallsBackToScratch) {
   const workload::Workload w = test::make_workload(std::move(jobs));
   const ConservativeParams p;
   const auto st = run_stats(w, kStairs, p);
-  EXPECT_EQ(st.fallbacks, 1u);
+  EXPECT_EQ(st.fallbacks, 0u);
   EXPECT_EQ(st.moved, 3u);
-  expect_matches_scratch(w, kStairs, p, "fallback");
+  expect_matches_scratch(w, kStairs, p, "long walk");
+}
+
+TEST(ConservativeDifferential, OverdueReservationHandsTheRestToScratch) {
+  // A reservation falls due at an instant the dispatcher is never shown.
+  // On four nodes J0 (2 nodes, estimate 200) and J1 (2 nodes, estimate
+  // 100) start at 0; J2 (4 nodes) is reserved at 200 and J3 (2 nodes) at
+  // 100. No select comes at 100, and J0 completes 50 s early at 150. The
+  // replan moves J2 to 150, then finds J3 overdue and hands the rest of
+  // the window to scratch re-placement, which puts J3 at 200: where the
+  // scratch reference puts both.
+  std::vector<Job> jobs = {make_job(0, 2, 150, 200), make_job(0, 2, 100, 100),
+                           make_job(0, 4, 50, 50), make_job(0, 2, 50, 50)};
+  JobStore store;
+  for (std::size_t i = 0; i < jobs.size(); ++i) {
+    jobs[i].id = static_cast<JobId>(i);
+    store.put(jobs[i]);
+  }
+  sim::Machine m;
+  m.nodes = 4;
+  const auto drive = [&](const ConservativeParams& p) {
+    auto d = std::make_unique<ConservativeBackfillDispatch>(p);
+    d->reset(m, store);
+    const std::vector<JobId> queue = {0, 1, 2, 3};
+    for (JobId id : queue) d->on_enqueue(id, 0);
+    EXPECT_EQ(d->reservation_of(2), 200);
+    EXPECT_EQ(d->reservation_of(3), 100);
+    std::vector<JobId> starts;
+    d->select(0, 4, queue, {}, starts);
+    EXPECT_EQ(starts, (std::vector<JobId>{0, 1}));
+    for (JobId id : starts) d->on_start(id, 0);
+    d->on_complete(0, 150, 200, {2, 3});
+    return d;
+  };
+  const auto incremental = drive(ConservativeParams{});
+  ConservativeParams scratch;
+  scratch.scratch_replan = true;
+  const auto reference = drive(scratch);
+  EXPECT_EQ(incremental->reservation_of(2), 150);
+  EXPECT_EQ(incremental->reservation_of(3), 200);
+  EXPECT_EQ(reference->reservation_of(2), 150);
+  EXPECT_EQ(reference->reservation_of(3), 200);
+  EXPECT_EQ(incremental->profile().dump(), reference->profile().dump());
+  EXPECT_EQ(incremental->replan_stats().fallbacks, 1u);
+  EXPECT_EQ(incremental->replan_stats().moved,
+            reference->replan_stats().moved);
 }
 
 // --- replan_prefix boundary semantics ---------------------------------------

@@ -193,12 +193,11 @@ void run_in_place_fuzz(std::uint64_t seed, std::size_t ops) {
   }
 }
 
-// Batch-mutation mode: lift a burst of allocations inside a
-// Profile::BulkUpdate scope (only the fast profile has one — the
-// reference sees plain calls), then re-place them through earliest_fit,
-// mirroring ConservativeBackfillDispatch::replan. Queries fired inside
-// and right after the scope must see exactly the reference's answers.
-void run_bulk_fuzz(std::uint64_t seed, std::size_t ops) {
+// Replan-shaped bursts: lift several allocations, with queries fired
+// between the releases, then re-place them through earliest_fit,
+// mirroring ConservativeBackfillDispatch::replace_from. Every query must
+// see exactly the reference's answers.
+void run_burst_fuzz(std::uint64_t seed, std::size_t ops) {
   constexpr int kTotal = 64;
   Differ d(kTotal);
   util::Rng rng(seed);
@@ -221,36 +220,32 @@ void run_bulk_fuzz(std::uint64_t seed, std::size_t ops) {
       d.expect_identical(op);
     }
 
-    // Replan-shaped burst: release several windows under one BulkUpdate.
+    // Replan-shaped burst: release several windows.
     const std::size_t burst = std::min<std::size_t>(
         active.size(), static_cast<std::size_t>(rng.uniform_int(0, 6)));
     std::vector<ActiveAllocation> lifted;
-    {
-      Profile::BulkUpdate bulk(d.fast());
-      for (std::size_t k = 0; k < burst && op < ops; ++k, ++op) {
-        const std::size_t pick = static_cast<std::size_t>(rng.uniform_int(
-            0, static_cast<std::int64_t>(active.size()) - 1));
-        const ActiveAllocation a = active[pick];
-        active.erase(active.begin() + static_cast<std::ptrdiff_t>(pick));
-        const Time release_from = std::max(a.start, now);
-        if (a.end() <= release_from) continue;
-        const Duration tail = a.end() - release_from;
-        d.fast().release(release_from, tail, a.nodes);
-        d.ref().release(release_from, tail, a.nodes);
-        lifted.push_back({release_from, tail, a.nodes});
-        if (rng.bernoulli(0.25)) {
-          // Queries are legal inside the scope and repair on demand.
-          d.expect_queries_agree(op, now + rng.uniform_int(0, 4000),
-                                 rng.uniform_int(1, 3000),
-                                 static_cast<int>(rng.uniform_int(0, kTotal)));
-        }
+    for (std::size_t k = 0; k < burst && op < ops; ++k, ++op) {
+      const std::size_t pick = static_cast<std::size_t>(rng.uniform_int(
+          0, static_cast<std::int64_t>(active.size()) - 1));
+      const ActiveAllocation a = active[pick];
+      active.erase(active.begin() + static_cast<std::ptrdiff_t>(pick));
+      const Time release_from = std::max(a.start, now);
+      if (a.end() <= release_from) continue;
+      const Duration tail = a.end() - release_from;
+      d.fast().release(release_from, tail, a.nodes);
+      d.ref().release(release_from, tail, a.nodes);
+      lifted.push_back({release_from, tail, a.nodes});
+      if (rng.bernoulli(0.25)) {
+        // A query in the middle of the burst repairs the tree on demand.
+        d.expect_queries_agree(op, now + rng.uniform_int(0, 4000),
+                               rng.uniform_int(1, 3000),
+                               static_cast<int>(rng.uniform_int(0, kTotal)));
       }
-      d.expect_identical(op);
-      if (::testing::Test::HasFatalFailure()) return;
     }
+    d.expect_identical(op);
+    if (::testing::Test::HasFatalFailure()) return;
 
-    // Re-place the lifted windows from `now` (phase 2: queries after the
-    // scope closed).
+    // Re-place the lifted windows from `now`.
     for (const ActiveAllocation& a : lifted) {
       if (op >= ops) break;
       const Time start = d.fast().earliest_fit(now, a.duration, a.nodes);
@@ -279,9 +274,9 @@ void run_bulk_fuzz(std::uint64_t seed, std::size_t ops) {
 // exactly the way ConservativeBackfillDispatch::on_capacity_change does —
 // an outage is one open-ended allocation placed at `now` when nodes go
 // down and released (from `now`, past prefix kept as history) when they
-// come back, with every live reservation lifted under a BulkUpdate and
-// re-placed through earliest_fit at the new capacity. The reference
-// profile sees the same plain calls and must agree after every step.
+// come back, with every live reservation lifted and re-placed through
+// earliest_fit at the new capacity. The reference profile sees the same
+// calls and must agree after every step.
 void run_capacity_fuzz(std::uint64_t seed, std::size_t ops) {
   constexpr int kTotal = 64;
   Differ d(kTotal);
@@ -321,25 +316,22 @@ void run_capacity_fuzz(std::uint64_t seed, std::size_t ops) {
       const int new_down = static_cast<int>(rng.uniform_int(0, kTotal / 2));
       if (new_down == down) continue;
       std::vector<ActiveAllocation> lifted;
-      {
-        Profile::BulkUpdate bulk(d.fast());
-        for (const ActiveAllocation& a : active) {
-          const Time release_from = std::max(a.start, now);
-          if (a.end() <= release_from) continue;
-          const Duration tail = a.end() - release_from;
-          d.fast().release(release_from, tail, a.nodes);
-          d.ref().release(release_from, tail, a.nodes);
-          lifted.push_back({release_from, tail, a.nodes});
-        }
-        if (new_down > down) {
-          d.fast().allocate(now, kTimeInfinity, new_down - down);
-          d.ref().allocate(now, kTimeInfinity, new_down - down);
-        } else {
-          d.fast().release(now, kTimeInfinity, down - new_down);
-          d.ref().release(now, kTimeInfinity, down - new_down);
-        }
-        down = new_down;
+      for (const ActiveAllocation& a : active) {
+        const Time release_from = std::max(a.start, now);
+        if (a.end() <= release_from) continue;
+        const Duration tail = a.end() - release_from;
+        d.fast().release(release_from, tail, a.nodes);
+        d.ref().release(release_from, tail, a.nodes);
+        lifted.push_back({release_from, tail, a.nodes});
       }
+      if (new_down > down) {
+        d.fast().allocate(now, kTimeInfinity, new_down - down);
+        d.ref().allocate(now, kTimeInfinity, new_down - down);
+      } else {
+        d.fast().release(now, kTimeInfinity, down - new_down);
+        d.ref().release(now, kTimeInfinity, down - new_down);
+      }
+      down = new_down;
       d.expect_identical(op);
       if (::testing::Test::HasFatalFailure()) return;
       active.clear();
@@ -378,8 +370,8 @@ void run_capacity_fuzz(std::uint64_t seed, std::size_t ops) {
 // join its tail, so the dead prefix grows until compact() splices it out,
 // several times per run. Some steps move a window (release, then allocate
 // at a fit found beforehand, with no query between), some lift and
-// re-place a burst under BulkUpdate, and some edit deep in the backlog, so
-// head shifts, rewritten values and a shifted suffix meet in one repair.
+// re-place a burst, and some edit deep in the backlog, so head shifts,
+// rewritten values and a shifted suffix meet in one repair.
 // dump() is compared after every mutation, and every step ends with an
 // earliest_fit against the reference: a leaf the repair missed shows as a
 // wrong fit.
@@ -458,18 +450,15 @@ void run_deep_replan_fuzz(std::uint64_t seed, std::size_t ops) {
       allocate(at, dur, a.nodes);
       near.push_back({at, dur, a.nodes});
     } else if (dice < 66) {
-      // Lift a burst under BulkUpdate, mostly near, then re-place it.
+      // Lift a burst, mostly near, then re-place it.
       std::vector<ActiveAllocation> lifted;
-      {
-        Profile::BulkUpdate bulk(d.fast());
-        const std::int64_t burst = rng.uniform_int(1, 6);
-        for (std::int64_t k = 0; k < burst; ++k) {
-          const bool from_deep =
-              !deep.empty() && (near.empty() || rng.bernoulli(0.2));
-          if (!from_deep && near.empty()) break;
-          const ActiveAllocation a = take(from_deep ? deep : near);
-          if (a.end() > now) lifted.push_back(lift(a));
-        }
+      const std::int64_t burst = rng.uniform_int(1, 6);
+      for (std::int64_t k = 0; k < burst; ++k) {
+        const bool from_deep =
+            !deep.empty() && (near.empty() || rng.bernoulli(0.2));
+        if (!from_deep && near.empty()) break;
+        const ActiveAllocation a = take(from_deep ? deep : near);
+        if (a.end() > now) lifted.push_back(lift(a));
       }
       for (const ActiveAllocation& a : lifted) {
         const Time at = fit(now, a.duration, a.nodes);
@@ -591,7 +580,6 @@ struct MergedView {
 /// the growth in its own overlay.
 void run_growth_fit_fuzz(std::uint64_t seed, std::size_t trials) {
   constexpr int kTotal = 32;
-  constexpr std::size_t kUnbounded = static_cast<std::size_t>(-1);
   util::Rng rng(seed);
   std::size_t moved = 0;  // trials whose growth opened an earlier fit
   const auto random_span = [&](Time lo) {
@@ -646,10 +634,8 @@ void run_growth_fit_fuzz(std::uint64_t seed, std::size_t trials) {
     const Time from = rng.uniform_int(0, 1500);
     const Duration d = rng.uniform_int(1, 500);
     const int nodes = static_cast<int>(rng.uniform_int(1, kTotal));
-    Profile::Cursor cursor;
     const Time certified = view.earliest_fit(from, kTimeInfinity, d, nodes);
-    ASSERT_EQ(profile.earliest_fit_with(extra, cursor, from, d, nodes,
-                                        kTimeInfinity, kUnbounded),
+    ASSERT_EQ(profile.earliest_fit_with(extra, from, d, nodes, kTimeInfinity),
               certified)
         << "trial " << trial;
 
@@ -707,29 +693,16 @@ void run_growth_fit_fuzz(std::uint64_t seed, std::size_t trials) {
 
     const Time expected = view.earliest_fit(from, certified, d, nodes);
     if (expected < certified) ++moved;
-    ASSERT_EQ(profile.earliest_fit_in_growth(extra, grown, from, certified, d,
-                                             nodes, kUnbounded),
-              expected)
+    ASSERT_EQ(
+        profile.earliest_fit_in_growth(extra, grown, from, certified, d, nodes),
+        expected)
         << "trial " << trial << " from=" << from << " certified=" << certified
         << " d=" << d << " nodes=" << nodes;
-    // A step budget only ever turns the answer into "unknown".
-    const std::size_t budget =
-        static_cast<std::size_t>(rng.uniform_int(0, 12));
-    const Time budgeted = profile.earliest_fit_in_growth(
-        extra, grown, from, certified, d, nodes, budget);
-    ASSERT_TRUE(budgeted == expected || budgeted == kTimeInfinity)
-        << "trial " << trial;
 
     // The detached re-screen: unbounded search from the old start.
-    const Time resumed = view.earliest_fit(certified, kTimeInfinity, d, nodes);
-    ASSERT_EQ(profile.earliest_fit_with(extra, cursor, certified, d, nodes,
-                                        kTimeInfinity, kUnbounded),
-              resumed)
-        << "trial " << trial;
-    const Time resumed_budgeted = profile.earliest_fit_with(
-        extra, cursor, certified, d, nodes, kTimeInfinity, budget);
-    ASSERT_TRUE(resumed_budgeted == resumed ||
-                resumed_budgeted == kTimeInfinity)
+    ASSERT_EQ(
+        profile.earliest_fit_with(extra, certified, d, nodes, kTimeInfinity),
+        view.earliest_fit(certified, kTimeInfinity, d, nodes))
         << "trial " << trial;
   }
   // Both verdicts must be well represented for the comparison to bite.
@@ -756,8 +729,8 @@ TEST(ProfileDifferential, InPlaceMutationMixSeed8) {
   run_in_place_fuzz(8, 10'000);
 }
 
-TEST(ProfileDifferential, BulkUpdateBatchModeSeed11) { run_bulk_fuzz(11, 10'000); }
-TEST(ProfileDifferential, BulkUpdateBatchModeSeed12) { run_bulk_fuzz(12, 10'000); }
+TEST(ProfileDifferential, ReplanBurstSeed11) { run_burst_fuzz(11, 10'000); }
+TEST(ProfileDifferential, ReplanBurstSeed12) { run_burst_fuzz(12, 10'000); }
 
 TEST(ProfileDifferential, CapacityShrinkGrowSeed21) {
   run_capacity_fuzz(21, 10'000);
